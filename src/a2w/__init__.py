@@ -49,7 +49,6 @@ from .pipeline import (
     CurriculumOrder,
     SynthSpec,
     Utterance,
-    append_aux,
     compute_deltas,
     load_corpus,
     save_corpus,

@@ -61,22 +61,27 @@ class AblationSpec:
         return cfg
 
 
+def named_specs(base: TrainConfig) -> dict[str, AblationSpec]:
+    """Full recipe plus one spec per removed component, keyed by CLI alias."""
+    full = AblationSpec(warm_start=bool(base.warm_ckpt))
+    return {
+        "full": full,
+        "descending": dataclasses.replace(full, order="descending"),
+        "random": dataclasses.replace(full, order="random"),
+        "no-momentum": dataclasses.replace(full, momentum=False),
+        "no-dropout": dataclasses.replace(full, dropout=False),
+        "no-projection": dataclasses.replace(full, projection=False),
+        "small": dataclasses.replace(full, size="small"),
+        "no-warm": dataclasses.replace(full, warm_start=False),
+    }
+
+
 def standard_specs(base: TrainConfig) -> list[AblationSpec]:
-    """Full recipe plus one spec per removed component."""
-    warm = bool(base.warm_ckpt)
-    full = AblationSpec(warm_start=warm)
-    specs = [
-        full,
-        dataclasses.replace(full, order="descending"),
-        dataclasses.replace(full, order="random"),
-        dataclasses.replace(full, momentum=False),
-        dataclasses.replace(full, dropout=False),
-        dataclasses.replace(full, projection=False),
-        dataclasses.replace(full, size="small"),
-    ]
-    if warm:
-        specs.append(dataclasses.replace(full, warm_start=False))
-    return specs
+    """The named specs in order; ``no-warm`` only when the base warm-starts."""
+    specs = named_specs(base)
+    if not base.warm_ckpt:
+        del specs["no-warm"]
+    return list(specs.values())
 
 
 @dataclass

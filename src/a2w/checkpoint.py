@@ -86,9 +86,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             shape = tuple(int(d) for d in dims.split("x"))
             count = int(np.prod(shape))
             start = int(offset)
-            values = np.frombuffer(data, dtype="<f8", count=count, offset=start)
-            if values.size != count:
+            if start + 8 * count > len(data):
                 raise ValueError(f"{path}: tensor {name} data is truncated")
+            values = np.frombuffer(data, dtype="<f8", count=count, offset=start)
             ckpt.tensors[name] = values.reshape(shape).copy()
         else:
             raise ValueError(f"{path}: unknown manifest record {kind!r}")

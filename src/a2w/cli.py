@@ -10,17 +10,14 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .ablation import AblationSpec, run_ablation, standard_specs
+from .ablation import named_specs, run_ablation, standard_specs
 from .alphabet import JointAlphabet, build_charset, load_alphabet
 from .checkpoint import load_checkpoint
 from .config import TrainConfig, config_from_items, load_config
 from .decoder import decode_utterances, parse_hypothesis, read_transcripts, write_sar_file, write_transcripts
-from .network import Model, ModelConfig
 from .pipeline import SynthSpec, load_corpus, save_corpus, split_by_id_hash, synth_corpus
 from .scoring import corpus_wer
-from .trainer import prepare_corpus, run_training
+from .trainer import model_from_checkpoint, prepare_corpus, run_training
 
 
 class _UsageError(Exception):
@@ -101,24 +98,11 @@ def _find_checkpoint(run_dir: Path, epoch: int | None) -> Path:
 
 def _cmd_decode(args) -> int:
     run_dir = Path(args.run)
-    cfg = load_config(run_dir / "config.txt")
-    ckpt = load_checkpoint(_find_checkpoint(run_dir, args.epoch))
+    cfg, model = model_from_checkpoint(load_checkpoint(_find_checkpoint(run_dir, args.epoch)))
     vocab = load_alphabet(run_dir / "vocab.txt")
     joint = None
     if cfg.targets == "sar":
         joint = JointAlphabet(vocab=vocab, charset=load_alphabet(run_dir / "chars.txt"))
-    model_config = ModelConfig(
-        input_dim=int(ckpt.config["input_dim"]),
-        output_dim=int(ckpt.config["output_dim"]),
-        num_layers=cfg.layers,
-        hidden_per_direction=cfg.hidden,
-        projection_dim=cfg.projection,
-        dropout_rate=cfg.dropout,
-        init_scheme=cfg.init,
-        dtype=cfg.dtype,
-    )
-    dtype = np.dtype(cfg.dtype)
-    model = Model(model_config, {k: v.astype(dtype) for k, v in ckpt.model_tensors().items()})
     utts = prepare_corpus(load_corpus(args.corpus), cfg)
     rows = decode_utterances(model, utts, vocab, joint=joint, mode=args.mode, batch_size=cfg.batch_size)
     write_transcripts(args.out, [(utt_id, words) for utt_id, words, _ in rows])
@@ -152,35 +136,19 @@ def _cmd_score(args) -> int:
     return 0
 
 
-_SPEC_ALIASES = ("full", "descending", "random", "no-momentum", "no-dropout", "no-projection", "small", "no-warm")
-
-
-def _specs_by_alias(base: TrainConfig, names: list[str]) -> list[AblationSpec]:
-    warm = bool(base.warm_ckpt)
-    full = AblationSpec(warm_start=warm)
-    table = {
-        "full": full,
-        "descending": dataclasses.replace(full, order="descending"),
-        "random": dataclasses.replace(full, order="random"),
-        "no-momentum": dataclasses.replace(full, momentum=False),
-        "no-dropout": dataclasses.replace(full, dropout=False),
-        "no-projection": dataclasses.replace(full, projection=False),
-        "small": dataclasses.replace(full, size="small"),
-        "no-warm": dataclasses.replace(full, warm_start=False),
-    }
-    specs = []
-    for name in names:
-        if name not in table:
-            raise _UsageError(f"unknown ablation spec {name!r}; choose from {', '.join(_SPEC_ALIASES)}")
-        specs.append(table[name])
-    return specs
+_SPEC_ALIASES = ", ".join(named_specs(TrainConfig()))
 
 
 def _cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
     train_utts, heldout = _load_train_heldout(args, cfg)
     if args.specs:
-        specs = _specs_by_alias(cfg, [s.strip() for s in args.specs.split(",") if s.strip()])
+        table = named_specs(cfg)
+        specs = []
+        for name in filter(None, (s.strip() for s in args.specs.split(","))):
+            if name not in table:
+                raise _UsageError(f"unknown ablation spec {name!r}; choose from {_SPEC_ALIASES}")
+            specs.append(table[name])
     else:
         specs = standard_specs(cfg)
     seeds = [cfg.seed + i for i in range(args.seeds)]
@@ -250,7 +218,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--heldout", default=None)
     p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--specs", default=None, help=f"comma list from: {', '.join(_SPEC_ALIASES)}")
+    p.add_argument("--specs", default=None, help=f"comma list from: {_SPEC_ALIASES}")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_ablate)
 

@@ -77,7 +77,7 @@ def load_config(path: str | Path, base: TrainConfig | None = None) -> TrainConfi
 
 
 def save_config(cfg: TrainConfig, path: str | Path) -> None:
-    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(TrainConfig)]
+    lines = [f"{key}={value}" for key, value in config_to_items(cfg).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -30,16 +30,9 @@ TAG_FROM_CHARS = "from-characters"
 TAG_INCOMPLETE = "incomplete"
 
 
-@dataclass(frozen=True)
-class FrameArgmaxPath:
-    labels: np.ndarray  # per-frame winning label id
-    values: np.ndarray  # the winning score per frame
-
-
-def frame_argmax(lattice: PosteriorLattice) -> FrameArgmaxPath:
-    """Row-wise argmax; ties resolve to the lowest label id."""
-    labels = lattice.values.argmax(axis=1)
-    return FrameArgmaxPath(labels=labels, values=lattice.values[np.arange(len(labels)), labels])
+def frame_argmax(lattice: PosteriorLattice) -> np.ndarray:
+    """Per-frame winning label id; ties resolve to the lowest label id."""
+    return lattice.values.argmax(axis=1)
 
 
 def collapse_labels(labels: Sequence[int]) -> list[int]:
@@ -56,7 +49,7 @@ def collapse_labels(labels: Sequence[int]) -> list[int]:
 
 def greedy_collapse(lattice: PosteriorLattice) -> list[int]:
     """Peak-picking decode: argmax path, repeats collapsed, blanks dropped."""
-    return collapse_labels(frame_argmax(lattice).labels)
+    return collapse_labels(frame_argmax(lattice))
 
 
 def one_hot_lattice(labels: Sequence[int], num_labels: int) -> PosteriorLattice:

@@ -38,7 +38,6 @@ class ModelConfig:
     projection_dim: int = 256  # 0 disables the bottleneck
     dropout_rate: float = 0.25
     init_scheme: str = "uniform-fan-in"
-    grad_clip: float = 0.0  # max global gradient norm; 0 disables
     dtype: str = "float64"
 
     def __post_init__(self):

@@ -1,9 +1,8 @@
 """Feature transforms, curriculum batching, and the synthetic desk corpus.
 
 The feature chain mirrors a standard acoustic front end: append first and
-second order regression coefficients, stack adjacent frame pairs at half
-the frame rate, then replicate a fixed per-utterance auxiliary vector onto
-every frame (40 -> 120 -> 240 -> 340 with a 100-dim auxiliary input).
+second order regression coefficients, then stack adjacent frame pairs at
+half the frame rate (40 -> 120 -> 240).
 """
 
 from __future__ import annotations
@@ -127,17 +126,6 @@ def stack_decimate(features: np.ndarray) -> np.ndarray:
     if t != pairs * 2:
         x = np.vstack([x, np.zeros((1, f))])
     return x.reshape(pairs, 2 * f)
-
-
-def append_aux(features: np.ndarray, aux: np.ndarray) -> np.ndarray:
-    """Replicate a fixed auxiliary vector (speaker code etc.) onto each frame."""
-    x = np.asarray(features, dtype=np.float64)
-    aux = np.asarray(aux, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(aux)):
-        raise ValueError("auxiliary vector must be finite")
-    if aux.size == 0:
-        return x
-    return np.hstack([x, np.tile(aux, (x.shape[0], 1))])
 
 
 def sort_and_batch(
@@ -280,8 +268,11 @@ def load_corpus(directory: str | Path) -> list[Utterance]:
         if not line.strip():
             continue
         utt_id, transcript, rel = line.split("\t")
-        raw = (directory / rel).read_bytes()
-        t, f = _FEATURE_HEADER.unpack_from(raw)
+        path = directory / rel
+        raw = path.read_bytes()
+        t, f = _FEATURE_HEADER.unpack_from(raw) if len(raw) >= _FEATURE_HEADER.size else (0, 0)
+        if t < 1 or f < 1 or len(raw) != _FEATURE_HEADER.size + 4 * t * f:
+            raise ValueError(f"{path}: {len(raw)} bytes do not hold the {t}x{f} float32 features its header declares")
         feats = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size).reshape(t, f)
         utts.append(Utterance(id=utt_id, features=feats.astype(np.float64), transcript=tuple(tokenize(transcript))))
     return utts

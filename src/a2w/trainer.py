@@ -7,7 +7,8 @@ The velocity update evaluates the gradient at the displaced point
     v_n     = rho * v_{n-1} + lr * grad(theta_{n-1} + rho * v_{n-1})
     theta_n = theta_{n-1} - v_n
 
-With ``rho = 0`` this takes exactly the plain-SGD arithmetic path.
+With ``rho = 0`` the same arithmetic is bitwise plain SGD:
+``theta + 0 * v == theta`` and ``0 * v + lr * g == lr * g``.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from .alphabet import (
     save_alphabet,
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import TrainConfig, config_to_items, save_config
+from .config import TrainConfig, config_from_items, config_to_items, save_config
 from .ctc import InfeasibleAlignment, ctc_loss, min_frames_for
 from .network import Model, ModelConfig, init_model, model_backward, model_forward, warm_start
 from .pipeline import (
     ASCENDING,
-    DESCENDING,
     CurriculumOrder,
     Utterance,
     compute_deltas,
@@ -56,13 +56,12 @@ class LrSchedule:
 
     base_lr: float = 0.01
     flat_epochs: int = 10
-    decay: float = math.sqrt(0.5)
 
 
 def lr_at(epoch: int, sched: LrSchedule) -> float:
     """Learning rate for a 1-based epoch index.
 
-    The decayed value is computed as 2**(-n/2), which equals decay**n but
+    The decayed value is computed as 2**(-n/2), which equals sqrt(1/2)**n but
     is exact for even n (halving every second epoch introduces no drift).
     """
     if epoch < 1:
@@ -77,11 +76,10 @@ def lr_at(epoch: int, sched: LrSchedule) -> float:
 class OptimizerState:
     velocity: dict[str, np.ndarray]
     rho: float = 0.9
-    base_lr: float = 0.01
 
     @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray], rho: float = 0.9, base_lr: float = 0.01):
-        return cls(velocity={k: np.zeros_like(v) for k, v in params.items()}, rho=rho, base_lr=base_lr)
+    def zeros_like(cls, params: dict[str, np.ndarray], rho: float = 0.9):
+        return cls(velocity={k: np.zeros_like(v) for k, v in params.items()}, rho=rho)
 
 
 GradFn = Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]]
@@ -96,13 +94,6 @@ def nesterov_step(
     """One momentum update, in place; returns (params, state, loss at the
     evaluation point)."""
     rho = state.rho
-    if rho == 0.0:
-        loss, grads = grad_fn(params)
-        _check_finite(grads)
-        for name in params:
-            state.velocity[name] = lr * grads[name]
-            params[name] -= state.velocity[name]
-        return params, state, loss
     lookahead = {name: params[name] + rho * state.velocity[name] for name in params}
     loss, grads = grad_fn(lookahead)
     _check_finite(grads)
@@ -195,16 +186,6 @@ def check_feasible(utts: Sequence[Utterance], encode) -> None:
             raise InfeasibleAlignment(f"utterance {u.id}: {u.num_frames} frames < {needed} required for its target")
 
 
-def _epoch_order(cfg: TrainConfig, epoch: int) -> CurriculumOrder:
-    if cfg.order == "ascending":
-        return ASCENDING
-    if cfg.order == "descending":
-        return DESCENDING
-    if cfg.order == "random":
-        return CurriculumOrder("random", derive_seed(cfg.seed, epoch, 0xF00D))
-    raise ValueError(f"unknown curriculum order {cfg.order!r}")
-
-
 def evaluate_loss(model: Model, utts: Sequence[Utterance], encode, batch_size: int) -> float:
     """Mean per-utterance CTC loss with dropout disabled."""
     total = 0.0
@@ -223,6 +204,30 @@ def make_checkpoint(model: Model, state: OptimizerState, cfg: TrainConfig, epoch
     return Checkpoint(tensors=tensors, config=snapshot, epoch=epoch)
 
 
+def build_model_config(cfg: TrainConfig, input_dim: int, output_dim: int) -> ModelConfig:
+    """The network shape a run config describes, for the given data dims."""
+    return ModelConfig(
+        input_dim=input_dim,
+        output_dim=output_dim,
+        num_layers=cfg.layers,
+        hidden_per_direction=cfg.hidden,
+        projection_dim=cfg.projection,
+        dropout_rate=cfg.dropout,
+        init_scheme=cfg.init,
+        dtype=cfg.dtype,
+    )
+
+
+def model_from_checkpoint(ckpt: Checkpoint) -> tuple[TrainConfig, Model]:
+    """Inverse of ``make_checkpoint``: the run config and the model it snapshots."""
+    items = dict(ckpt.config)
+    input_dim, output_dim = int(items.pop("input_dim")), int(items.pop("output_dim"))
+    cfg = config_from_items(items)
+    dtype = np.dtype(cfg.dtype)
+    params = {k: v.astype(dtype) for k, v in ckpt.model_tensors().items()}
+    return cfg, Model(build_model_config(cfg, input_dim, output_dim), params)
+
+
 def train(
     model: Model,
     train_utts: Sequence[Utterance],
@@ -238,21 +243,29 @@ def train(
     Per epoch: arrange the curriculum batches, take one momentum step per
     batch on the batch-mean CTC loss, evaluate the heldout loss, write a
     checkpoint, and append one record line. Identical seeds give identical
-    records apart from wall time.
+    records apart from wall time. Records of epochs after ``start_epoch``
+    left by an earlier run in ``out_dir`` are dropped first, so a resumed
+    run's record file lists each epoch once.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "train_run.jsonl"
+    kept = []
+    if records_path.exists():
+        lines = records_path.read_text(encoding="utf-8").splitlines()
+        kept = [line + "\n" for line in lines if json.loads(line)["epoch"] <= start_epoch]
     if state is None:
-        state = OptimizerState.zeros_like(model.params, rho=cfg.momentum, base_lr=cfg.lr)
+        state = OptimizerState.zeros_like(model.params, rho=cfg.momentum)
     sched = LrSchedule(base_lr=cfg.lr, flat_epochs=cfg.flat_epochs)
     run = TrainRun(config=cfg)
     n_train = len(train_utts)
-    with records_path.open("a", encoding="utf-8") as records_file:
+    with records_path.open("w", encoding="utf-8") as records_file:
+        records_file.writelines(kept)
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
             started = time.perf_counter()
             lr = lr_at(epoch, sched)
-            batches = sort_and_batch(train_utts, _epoch_order(cfg, epoch), cfg.batch_size, encode)
+            order = CurriculumOrder(cfg.order, derive_seed(cfg.seed, epoch, 0xF00D))
+            batches = sort_and_batch(train_utts, order, cfg.batch_size, encode)
             loss_sum = 0.0
             for batch_idx, batch in enumerate(batches):
                 rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, epoch, batch_idx)))
@@ -267,9 +280,7 @@ def train(
                         result = ctc_loss(lat, target)
                         losses.append(result.log_loss)
                         upstream.append(result.grad / batch.size)
-                    grads = model_backward(upstream, cache, probe)
-                    if cfg.grad_clip > 0:
-                        grads = clip_global_norm(grads, cfg.grad_clip)
+                    grads = clip_global_norm(model_backward(upstream, cache, probe), cfg.grad_clip)
                     return sum(losses) / batch.size, grads
 
                 _, state, loss = nesterov_step(model.params, grad_fn, state, lr)
@@ -323,17 +334,7 @@ def run_training(
     if space.joint is not None:
         save_alphabet(out_dir / "chars.txt", space.joint.charset)
 
-    model_config = ModelConfig(
-        input_dim=train_utts[0].features.shape[1],
-        output_dim=space.size,
-        num_layers=cfg.layers,
-        hidden_per_direction=cfg.hidden,
-        projection_dim=cfg.projection,
-        dropout_rate=cfg.dropout,
-        init_scheme=cfg.init,
-        grad_clip=cfg.grad_clip,
-        dtype=cfg.dtype,
-    )
+    model_config = build_model_config(cfg, train_utts[0].features.shape[1], space.size)
     model = init_model(model_config, np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x1417))))
     state = None
     start_epoch = 0
@@ -347,7 +348,6 @@ def run_training(
             state = OptimizerState(
                 velocity={k: np.asarray(v, dtype=model.params[k].dtype) for k, v in velocity.items()},
                 rho=cfg.momentum,
-                base_lr=cfg.lr,
             )
         start_epoch = ckpt.epoch
     elif cfg.warm_ckpt:

@@ -1,6 +1,6 @@
 import pytest
 
-from a2w.ablation import AblationSpec, run_ablation, standard_specs
+from a2w.ablation import AblationSpec, named_specs, run_ablation, standard_specs
 from a2w.config import TrainConfig
 from a2w.decoder import decode_utterances
 from a2w.pipeline import SynthSpec, synth_corpus
@@ -39,6 +39,16 @@ class TestAblationSpec:
         assert any("order-descending" in n for n in names)
         assert any("dropout-off" in n for n in names)
         assert any("size-small" in n for n in names)
+
+    def test_named_specs_agree_with_standard_specs(self):
+        aliases = ["full", "descending", "random", "no-momentum", "no-dropout", "no-projection", "small", "no-warm"]
+        for warm, count in (("", 7), ("warm.ckpt", 8)):
+            base = TrainConfig(**{**BASE, "warm_ckpt": warm})
+            named = named_specs(base)
+            assert list(named) == aliases
+            assert named["full"].warm_start == bool(warm)
+            assert not named["no-warm"].warm_start
+            assert standard_specs(base) == list(named.values())[:count]
 
 
 class TestRunAblation:

@@ -76,6 +76,22 @@ class TestFormat:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_truncated_model_checkpoint_names_file_and_tensor(self, tmp_path):
+        from a2w.config import TrainConfig
+        from a2w.network import init_model
+        from a2w.trainer import OptimizerState, build_model_config, make_checkpoint
+
+        cfg = TrainConfig(layers=1, hidden=4, projection=3)
+        model = init_model(build_model_config(cfg, input_dim=5, output_dim=6), np.random.default_rng(2))
+        ckpt = make_checkpoint(model, OptimizerState.zeros_like(model.params), cfg, 1)
+        path = tmp_path / "epoch001.ckpt"
+        save_checkpoint(ckpt, path)
+        manifest = ckpt.manifest_text()
+        offset = int(next(l for l in manifest.splitlines() if l.startswith("tensor model.out.W ")).split()[-1])
+        path.write_bytes(path.read_bytes()[: 16 + len(manifest.encode()) + offset + 4])  # cut inside model.out.W
+        with pytest.raises(ValueError, match=r"epoch001\.ckpt: tensor model\.out\.W data is truncated"):
+            load_checkpoint(path)
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(sample_checkpoint(), path)

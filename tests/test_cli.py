@@ -1,4 +1,5 @@
 import filecmp
+import shutil
 
 import pytest
 
@@ -69,6 +70,16 @@ class TestTrainDecodeScore:
             lines.append(f"{utt_id}\t{transcript}")
         ref.write_text("\n".join(lines) + "\n")
         assert run("score", ref, hyp) == 0
+
+    def test_decode_needs_no_config_file(self, run_dir, corpus_dir, tmp_path):
+        # model shape and feature recipe come from the checkpoint's own snapshot
+        bare = tmp_path / "bare"
+        shutil.copytree(run_dir, bare)
+        (bare / "config.txt").unlink()
+        with_config, without_config = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        assert run("decode", "--run", run_dir, "--corpus", corpus_dir, "--out", with_config) == 0
+        assert run("decode", "--run", bare, "--corpus", corpus_dir, "--out", without_config) == 0
+        assert without_config.read_text() == with_config.read_text()
 
     def test_score_self_is_zero(self, corpus_dir, tmp_path, capsys):
         ref = tmp_path / "self.tsv"
@@ -154,6 +165,14 @@ class TestExitCodes:
         a.write_text("u1\tHELLO\n")
         b.write_text("u2\tHELLO\n")
         assert run("score", a, b) == 2
+
+    def test_truncated_feature_file_is_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run("synth", "--out", corpus, "--seed", 1, "--count", 4) == 0
+        victim = sorted((corpus / "features").glob("*.bin"))[0]
+        victim.write_bytes(victim.read_bytes()[:-4])
+        assert run("train", "--corpus", corpus, "--out", tmp_path / "r") == 2
+        assert str(victim) in capsys.readouterr().err
 
     def test_bad_config_value_is_runtime_failure(self, tmp_path, corpus_dir):
         # an unparseable value surfaces when the config is resolved

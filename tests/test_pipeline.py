@@ -9,7 +9,6 @@ from a2w.pipeline import (
     CurriculumOrder,
     SynthSpec,
     Utterance,
-    append_aux,
     compute_deltas,
     load_corpus,
     random_order,
@@ -89,25 +88,13 @@ class TestStackDecimate:
         out = stack_decimate(np.zeros((t, f)))
         assert out.shape == ((t + 1) // 2, 2 * f)
 
-
-class TestAppendAux:
-    def test_empty_aux_is_identity(self):
-        x = np.ones((3, 2))
-        np.testing.assert_allclose(append_aux(x, np.zeros(0)), x)
-
-    def test_replication(self):
-        out = append_aux(np.zeros((2, 1)), np.array([7.0]))
-        np.testing.assert_allclose(out, [[0, 7], [0, 7]])
-
     def test_front_end_dimension_arithmetic(self):
-        # 40 static dims -> 120 with deltas -> 240 stacked -> 340 with aux
+        # 40 static dims -> 120 with deltas -> 240 stacked
         x = np.random.default_rng(0).normal(size=(9, 40))
         staged = compute_deltas(x)
         assert staged.shape[1] == 120
         staged = stack_decimate(staged)
         assert staged.shape[1] == 240
-        staged = append_aux(staged, np.zeros(100))
-        assert staged.shape[1] == 340
 
 
 class TestSortAndBatch:
@@ -252,6 +239,17 @@ class TestCorpusIo:
         for fa, fb in zip(a_files, b_files):
             if fa.is_file():
                 assert fa.read_bytes() == fb.read_bytes()
+
+    def test_truncated_feature_file_named(self, tmp_path):
+        spec = SynthSpec(vocab_size=4, feature_dim=3, proto_seed=2)
+        save_corpus(synth_corpus(spec, 3, seed=5), tmp_path)
+        victim = sorted((tmp_path / "features").glob("*.bin"))[1]
+        victim.write_bytes(victim.read_bytes()[:-4])
+        with pytest.raises(ValueError, match=f"{victim.name}.*header"):
+            load_corpus(tmp_path)
+        victim.write_bytes(b"\x01")  # not even a whole header
+        with pytest.raises(ValueError, match=victim.name):
+            load_corpus(tmp_path)
 
     def test_split_is_stable_partition(self):
         utts = make_utts([3] * 40)

@@ -4,17 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from a2w.checkpoint import load_checkpoint
+from a2w.checkpoint import load_checkpoint, save_checkpoint
 from a2w.config import TrainConfig
 from a2w.ctc import InfeasibleAlignment
+from a2w.network import init_model
 from a2w.pipeline import SynthSpec, synth_corpus
 from a2w.trainer import (
     DivergedGradient,
     LrSchedule,
     OptimizerState,
+    build_model_config,
     check_feasible,
     clip_global_norm,
     lr_at,
+    make_checkpoint,
+    model_from_checkpoint,
     nesterov_step,
     prepare_corpus,
     run_training,
@@ -187,6 +191,18 @@ class TestTrainLoop:
         lines = (tmp_path / "resumed" / "train_run.jsonl").read_text().splitlines()
         assert [json.loads(l)["epoch"] for l in lines] == [1, 2, 3, 4, 5]
 
+    def test_resume_from_earlier_epoch_keeps_one_record_per_epoch(self, tmp_path):
+        train_utts, held = toy_corpora()
+        cfg = TrainConfig(**{**TOY, "epochs": 4})
+        first = run_training(cfg, train_utts, held, tmp_path)
+        before = (tmp_path / "train_run.jsonl").read_text().splitlines()
+        resumed = run_training(cfg, train_utts, held, tmp_path, resume_from=tmp_path / "epoch002.ckpt")
+        after = (tmp_path / "train_run.jsonl").read_text().splitlines()
+        assert [json.loads(l)["epoch"] for l in after] == [1, 2, 3, 4]
+        assert after[:2] == before[:2]
+        tail = [r.deterministic_fields() for r in resumed.run.records]
+        assert tail == [r.deterministic_fields() for r in first.run.records[2:]]
+
     def test_checkpoint_contains_velocity_and_config(self, tmp_path):
         train_utts, held = toy_corpora()
         artifacts = run_training(TrainConfig(**TOY), train_utts, held, tmp_path)
@@ -195,6 +211,20 @@ class TestTrainLoop:
         assert any(k.startswith("opt.v.") for k in ckpt.tensors)
         assert ckpt.config["order"] == "ascending"
         assert int(ckpt.config["output_dim"]) == artifacts.model.config.output_dim
+
+    def test_model_from_checkpoint_inverts_make_checkpoint(self, tmp_path):
+        cfg = TrainConfig(**{**TOY, "dtype": "float32", "order": "random", "targets": "sar",
+                             "grad_clip": 2.5, "warm_ckpt": "warm dir/epoch001.ckpt"})
+        model = init_model(build_model_config(cfg, input_dim=4, output_dim=9), np.random.default_rng(0))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_checkpoint(model, OptimizerState.zeros_like(model.params), cfg, epoch=2), path)
+        back_cfg, back = model_from_checkpoint(load_checkpoint(path))
+        assert back_cfg == cfg
+        assert back.config == model.config
+        assert back.params.keys() == model.params.keys()
+        for name, value in model.params.items():
+            assert back.params[name].dtype == value.dtype
+            np.testing.assert_array_equal(back.params[name], value)
 
     def test_infeasible_utterance_reported_by_id(self):
         train_utts, _ = toy_corpora()
