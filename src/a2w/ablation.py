@@ -160,7 +160,12 @@ def run_ablation(
     seeds: Sequence[int],
 ) -> AblationResult:
     """Train and score every (spec, seed) cell; failures are recorded and the
-    sweep continues. Each cell gets its own run directory."""
+    sweep continues. Each cell gets its own run directory, so two specs
+    with the same name are rejected before anything trains."""
+    names = [spec.name for spec in specs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"ablation specs repeat {', '.join(repeated)}; each spec must differ")
     out_dir = Path(out_dir)
     cells = []
     refs = {u.id: list(u.transcript) for u in heldout_utts}

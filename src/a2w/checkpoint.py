@@ -86,6 +86,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             shape = tuple(int(d) for d in dims.split("x"))
             count = int(np.prod(shape))
             start = int(offset)
+            if any(d < 1 for d in shape):
+                raise ValueError(f"{path}: tensor {name} has a non-positive dimension in {dims}")
+            if start < 0:
+                raise ValueError(f"{path}: tensor {name} has negative data offset {start}")
             if start + 8 * count > len(data):
                 raise ValueError(f"{path}: tensor {name} data is truncated")
             values = np.frombuffer(data, dtype="<f8", count=count, offset=start)

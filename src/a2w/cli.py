@@ -144,11 +144,15 @@ def _cmd_ablate(args) -> int:
     train_utts, heldout = _load_train_heldout(args, cfg)
     if args.specs:
         table = named_specs(cfg)
-        specs = []
+        aliases: dict[str, str] = {}  # spec name -> the alias that chose it
         for name in filter(None, (s.strip() for s in args.specs.split(","))):
             if name not in table:
                 raise _UsageError(f"unknown ablation spec {name!r}; choose from {_SPEC_ALIASES}")
-            specs.append(table[name])
+            spec_name = table[name].name
+            if spec_name in aliases:
+                raise ValueError(f"--specs {aliases[spec_name]!r} and {name!r} both resolve to {spec_name}")
+            aliases[spec_name] = name
+        specs = [table[name] for name in aliases.values()]
     else:
         specs = standard_specs(cfg)
     seeds = [cfg.seed + i for i in range(args.seeds)]

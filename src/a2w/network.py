@@ -9,6 +9,18 @@ parameter count is exactly V*d + d*D.
 
 Gate order is input/forget/cell/output with sigmoid/sigmoid/tanh/sigmoid;
 the forget-gate bias starts at 1.0, all other biases at 0.
+
+Both directions of a layer run in one time loop. Their W, R and b are
+stacked on a leading axis of 2 and every buffer is time-major,
+2 x T x B x features, with the bwd direction stored in its own (reversed)
+time order, so step t is one slice for both. One gather builds both
+directions' input; one GEMM per layer writes x @ W.T + b for every frame
+into the gate buffer, and each step adds h @ R.T for both directions with
+one stacked matmul. The nonlinearity is one tanh over the whole 4H gate
+block, using sigmoid(z) = (1 + tanh(z/2)) / 2, so nothing can overflow.
+The backward pass mirrors this: one reverse time loop for both
+directions, dL/dz written over the gate buffer, then one stacked GEMM
+each for the W, R and input gradients.
 """
 
 from __future__ import annotations
@@ -138,95 +150,168 @@ def parameter_count(config: ModelConfig) -> int:
     return total + output_side_param_count(config)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp may overflow for very negative z; 1/(1+inf) -> 0 is the right limit
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+def _gate_affine(hidden: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (scale, shift) that make one tanh every gate nonlinearity.
+
+    A gate is ``shift + scale * tanh(scale * z)``: scale and shift 1/2 give
+    ``sigmoid(z) = (1 + tanh(z/2)) / 2`` on the i, f and o blocks, scale 1
+    and shift 0 give tanh on the cell block. tanh saturates instead of
+    overflowing, so no floating-point warning needs silencing.
+    """
+    scale = np.full(4 * hidden, 0.5, dtype=dtype)
+    shift = np.full(4 * hidden, 0.5, dtype=dtype)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    shift[2 * hidden : 3 * hidden] = 0.0
+    return scale, shift
 
 
 @dataclass
-class _DirectionCache:
-    x: np.ndarray        # B x T x In, in this direction's time order
-    gates: np.ndarray    # B x T x 4H post-nonlinearity [i, f, g, o]
-    c: np.ndarray        # B x T x H cell states
-    tanh_c: np.ndarray
-    h: np.ndarray        # B x T x H hidden states
+class _LayerCache:
+    """Both directions of one layer; axis 0 is the direction, axis 1 its time step."""
+
+    x: np.ndarray       # 2 x T x B x In layer input, in each direction's time order
+    gates: np.ndarray   # 2 x T x B x 4H post-nonlinearity [i, f, g, o]
+    c: np.ndarray       # 2 x (T+1) x B x H cell states after a zero slot 0
+    tanh_c: np.ndarray  # 2 x T x B x H
+    h: np.ndarray       # 2 x (T+1) x B x H hidden states after a zero slot 0
 
 
-def _run_lstm(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray) -> _DirectionCache:
-    batch, t_max, _ = x.shape
-    hidden = r.shape[1]
-    pre = x @ w.T + b  # input contribution for every frame at once
-    gates = np.empty((batch, t_max, 4 * hidden), dtype=x.dtype)
-    cs = np.empty((batch, t_max, hidden), dtype=x.dtype)
-    tcs = np.empty_like(cs)
-    hs = np.empty_like(cs)
-    h = np.zeros((batch, hidden), dtype=x.dtype)
-    c = np.zeros((batch, hidden), dtype=x.dtype)
+def _stacked(params: dict[str, np.ndarray], layer: int, tensor: str) -> np.ndarray:
+    """One layer's fwd and bwd ``tensor`` stacked on a new axis 0."""
+    fwd = params[f"layers.{layer}.fwd.{tensor}"]
+    out = np.empty((2, *fwd.shape), dtype=fwd.dtype)
+    out[0] = fwd
+    out[1] = params[f"layers.{layer}.bwd.{tensor}"]
+    return out
+
+
+def _blstm_forward(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray) -> _LayerCache:
+    """Run both directions of one layer in a single time loop.
+
+    ``w``, ``r`` and ``b`` stack the fwd and bwd tensors on axis 0. The
+    input GEMM for every frame goes straight into the gate buffer. Each
+    step works on contiguous 2 x B x ... blocks (at desk sizes a numpy
+    call on one costs about a third of the same call on strided slices of
+    the cache), allocates nothing, and copies its gates, cell and hidden
+    state into the cache buffers.
+    """
+    _, t_max, batch, in_dim = x.shape
+    hidden = r.shape[2]
+    scale, shift = _gate_affine(hidden, x.dtype)
+    # multiplying by 1/2 or 1 is exact, so these yield scale * z bit for bit
+    w_t = (w * scale[:, None]).transpose(0, 2, 1)
+    r_t = np.ascontiguousarray((r * scale[:, None]).transpose(0, 2, 1))
+    gates = np.matmul(x.reshape(2, t_max * batch, in_dim), w_t).reshape(2, t_max, batch, 4 * hidden)
+    gates += (b * scale)[:, None, None]
+    c = np.empty((2, t_max + 1, batch, hidden), dtype=x.dtype)
+    h = np.empty_like(c)
+    c[:, 0] = 0.0
+    h[:, 0] = 0.0
+    tanh_c = np.empty((2, t_max, batch, hidden), dtype=x.dtype)
+
+    z = np.empty((2, batch, 4 * hidden), dtype=x.dtype)
+    i, f, g, o = (z[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    c_t = np.zeros((2, batch, hidden), dtype=x.dtype)
+    h_t = np.zeros_like(c_t)
+    tc = np.empty_like(c_t)
+    i_g = np.empty_like(c_t)
     for t in range(t_max):
-        z = pre[:, t] + h @ r.T
-        gi = _sigmoid(z[:, :hidden])
-        gf = _sigmoid(z[:, hidden : 2 * hidden])
-        gg = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        go = _sigmoid(z[:, 3 * hidden :])
-        c = gf * c + gi * gg
-        tc = np.tanh(c)
-        h = go * tc
-        gates[:, t, :hidden] = gi
-        gates[:, t, hidden : 2 * hidden] = gf
-        gates[:, t, 2 * hidden : 3 * hidden] = gg
-        gates[:, t, 3 * hidden :] = go
-        cs[:, t] = c
-        tcs[:, t] = tc
-        hs[:, t] = h
-    return _DirectionCache(x=x, gates=gates, c=cs, tanh_c=tcs, h=hs)
+        np.matmul(h_t, r_t, out=z)
+        z += gates[:, t]
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        c_t *= f
+        np.multiply(i, g, out=i_g)
+        c_t += i_g
+        np.tanh(c_t, out=tc)
+        np.multiply(o, tc, out=h_t)
+        gates[:, t] = z
+        c[:, t + 1] = c_t
+        tanh_c[:, t] = tc
+        h[:, t + 1] = h_t
+    return _LayerCache(x=x, gates=gates, c=c, tanh_c=tanh_c, h=h)
 
 
-def _lstm_backward(cache: _DirectionCache, dh_seq: np.ndarray, w: np.ndarray, r: np.ndarray):
-    """Gradients for one direction; dh_seq must be zero on padded frames."""
-    batch, t_max, hidden = cache.h.shape
-    gates, cs, tcs = cache.gates, cache.c, cache.tanh_c
-    dz_seq = np.empty((batch, t_max, 4 * hidden), dtype=cache.x.dtype)
-    dh_rec = np.zeros((batch, hidden), dtype=cache.x.dtype)
-    dc_rec = np.zeros_like(dh_rec)
+def _blstm_backward(cache: _LayerCache, dh: np.ndarray, w: np.ndarray, r: np.ndarray, want_dx: bool):
+    """Gradients for both directions of one layer, in one reverse time loop.
+
+    ``dh`` is 2 x T x B x H in each direction's time order and must be zero
+    on padded frames. ``cache.gates`` is overwritten and ends up holding
+    dL/dz. Returns stacked (grad_w, grad_r, grad_b) and the
+    2 x T x B x In input gradient, or None when ``want_dx`` is false.
+    """
+    _, t_max, batch, hidden = dh.shape
+    dtype = dh.dtype
+    i, f, g, o = (cache.gates[..., k * hidden : (k + 1) * hidden] for k in range(4))
+    tc = cache.tanh_c
+    # The factors that do not depend on the recurrence, for every frame at
+    # once, from the stored gate outputs (sigmoid' = a(1-a), tanh' = 1-a^2):
+    #   dc_t  = dc_{t+1} f_{t+1} + dh_t * o (1 - tanh(c)^2)
+    #   dz_i  = dc_t * g i (1 - i)       dz_f = dc_t * c_{t-1} f (1 - f)
+    #   dz_g  = dc_t * i (1 - g^2)       dz_o = dh_t * tanh(c) o (1 - o)
+    dc_dh = o * (1.0 - tc * tc)
+    o *= 1.0 - o
+    o *= tc
+    forget = f.copy()
+    f *= 1.0 - f
+    f *= cache.c[:, :-1]
+    dz_i = g * i
+    dz_i *= 1.0 - i
+    np.multiply(i, 1.0 - g * g, out=g)
+    i[...] = dz_i
+    del dz_i
+
+    # per step, dz = (those factors) * [dc, dc, dc, dh] over the whole gate block
+    dz_step = np.empty((2, batch, 4 * hidden), dtype=dtype)
+    factors = np.empty((2, batch, 4, hidden), dtype=dtype)
+    dh_t = np.empty((2, batch, hidden), dtype=dtype)
+    dh_rec = np.zeros_like(dh_t)
+    dc = np.zeros_like(dh_t)
+    dc_part = np.empty_like(dh_t)
     for t in range(t_max - 1, -1, -1):
-        gi = gates[:, t, :hidden]
-        gf = gates[:, t, hidden : 2 * hidden]
-        gg = gates[:, t, 2 * hidden : 3 * hidden]
-        go = gates[:, t, 3 * hidden :]
-        c_prev = cs[:, t - 1] if t > 0 else np.zeros_like(dc_rec)
-        dh = dh_seq[:, t] + dh_rec
-        do = dh * tcs[:, t]
-        dc = dh * go * (1.0 - tcs[:, t] ** 2) + dc_rec
-        di = dc * gg
-        dg = dc * gi
-        df = dc * c_prev
-        dc_rec = dc * gf
-        dz = dz_seq[:, t]
-        dz[:, :hidden] = di * gi * (1.0 - gi)
-        dz[:, hidden : 2 * hidden] = df * gf * (1.0 - gf)
-        dz[:, 2 * hidden : 3 * hidden] = dg * (1.0 - gg**2)
-        dz[:, 3 * hidden :] = do * go * (1.0 - go)
-        dh_rec = dz @ r
-    h_prev = np.concatenate([np.zeros((batch, 1, hidden), dtype=cache.h.dtype), cache.h[:, :-1]], axis=1)
-    flat_dz = dz_seq.reshape(-1, 4 * hidden)
-    grad_w = flat_dz.T @ cache.x.reshape(-1, cache.x.shape[2])
-    grad_r = flat_dz.T @ h_prev.reshape(-1, hidden)
-    grad_b = flat_dz.sum(axis=0)
-    dx = dz_seq @ w
-    return dx, grad_w, grad_r, grad_b
+        np.add(dh[:, t], dh_rec, out=dh_t)
+        np.multiply(dh_t, dc_dh[:, t], out=dc_part)
+        dc += dc_part
+        factors[:, :, :3] = dc[:, :, None]
+        factors[:, :, 3] = dh_t
+        np.multiply(cache.gates[:, t], factors.reshape(dz_step.shape), out=dz_step)
+        dc *= forget[:, t]
+        np.matmul(dz_step, r, out=dh_rec)
+        cache.gates[:, t] = dz_step
+
+    dz = cache.gates.reshape(2, t_max * batch, 4 * hidden)
+    dz_t = dz.transpose(0, 2, 1)
+    grad_w = np.matmul(dz_t, cache.x.reshape(2, t_max * batch, -1))
+    grad_r = np.matmul(dz_t, cache.h[:, :-1].reshape(2, t_max * batch, hidden))
+    grad_b = dz.sum(axis=1)
+    dx = np.matmul(dz, w).reshape(2, t_max, batch, -1) if want_dx else None
+    return grad_w, grad_r, grad_b, dx
 
 
 def _reversal_index(lengths: np.ndarray, t_max: int) -> np.ndarray:
     """Per-row frame permutation reversing the valid prefix, fixing the padding."""
-    idx = np.tile(np.arange(t_max), (len(lengths), 1))
-    for i, n in enumerate(lengths):
-        idx[i, :n] = np.arange(n - 1, -1, -1)
-    return idx
+    t = np.arange(t_max)
+    n = lengths[:, None]
+    return np.where(t < n, n - 1 - t, t)
 
 
-def _gather_frames(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return x[np.arange(x.shape[0])[:, None], idx]
+def _flat_reversal(rev_idx: np.ndarray) -> np.ndarray:
+    """The reversal as row indices into a T x B frame grid flattened to (T*B) rows."""
+    batch = rev_idx.shape[0]
+    return (rev_idx.T * batch + np.arange(batch)).ravel()
+
+
+def _reverse_into(src: np.ndarray, rev_flat: np.ndarray, out: np.ndarray) -> None:
+    """``out[t, b] = src[rev[b, t], b]`` for time-major T x B x D arrays."""
+    np.take(src.reshape(-1, src.shape[-1]), rev_flat, axis=0, out=out.reshape(-1, out.shape[-1]))
+
+
+def _concat_into(h: np.ndarray, rev_flat: np.ndarray, out: np.ndarray) -> None:
+    """Write a layer's output, [h_fwd, h_bwd put back in forward time], into T x B x 2H."""
+    hidden = h.shape[-1]
+    out[..., :hidden] = h[0, 1:]
+    _reverse_into(h[1, 1:], rev_flat, out[..., hidden:])
 
 
 @dataclass
@@ -234,11 +319,11 @@ class ForwardCache:
     config: ModelConfig
     lengths: np.ndarray
     rev_idx: np.ndarray
-    layer_inputs: list[np.ndarray]
-    directions: list[tuple[_DirectionCache, _DirectionCache]]
+    layer_inputs: list[np.ndarray]     # B x T x In views of each layer's input
+    directions: list[_LayerCache]
     dropout_masks: list[np.ndarray | None]
-    concat_top: np.ndarray
-    proj_h: np.ndarray | None
+    concat_top: np.ndarray             # B x T x 2H view of the top layer's output
+    proj_h: np.ndarray | None          # T x B x d
 
 
 def model_forward(
@@ -253,10 +338,13 @@ def model_forward(
 
     Frames at or beyond an utterance's true length never influence its
     lattice. With ``train_mode`` set, inter-layer dropout masks are drawn
-    from ``rng`` and retained in the cache for the backward pass.
+    from ``rng`` and retained in the cache for the backward pass. Without
+    ``want_cache`` each layer's buffers are dropped once the next layer's
+    input is built.
     """
     config = model.config
-    x = np.asarray(features, dtype=np.dtype(config.dtype))
+    dtype = np.dtype(config.dtype)
+    x = np.asarray(features, dtype=dtype)
     if x.ndim != 3 or x.shape[2] != config.input_dim:
         raise BadShape(f"expected B x T x {config.input_dim} features, got {x.shape}")
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -266,47 +354,46 @@ def model_forward(
     if use_dropout and rng is None:
         raise ValueError("train-mode dropout needs an rng")
 
-    rev_idx = _reversal_index(lengths, x.shape[1])
+    batch, t_max, _ = x.shape
+    concat = config.concat_dim
+    rev_idx = _reversal_index(lengths, t_max)
+    rev_flat = _flat_reversal(rev_idx)
+    # one gather: both directions' frame orders, batch-major -> time-major
+    frame_order = np.stack([np.broadcast_to(np.arange(t_max)[:, None], (t_max, batch)), rev_idx.T])
+    inputs = x[np.arange(batch), frame_order]
     layer_inputs: list[np.ndarray] = []
-    directions: list[tuple[_DirectionCache, _DirectionCache]] = []
+    directions: list[_LayerCache] = []
     masks: list[np.ndarray | None] = []
-    current = x
+    params = model.params
     for layer in range(config.num_layers):
-        layer_inputs.append(current)
-        fwd = _run_lstm(
-            current,
-            model.params[f"layers.{layer}.fwd.W"],
-            model.params[f"layers.{layer}.fwd.R"],
-            model.params[f"layers.{layer}.fwd.b"],
+        layer_cache = _blstm_forward(
+            inputs, _stacked(params, layer, "W"), _stacked(params, layer, "R"), _stacked(params, layer, "b")
         )
-        bwd = _run_lstm(
-            _gather_frames(current, rev_idx),
-            model.params[f"layers.{layer}.bwd.W"],
-            model.params[f"layers.{layer}.bwd.R"],
-            model.params[f"layers.{layer}.bwd.b"],
-        )
-        directions.append((fwd, bwd))
-        current = np.concatenate([fwd.h, _gather_frames(bwd.h, rev_idx)], axis=2)
-        if layer < config.num_layers - 1:
-            if use_dropout:
-                keep = rng.random(current.shape) >= config.dropout_rate
-                mask = keep.astype(current.dtype) / (1.0 - config.dropout_rate)
-                current = current * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
+        if want_cache:
+            layer_inputs.append(inputs[0].swapaxes(0, 1))
+            directions.append(layer_cache)
+        if layer == config.num_layers - 1:
+            top = np.empty((t_max, batch, concat), dtype=dtype)
+            _concat_into(layer_cache.h, rev_flat, top)
+            break
+        inputs = np.empty((2, t_max, batch, concat), dtype=dtype)
+        _concat_into(layer_cache.h, rev_flat, inputs[0])
+        mask = None
+        if use_dropout:
+            keep = rng.random((batch, t_max, concat)) >= config.dropout_rate
+            mask = keep.astype(dtype) / (1.0 - config.dropout_rate)
+            inputs[0] *= mask.swapaxes(0, 1)
+        masks.append(mask)
+        _reverse_into(inputs[0], rev_flat, inputs[1])
 
     proj_h = None
     if config.projection_dim:
-        proj_h = current @ model.params["proj.W"].T
-        logits = proj_h @ model.params["out.W"].T
+        proj_h = top @ params["proj.W"].T
+        logits = proj_h @ params["out.W"].T
     else:
-        logits = current @ model.params["out.W"].T
+        logits = top @ params["out.W"].T
 
-    lattices = [
-        PosteriorLattice(np.asarray(logits[i, : lengths[i]], dtype=np.float64), LOGITS)
-        for i in range(x.shape[0])
-    ]
+    lattices = [PosteriorLattice(logits[: lengths[i], i], LOGITS) for i in range(batch)]
     if not want_cache:
         return lattices, None
     cache = ForwardCache(
@@ -316,7 +403,7 @@ def model_forward(
         layer_inputs=layer_inputs,
         directions=directions,
         dropout_masks=masks,
-        concat_top=current,
+        concat_top=top.swapaxes(0, 1),
         proj_h=proj_h,
     )
     return lattices, cache
@@ -326,49 +413,63 @@ def model_backward(upstream: Sequence[np.ndarray], cache: ForwardCache | None, m
     """Exact parameter gradients given per-utterance d(loss)/d(logits).
 
     Deterministic: reuses the dropout masks captured by the forward pass.
+    Consumes the cache: each layer's buffers are reused for its gradients
+    and released once done, so a cache backs one backward pass only.
     """
     if cache is None:
         raise NoForwardCache("model_backward needs the cache from model_forward(want_cache=True)")
+    if cache.concat_top is None:
+        raise NoForwardCache("this forward cache was already consumed by model_backward")
     config = cache.config
     dtype = np.dtype(config.dtype)
     batch = len(cache.lengths)
-    t_max = cache.concat_top.shape[1]
+    top = cache.concat_top.swapaxes(0, 1)
+    t_max = top.shape[0]
     v = config.output_dim
     if len(upstream) != batch:
         raise BadShape("one upstream gradient per utterance is required")
-    dlogits = np.zeros((batch, t_max, v), dtype=dtype)
+    dlogits = np.zeros((t_max, batch, v), dtype=dtype)
     for i, g in enumerate(upstream):
         g = np.asarray(g, dtype=dtype)
         if g.shape != (int(cache.lengths[i]), v):
             raise BadShape(f"utterance {i}: upstream grad must be {int(cache.lengths[i])} x {v}, got {g.shape}")
-        dlogits[i, : cache.lengths[i]] = g
+        dlogits[: cache.lengths[i], i] = g
 
     grads: dict[str, np.ndarray] = {}
     hidden = config.hidden_per_direction
     if config.projection_dim:
         grads["out.W"] = dlogits.reshape(-1, v).T @ cache.proj_h.reshape(-1, config.projection_dim)
         dproj = dlogits @ model.params["out.W"]
-        grads["proj.W"] = dproj.reshape(-1, config.projection_dim).T @ cache.concat_top.reshape(-1, config.concat_dim)
+        grads["proj.W"] = dproj.reshape(-1, config.projection_dim).T @ top.reshape(-1, config.concat_dim)
         dcurrent = dproj @ model.params["proj.W"]
+        del dproj
     else:
-        grads["out.W"] = dlogits.reshape(-1, v).T @ cache.concat_top.reshape(-1, config.concat_dim)
+        grads["out.W"] = dlogits.reshape(-1, v).T @ top.reshape(-1, config.concat_dim)
         dcurrent = dlogits @ model.params["out.W"]
+    del dlogits, top
+    cache.concat_top = cache.proj_h = None
 
+    rev_flat = _flat_reversal(cache.rev_idx)
     for layer in range(config.num_layers - 1, -1, -1):
         if layer < config.num_layers - 1 and cache.dropout_masks[layer] is not None:
-            dcurrent = dcurrent * cache.dropout_masks[layer]
-        fwd, bwd = cache.directions[layer]
-        dh_fwd = dcurrent[:, :, :hidden]
-        dh_bwd = _gather_frames(dcurrent[:, :, hidden:], cache.rev_idx)
-        dx_f, gw, gr, gb = _lstm_backward(fwd, np.ascontiguousarray(dh_fwd), model.params[f"layers.{layer}.fwd.W"], model.params[f"layers.{layer}.fwd.R"])
-        grads[f"layers.{layer}.fwd.W"] = gw
-        grads[f"layers.{layer}.fwd.R"] = gr
-        grads[f"layers.{layer}.fwd.b"] = gb
-        dx_b, gw, gr, gb = _lstm_backward(bwd, np.ascontiguousarray(dh_bwd), model.params[f"layers.{layer}.bwd.W"], model.params[f"layers.{layer}.bwd.R"])
-        grads[f"layers.{layer}.bwd.W"] = gw
-        grads[f"layers.{layer}.bwd.R"] = gr
-        grads[f"layers.{layer}.bwd.b"] = gb
-        dcurrent = dx_f + _gather_frames(dx_b, cache.rev_idx)
+            dcurrent *= cache.dropout_masks[layer].swapaxes(0, 1)
+        dh = np.empty((2, t_max, batch, hidden), dtype=dtype)
+        dh[0] = dcurrent[..., :hidden]
+        _reverse_into(dcurrent[..., hidden:], rev_flat, dh[1])
+        del dcurrent
+        layer_cache = cache.directions[layer]
+        cache.directions[layer] = cache.layer_inputs[layer] = None
+        grad_w, grad_r, grad_b, dx = _blstm_backward(
+            layer_cache, dh, _stacked(model.params, layer, "W"), _stacked(model.params, layer, "R"), want_dx=layer > 0
+        )
+        del layer_cache, dh
+        for d, direction in enumerate(("fwd", "bwd")):
+            grads[f"layers.{layer}.{direction}.W"] = grad_w[d]
+            grads[f"layers.{layer}.{direction}.R"] = grad_r[d]
+            grads[f"layers.{layer}.{direction}.b"] = grad_b[d]
+        if dx is not None:
+            dcurrent = dx[0]
+            dcurrent += np.take(dx[1].reshape(-1, dx.shape[-1]), rev_flat, axis=0).reshape(dcurrent.shape)
     return grads
 
 

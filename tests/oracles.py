@@ -1,6 +1,9 @@
 """Independent reference implementations used only by the test suite."""
 
 import itertools
+from dataclasses import dataclass
+
+import numpy as np
 
 
 def brute_force_min_edits(ref, hyp):
@@ -19,3 +22,180 @@ def brute_force_min_edits(ref, hyp):
                 subs = sum(ref[i] != hyp[j] for i, j in zip(ref_idx, hyp_idx))
                 best = min(best, subs + (m - k) + (n - k))
     return best
+
+
+# -- per-direction BLSTM reference ------------------------------------------
+# The time loop a2w.network fused: one direction per call, one sigmoid per
+# gate, batch-major buffers. Kept verbatim as the equivalence oracle.
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp may overflow for very negative z; 1/(1+inf) -> 0 is the right limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+@dataclass
+class _DirectionCache:
+    x: np.ndarray        # B x T x In, in this direction's time order
+    gates: np.ndarray    # B x T x 4H post-nonlinearity [i, f, g, o]
+    c: np.ndarray        # B x T x H cell states
+    tanh_c: np.ndarray
+    h: np.ndarray        # B x T x H hidden states
+
+
+def _run_lstm(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray) -> _DirectionCache:
+    batch, t_max, _ = x.shape
+    hidden = r.shape[1]
+    pre = x @ w.T + b  # input contribution for every frame at once
+    gates = np.empty((batch, t_max, 4 * hidden), dtype=x.dtype)
+    cs = np.empty((batch, t_max, hidden), dtype=x.dtype)
+    tcs = np.empty_like(cs)
+    hs = np.empty_like(cs)
+    h = np.zeros((batch, hidden), dtype=x.dtype)
+    c = np.zeros((batch, hidden), dtype=x.dtype)
+    for t in range(t_max):
+        z = pre[:, t] + h @ r.T
+        gi = _sigmoid(z[:, :hidden])
+        gf = _sigmoid(z[:, hidden : 2 * hidden])
+        gg = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        go = _sigmoid(z[:, 3 * hidden :])
+        c = gf * c + gi * gg
+        tc = np.tanh(c)
+        h = go * tc
+        gates[:, t, :hidden] = gi
+        gates[:, t, hidden : 2 * hidden] = gf
+        gates[:, t, 2 * hidden : 3 * hidden] = gg
+        gates[:, t, 3 * hidden :] = go
+        cs[:, t] = c
+        tcs[:, t] = tc
+        hs[:, t] = h
+    return _DirectionCache(x=x, gates=gates, c=cs, tanh_c=tcs, h=hs)
+
+
+def _lstm_backward(cache: _DirectionCache, dh_seq: np.ndarray, w: np.ndarray, r: np.ndarray):
+    """Gradients for one direction; dh_seq must be zero on padded frames."""
+    batch, t_max, hidden = cache.h.shape
+    gates, cs, tcs = cache.gates, cache.c, cache.tanh_c
+    dz_seq = np.empty((batch, t_max, 4 * hidden), dtype=cache.x.dtype)
+    dh_rec = np.zeros((batch, hidden), dtype=cache.x.dtype)
+    dc_rec = np.zeros_like(dh_rec)
+    for t in range(t_max - 1, -1, -1):
+        gi = gates[:, t, :hidden]
+        gf = gates[:, t, hidden : 2 * hidden]
+        gg = gates[:, t, 2 * hidden : 3 * hidden]
+        go = gates[:, t, 3 * hidden :]
+        c_prev = cs[:, t - 1] if t > 0 else np.zeros_like(dc_rec)
+        dh = dh_seq[:, t] + dh_rec
+        do = dh * tcs[:, t]
+        dc = dh * go * (1.0 - tcs[:, t] ** 2) + dc_rec
+        di = dc * gg
+        dg = dc * gi
+        df = dc * c_prev
+        dc_rec = dc * gf
+        dz = dz_seq[:, t]
+        dz[:, :hidden] = di * gi * (1.0 - gi)
+        dz[:, hidden : 2 * hidden] = df * gf * (1.0 - gf)
+        dz[:, 2 * hidden : 3 * hidden] = dg * (1.0 - gg**2)
+        dz[:, 3 * hidden :] = do * go * (1.0 - go)
+        dh_rec = dz @ r
+    h_prev = np.concatenate([np.zeros((batch, 1, hidden), dtype=cache.h.dtype), cache.h[:, :-1]], axis=1)
+    flat_dz = dz_seq.reshape(-1, 4 * hidden)
+    grad_w = flat_dz.T @ cache.x.reshape(-1, cache.x.shape[2])
+    grad_r = flat_dz.T @ h_prev.reshape(-1, hidden)
+    grad_b = flat_dz.sum(axis=0)
+    dx = dz_seq @ w
+    return dx, grad_w, grad_r, grad_b
+
+
+def _reversal_index(lengths: np.ndarray, t_max: int) -> np.ndarray:
+    """Per-row frame permutation reversing the valid prefix, fixing the padding."""
+    idx = np.tile(np.arange(t_max), (len(lengths), 1))
+    for i, n in enumerate(lengths):
+        idx[i, :n] = np.arange(n - 1, -1, -1)
+    return idx
+
+
+def _gather_frames(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return x[np.arange(x.shape[0])[:, None], idx]
+
+
+
+def reference_forward(features, lengths, model, rng=None):
+    """Logits (B x T x V) and the per-layer state the reference backward needs.
+
+    With ``rng`` given, dropout masks are drawn exactly as ``model_forward``
+    draws them in train mode.
+    """
+    config = model.config
+    x = np.asarray(features, dtype=np.dtype(config.dtype))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    rev_idx = _reversal_index(lengths, x.shape[1])
+    directions, masks = [], []
+    current = x
+    for layer in range(config.num_layers):
+        fwd = _run_lstm(
+            current,
+            model.params[f"layers.{layer}.fwd.W"],
+            model.params[f"layers.{layer}.fwd.R"],
+            model.params[f"layers.{layer}.fwd.b"],
+        )
+        bwd = _run_lstm(
+            _gather_frames(current, rev_idx),
+            model.params[f"layers.{layer}.bwd.W"],
+            model.params[f"layers.{layer}.bwd.R"],
+            model.params[f"layers.{layer}.bwd.b"],
+        )
+        directions.append((fwd, bwd))
+        current = np.concatenate([fwd.h, _gather_frames(bwd.h, rev_idx)], axis=2)
+        if layer < config.num_layers - 1:
+            if rng is not None and config.dropout_rate > 0.0:
+                keep = rng.random(current.shape) >= config.dropout_rate
+                mask = keep.astype(current.dtype) / (1.0 - config.dropout_rate)
+                current = current * mask
+                masks.append(mask)
+            else:
+                masks.append(None)
+
+    proj_h = None
+    if config.projection_dim:
+        proj_h = current @ model.params["proj.W"].T
+        logits = proj_h @ model.params["out.W"].T
+    else:
+        logits = current @ model.params["out.W"].T
+    state = dict(lengths=lengths, rev_idx=rev_idx, directions=directions, masks=masks, concat_top=current, proj_h=proj_h)
+    return logits, state
+
+
+def reference_backward(dlogits, state, model):
+    """Parameter gradients from d(loss)/d(logits) (B x T x V, zero on padding)."""
+    config = model.config
+    grads = {}
+    hidden = config.hidden_per_direction
+    v = config.output_dim
+    if config.projection_dim:
+        grads["out.W"] = dlogits.reshape(-1, v).T @ state["proj_h"].reshape(-1, config.projection_dim)
+        dproj = dlogits @ model.params["out.W"]
+        grads["proj.W"] = dproj.reshape(-1, config.projection_dim).T @ state["concat_top"].reshape(-1, config.concat_dim)
+        dcurrent = dproj @ model.params["proj.W"]
+    else:
+        grads["out.W"] = dlogits.reshape(-1, v).T @ state["concat_top"].reshape(-1, config.concat_dim)
+        dcurrent = dlogits @ model.params["out.W"]
+
+    rev_idx = state["rev_idx"]
+    for layer in range(config.num_layers - 1, -1, -1):
+        if layer < config.num_layers - 1 and state["masks"][layer] is not None:
+            dcurrent = dcurrent * state["masks"][layer]
+        fwd, bwd = state["directions"][layer]
+        dh_fwd = dcurrent[:, :, :hidden]
+        dh_bwd = _gather_frames(dcurrent[:, :, hidden:], rev_idx)
+        dx_f, gw, gr, gb = _lstm_backward(fwd, np.ascontiguousarray(dh_fwd), model.params[f"layers.{layer}.fwd.W"], model.params[f"layers.{layer}.fwd.R"])
+        grads[f"layers.{layer}.fwd.W"] = gw
+        grads[f"layers.{layer}.fwd.R"] = gr
+        grads[f"layers.{layer}.fwd.b"] = gb
+        dx_b, gw, gr, gb = _lstm_backward(bwd, np.ascontiguousarray(dh_bwd), model.params[f"layers.{layer}.bwd.W"], model.params[f"layers.{layer}.bwd.R"])
+        grads[f"layers.{layer}.bwd.W"] = gw
+        grads[f"layers.{layer}.bwd.R"] = gr
+        grads[f"layers.{layer}.bwd.b"] = gb
+        dcurrent = dx_f + _gather_frames(dx_b, rev_idx)
+    return grads

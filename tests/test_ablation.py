@@ -70,6 +70,15 @@ class TestRunAblation:
         assert cell.wer == pytest.approx(direct_wer, abs=1e-12)
         assert cell.final_heldout == pytest.approx(artifacts.run.records[-1].heldout_loss, abs=1e-12)
 
+    def test_duplicate_specs_rejected_before_training(self, corpora, tmp_path):
+        train_utts, held = corpora
+        base = TrainConfig(**BASE)
+        full, no_warm = named_specs(base)["full"], named_specs(base)["no-warm"]
+        assert full == no_warm  # no warm checkpoint: both aliases name one recipe
+        with pytest.raises(ValueError, match=full.name):
+            run_ablation(base, [full, no_warm], train_utts, held, tmp_path / "ab", seeds=[1])
+        assert not (tmp_path / "ab").exists()
+
     def test_cells_reproducible(self, corpora, tmp_path):
         train_utts, held = corpora
         base = TrainConfig(**BASE)

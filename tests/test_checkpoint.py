@@ -92,6 +92,30 @@ class TestFormat:
         with pytest.raises(ValueError, match=r"epoch001\.ckpt: tensor model\.out\.W data is truncated"):
             load_checkpoint(path)
 
+    @staticmethod
+    def _rewrite_manifest_line(path, prefix, replacement):
+        raw = path.read_bytes()
+        manifest_len = int.from_bytes(raw[8:16], "little")
+        lines = raw[16 : 16 + manifest_len].decode().splitlines()
+        lines = [replacement if line.startswith(prefix) else line for line in lines]
+        manifest = ("\n".join(lines) + "\n").encode()
+        path.write_bytes(raw[:8] + len(manifest).to_bytes(8, "little") + manifest + raw[16 + manifest_len :])
+
+    def test_negative_offset_names_file_and_tensor(self, tmp_path):
+        path = tmp_path / "neg.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        self._rewrite_manifest_line(path, "tensor model.out.W ", "tensor model.out.W 4x2 -8")
+        with pytest.raises(ValueError, match=r"neg\.ckpt: tensor model\.out\.W has negative data offset -8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", ["0x2", "-4x2", "4x0"])
+    def test_non_positive_dims_name_file_and_tensor(self, tmp_path, dims):
+        path = tmp_path / "dims.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        self._rewrite_manifest_line(path, "tensor model.out.W ", f"tensor model.out.W {dims} 0")
+        with pytest.raises(ValueError, match=rf"dims\.ckpt: tensor model\.out\.W has a non-positive dimension in {dims}"):
+            load_checkpoint(path)
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(sample_checkpoint(), path)

@@ -140,6 +140,13 @@ class TestAblate:
     def test_unknown_spec_is_usage_error(self, corpus_dir, tmp_path):
         assert run("ablate", "--corpus", corpus_dir, "--out", tmp_path / "x", "--specs", "bogus") == 1
 
+    def test_aliases_of_one_spec_exit_2(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "dup"
+        assert run("ablate", "--corpus", corpus_dir, "--out", out, "--specs", "full,no-warm") == 2
+        err = capsys.readouterr().err
+        assert "'full'" in err and "'no-warm'" in err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

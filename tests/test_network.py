@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import a2w.network as network
 from a2w.ctc import ctc_loss
 from a2w.network import (
     BadShape,
@@ -15,6 +20,7 @@ from a2w.network import (
     parameter_count,
     warm_start,
 )
+from oracles import reference_backward, reference_forward
 
 TINY = ModelConfig(
     input_dim=5, output_dim=6, num_layers=1, hidden_per_direction=4, projection_dim=3, dropout_rate=0.0
@@ -120,6 +126,25 @@ class TestForward:
         with pytest.raises(BadShape):
             model_forward(np.zeros((1, 2, 4)), [2], model)
 
+    def test_no_cache_memory_does_not_grow_with_depth(self):
+        # without a cache only the layer being run and the next layer's input
+        # are alive, so a 6-layer stack peaks where a 2-layer one does
+        feats = np.random.default_rng(1).normal(size=(8, 50, 16))
+
+        def peak(layers, want_cache):
+            cfg = ModelConfig(input_dim=16, output_dim=5, num_layers=layers, hidden_per_direction=8,
+                              projection_dim=0, dropout_rate=0.0)
+            model = init_model(cfg, np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                model_forward(feats, [50] * 8, model, want_cache=want_cache)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(6, False) <= 1.05 * peak(2, False)
+        assert peak(6, True) >= 2 * peak(6, False)
+
     def test_bidirectionality_mirror(self):
         # swap fwd/bwd parameters and reverse the input: hidden halves swap
         # and the frame order reverses
@@ -202,6 +227,16 @@ class TestBackward:
         with pytest.raises(NoForwardCache):
             model_backward([np.zeros((1, 6))], None, model)
 
+    def test_cache_backs_one_backward(self):
+        # backward reuses the cache's buffers for its gradients
+        model = tiny_model(1)
+        feats = np.random.default_rng(0).normal(size=(2, 3, 5))
+        _, cache = model_forward(feats, [3, 2], model, want_cache=True)
+        upstream = [np.ones((3, 6)), np.ones((2, 6))]
+        model_backward(upstream, cache, model)
+        with pytest.raises(NoForwardCache, match="already consumed"):
+            model_backward(upstream, cache, model)
+
     def test_finite_difference_full_model(self):
         # acceptance runs the bigger sweep; keep a quick spot check here
         cfg = ModelConfig(input_dim=3, output_dim=4, num_layers=1, hidden_per_direction=3,
@@ -258,3 +293,83 @@ class TestWarmStart:
         report = warm_start(target, {})
         assert len(report.skipped) == len(target.params)
         assert all(reason == "missing from source" for _, reason in report.skipped)
+
+
+def _max_rel_err(actual, expected):
+    """Largest |actual - expected| over paired arrays, relative to the largest |expected|.
+
+    One scale for the whole set (every logit of a batch, every gradient
+    entry of a model): a small tensor whose entries cancel carries float32
+    rounding of about 1e-5 of its own size in either implementation.
+    """
+    scale = max(float(np.max(np.abs(e))) for e in expected)
+    diff = max(float(np.max(np.abs(a - e))) for a, e in zip(actual, expected))
+    return diff / max(scale, np.finfo(expected[0].dtype).tiny)
+
+
+class TestFusedAgainstReference:
+    """The fused BLSTM against the per-direction time loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        t_max=st.integers(1, 7),
+        layers=st.integers(1, 3),
+        hidden=st.integers(1, 5),
+        in_dim=st.integers(1, 6),
+        out_dim=st.integers(2, 6),
+        projection=st.booleans(),
+        dropout=st.sampled_from([0.0, 0.3]),
+        dtype=st.sampled_from(["float64", "float32"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_logits_and_gradients_match(self, batch, t_max, layers, hidden, in_dim, out_dim, projection,
+                                        dropout, dtype, seed):
+        cfg = ModelConfig(input_dim=in_dim, output_dim=out_dim, num_layers=layers, hidden_per_direction=hidden,
+                          projection_dim=1 if projection else 0, dropout_rate=dropout, dtype=dtype)
+        model = init_model(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        feats = rng.normal(size=(batch, t_max, in_dim))
+        lengths = rng.integers(1, t_max + 1, size=batch)
+        upstream = [rng.normal(size=(n, out_dim)) for n in lengths]
+        tol = 1e-12 if dtype == "float64" else 1e-5
+
+        lattices, cache = model_forward(feats, lengths, model, train_mode=True,
+                                        rng=np.random.default_rng(seed + 2), want_cache=True)
+        ref_logits, state = reference_forward(feats, lengths, model, rng=np.random.default_rng(seed + 2))
+        ref_lattices = [ref_logits[i, : lengths[i]].astype(np.float64) for i in range(batch)]
+        assert _max_rel_err([lat.values for lat in lattices], ref_lattices) <= tol
+
+        grads = model_backward(upstream, cache, model)
+        dlogits = np.zeros((batch, t_max, out_dim), dtype=dtype)
+        for i, g in enumerate(upstream):
+            dlogits[i, : lengths[i]] = g
+        ref_grads = reference_backward(dlogits, state, model)
+        assert list(grads) == list(ref_grads)
+        assert all(grads[name].shape == g.shape and grads[name].dtype == g.dtype for name, g in ref_grads.items())
+        assert _max_rel_err([grads[name] for name in ref_grads], list(ref_grads.values())) <= tol
+
+
+class TestFloat32:
+    def test_float32_end_to_end(self, monkeypatch):
+        cfg = ModelConfig(input_dim=5, output_dim=6, num_layers=2, hidden_per_direction=4,
+                          projection_dim=3, dropout_rate=0.25, dtype="float32")
+        model = init_model(cfg, np.random.default_rng(0))
+        seen = []
+        lattice = network.PosteriorLattice
+
+        def recording_lattice(values, kind):
+            seen.append(values.dtype)  # the logits as the network computed them
+            return lattice(values, kind)
+
+        monkeypatch.setattr(network, "PosteriorLattice", recording_lattice)
+        feats = np.random.default_rng(1).normal(size=(2, 4, 5))
+        _, cache = model_forward(feats, [4, 3], model, train_mode=True, rng=np.random.default_rng(2), want_cache=True)
+        assert seen == [np.float32, np.float32]
+        buffers = [cache.concat_top, cache.proj_h, *cache.layer_inputs,
+                   *(m for m in cache.dropout_masks if m is not None)]
+        for layer in cache.directions:
+            buffers += [layer.x, layer.gates, layer.c, layer.tanh_c, layer.h]
+        assert all(b.dtype == np.float32 for b in buffers)
+        grads = model_backward([np.ones((4, 6)), np.ones((3, 6))], cache, model)
+        assert all(g.dtype == np.float32 for g in grads.values())
