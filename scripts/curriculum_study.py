@@ -9,7 +9,7 @@ padding waste.
 import argparse
 from pathlib import Path
 
-from a2w.ablation import AblationSpec, run_ablation
+from a2w.ablation import run_ablation
 from a2w.config import TrainConfig
 from a2w.pipeline import SynthSpec, synth_corpus, sort_and_batch, ASCENDING, DESCENDING, random_order
 from a2w.trainer import prepare_corpus, build_label_space
@@ -46,12 +46,7 @@ def main():
     for name, waste in padding_report(prepared, base.batch_size, space.encode):
         print(f"  {name:<10} {100 * waste:5.1f}%")
 
-    specs = [
-        AblationSpec(warm_start=False),
-        AblationSpec(order="descending", warm_start=False),
-        AblationSpec(order="random", warm_start=False),
-    ]
-    result = run_ablation(base, specs, train_utts, heldout, Path(args.work),
+    result = run_ablation(base, ["full", "descending", "random"], train_utts, heldout, Path(args.work),
                           seeds=[base.seed + i for i in range(args.seeds)])
     print()
     print(result.render_text())

@@ -1,9 +1,11 @@
-"""Recipe ablation harness: train one model per (component toggle, seed),
+"""Recipe ablation harness: train one model per (recipe variant, seed),
 score the heldout split, and tabulate.
 
 The standard sweep removes one ingredient at a time from the base recipe:
 data order, momentum, dropout, the output projection, warm starting, and
-one layer of depth ("small" model).
+one layer of depth ("small" model). A variant whose config equals an
+earlier one's (e.g. ``no-warm`` when the base does not warm-start) is
+skipped.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import csv
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .config import TrainConfig
 from .decoder import decode_utterances
@@ -21,67 +23,32 @@ from .scoring import corpus_wer
 from .trainer import prepare_corpus, run_training
 
 
-@dataclass(frozen=True)
-class AblationSpec:
-    """One recipe variant; every field names the component it keeps or drops."""
-
-    order: str = "ascending"  # ascending | descending | random
-    momentum: bool = True
-    dropout: bool = True
-    projection: bool = True
-    warm_start: bool = True
-    size: str = "big"  # big | small (one fewer layer)
-
-    @property
-    def name(self) -> str:
-        flags = [
-            f"order-{self.order}",
-            f"momentum-{'on' if self.momentum else 'off'}",
-            f"dropout-{'on' if self.dropout else 'off'}",
-            f"projection-{'on' if self.projection else 'off'}",
-            f"warm-{'on' if self.warm_start else 'off'}",
-            f"size-{self.size}",
-        ]
-        return "_".join(flags)
-
-    def apply(self, base: TrainConfig, seed: int) -> TrainConfig:
-        cfg = dataclasses.replace(base, seed=seed, order=self.order)
-        if not self.momentum:
-            cfg.momentum = 0.0
-        if not self.dropout:
-            cfg.dropout = 0.0
-        if not self.projection:
-            cfg.projection = 0
-        if not self.warm_start:
-            cfg.warm_ckpt = ""
-        if self.size == "small":
-            cfg.layers = max(1, base.layers - 1)
-        elif self.size != "big":
-            raise ValueError(f"unknown model size {self.size!r}")
-        return cfg
+def _with(**edit) -> Callable[[TrainConfig], TrainConfig]:
+    return lambda cfg: dataclasses.replace(cfg, **edit)
 
 
-def named_specs(base: TrainConfig) -> dict[str, AblationSpec]:
-    """Full recipe plus one spec per removed component, keyed by CLI alias."""
-    full = AblationSpec(warm_start=bool(base.warm_ckpt))
-    return {
-        "full": full,
-        "descending": dataclasses.replace(full, order="descending"),
-        "random": dataclasses.replace(full, order="random"),
-        "no-momentum": dataclasses.replace(full, momentum=False),
-        "no-dropout": dataclasses.replace(full, dropout=False),
-        "no-projection": dataclasses.replace(full, projection=False),
-        "small": dataclasses.replace(full, size="small"),
-        "no-warm": dataclasses.replace(full, warm_start=False),
-    }
+# CLI alias -> the edit that variant makes to the base recipe. Every variant
+# starts from the base with its seed set and ``order="ascending"`` pinned.
+VARIANTS: dict[str, Callable[[TrainConfig], TrainConfig]] = {
+    "full": _with(),
+    "descending": _with(order="descending"),
+    "random": _with(order="random"),
+    "no-momentum": _with(momentum=0.0),
+    "no-dropout": _with(dropout=0.0),
+    "no-projection": _with(projection=0),
+    "small": lambda cfg: dataclasses.replace(cfg, layers=max(1, cfg.layers - 1)),
+    "no-warm": _with(warm_ckpt=""),
+}
 
 
-def standard_specs(base: TrainConfig) -> list[AblationSpec]:
-    """The named specs in order; ``no-warm`` only when the base warm-starts."""
-    specs = named_specs(base)
-    if not base.warm_ckpt:
-        del specs["no-warm"]
-    return list(specs.values())
+def variant_config(alias: str, base: TrainConfig, seed: int) -> TrainConfig:
+    return VARIANTS[alias](dataclasses.replace(base, seed=seed, order="ascending"))
+
+
+def default_aliases(base: TrainConfig) -> list[str]:
+    """Every alias whose config differs from all earlier ones."""
+    configs = [variant_config(alias, base, base.seed) for alias in VARIANTS]
+    return [alias for i, alias in enumerate(VARIANTS) if configs[i] not in configs[:i]]
 
 
 @dataclass
@@ -153,28 +120,29 @@ class AblationResult:
 
 def run_ablation(
     base: TrainConfig,
-    specs: Sequence[AblationSpec],
+    aliases: Sequence[str],
     train_utts: Sequence[Utterance],
     heldout_utts: Sequence[Utterance],
     out_dir: str | Path,
     seeds: Sequence[int],
 ) -> AblationResult:
-    """Train and score every (spec, seed) cell; failures are recorded and the
-    sweep continues. Each cell gets its own run directory, so two specs
-    with the same name are rejected before anything trains."""
-    names = [spec.name for spec in specs]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"ablation specs repeat {', '.join(repeated)}; each spec must differ")
+    """Train and score every (variant, seed) cell; failures are recorded and
+    the sweep continues. Each cell gets its own run directory, so two
+    aliases giving the same config are rejected before anything trains."""
+    configs = [variant_config(alias, base, base.seed) for alias in aliases]
+    for i, cfg in enumerate(configs):
+        if cfg in configs[:i]:
+            twin = aliases[configs.index(cfg)]
+            raise ValueError(f"ablation variants {twin!r} and {aliases[i]!r} give the same config; each must differ")
     out_dir = Path(out_dir)
     cells = []
     refs = {u.id: list(u.transcript) for u in heldout_utts}
-    for spec in specs:
+    for alias in aliases:
         for seed in seeds:
-            cell = AblationCell(spec_name=spec.name, seed=seed)
+            cell = AblationCell(spec_name=alias, seed=seed)
             try:
-                cfg = spec.apply(base, seed)
-                run_dir = out_dir / spec.name / f"seed{seed}"
+                cfg = variant_config(alias, base, seed)
+                run_dir = out_dir / alias / f"seed{seed}"
                 artifacts = run_training(cfg, train_utts, heldout_utts, run_dir)
                 prepared = prepare_corpus(heldout_utts, cfg)
                 rows = decode_utterances(

@@ -46,9 +46,9 @@ class Vocabulary:
 
     words: tuple[str, ...]
     min_count: int
-    word_to_id: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
+    word_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    unk_id: int = 1
+    unk_id = 1
 
     def __post_init__(self):
         mapping = {w: i + 2 for i, w in enumerate(self.words)}
@@ -115,7 +115,7 @@ class CharSet:
 
     variant: str  # "simple" | "positional"
     symbols: tuple[CharSymbol, ...]
-    _by_text: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
+    _by_text: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_text", {s.text: i + 1 for i, s in enumerate(self.symbols)})
@@ -291,7 +291,6 @@ class SarTargetSequence:
     """Spell-then-recognize target labels for one transcript."""
 
     labels: tuple[int, ...]
-    transcript: tuple[str, ...]
 
 
 def build_sar_targets(transcript: Sequence[str], joint: JointAlphabet) -> SarTargetSequence:
@@ -308,7 +307,7 @@ def build_sar_targets(transcript: Sequence[str], joint: JointAlphabet) -> SarTar
             labels.append(joint.separator_id)
         labels.extend(joint.spell(word))
         labels.append(joint.word_id(word))
-    return SarTargetSequence(labels=tuple(labels), transcript=tuple(words))
+    return SarTargetSequence(labels=tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -366,14 +365,16 @@ def load_alphabet(path: str | Path) -> Vocabulary | CharSet:
     lines = text.splitlines()
     if not lines or not lines[0].startswith(ALPHABET_FILE_MAGIC):
         raise ValueError(f"{path}: not an alphabet file")
-    header = lines[0][len(ALPHABET_FILE_MAGIC):].split()
-    variant = header[0]
+    variant, *extras = lines[0][len(ALPHABET_FILE_MAGIC):].split() or [""]
     body = lines[1:]
     if variant == "words":
         min_count = 1
-        for extra in header[1:]:
-            if extra.startswith("min_count="):
-                min_count = int(extra.split("=", 1)[1])
+        for extra in extras:
+            key, _, value = extra.partition("=")
+            if key == "min_count":
+                if not value.isdecimal():
+                    raise ValueError(f"{path}: header min_count {value!r} is not a count")
+                min_count = int(value)
         if not body or body[0] != UNK_WORD:
             raise ValueError(f"{path}: word file must place {UNK_WORD} at id 1")
         return Vocabulary(words=tuple(body[1:]), min_count=min_count)

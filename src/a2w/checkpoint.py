@@ -16,6 +16,7 @@ so save -> load -> save reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,33 +68,46 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    """Any malformed part of the file raises ``ValueError("<path>: ...")``."""
+    try:
+        return _parse_checkpoint(Path(path).read_bytes())
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(raw: bytes) -> Checkpoint:
     if raw[:8] != MAGIC:
-        raise ValueError(f"{path}: bad magic, not a checkpoint")
+        raise ValueError("bad magic, not a checkpoint")
     manifest_len = int.from_bytes(raw[8:16], "little")
+    if 16 + manifest_len > len(raw):
+        raise ValueError(f"manifest length {manifest_len} runs past the end of the file")
     manifest = raw[16 : 16 + manifest_len].decode("utf-8")
     data = raw[16 + manifest_len :]
     ckpt = Checkpoint()
     for line in manifest.splitlines():
         kind, _, rest = line.partition(" ")
         if kind == "epoch":
+            if not rest.isdecimal():
+                raise ValueError(f"malformed manifest record {line!r}")
             ckpt.epoch = int(rest)
         elif kind == "config":
             key, _, value = rest.partition("=")
             ckpt.config[key] = value
         elif kind == "tensor":
-            name, dims, offset = rest.rsplit(" ", 2)
-            shape = tuple(int(d) for d in dims.split("x"))
-            count = int(np.prod(shape))
-            start = int(offset)
+            try:
+                name, dims, offset = rest.rsplit(" ", 2)
+                shape, start = tuple(int(d) for d in dims.split("x")), int(offset)
+            except ValueError:
+                raise ValueError(f"malformed manifest record {line!r}") from None
+            count = math.prod(shape)
             if any(d < 1 for d in shape):
-                raise ValueError(f"{path}: tensor {name} has a non-positive dimension in {dims}")
+                raise ValueError(f"tensor {name} has a non-positive dimension in {dims}")
             if start < 0:
-                raise ValueError(f"{path}: tensor {name} has negative data offset {start}")
+                raise ValueError(f"tensor {name} has negative data offset {start}")
             if start + 8 * count > len(data):
-                raise ValueError(f"{path}: tensor {name} data is truncated")
+                raise ValueError(f"tensor {name} data is truncated")
             values = np.frombuffer(data, dtype="<f8", count=count, offset=start)
             ckpt.tensors[name] = values.reshape(shape).copy()
         else:
-            raise ValueError(f"{path}: unknown manifest record {kind!r}")
+            raise ValueError(f"unknown manifest record {kind!r}")
     return ckpt

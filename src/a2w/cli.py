@@ -10,7 +10,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .ablation import named_specs, run_ablation, standard_specs
+from .ablation import VARIANTS, default_aliases, run_ablation
 from .alphabet import JointAlphabet, build_charset, load_alphabet
 from .checkpoint import load_checkpoint
 from .config import TrainConfig, config_from_items, load_config
@@ -136,27 +136,18 @@ def _cmd_score(args) -> int:
     return 0
 
 
-_SPEC_ALIASES = ", ".join(named_specs(TrainConfig()))
+_SPEC_ALIASES = ", ".join(VARIANTS)
 
 
 def _cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
+    aliases = [s.strip() for s in (args.specs or "").split(",") if s.strip()] or default_aliases(cfg)
+    for alias in aliases:
+        if alias not in VARIANTS:
+            raise _UsageError(f"unknown ablation spec {alias!r}; choose from {_SPEC_ALIASES}")
     train_utts, heldout = _load_train_heldout(args, cfg)
-    if args.specs:
-        table = named_specs(cfg)
-        aliases: dict[str, str] = {}  # spec name -> the alias that chose it
-        for name in filter(None, (s.strip() for s in args.specs.split(","))):
-            if name not in table:
-                raise _UsageError(f"unknown ablation spec {name!r}; choose from {_SPEC_ALIASES}")
-            spec_name = table[name].name
-            if spec_name in aliases:
-                raise ValueError(f"--specs {aliases[spec_name]!r} and {name!r} both resolve to {spec_name}")
-            aliases[spec_name] = name
-        specs = [table[name] for name in aliases.values()]
-    else:
-        specs = standard_specs(cfg)
     seeds = [cfg.seed + i for i in range(args.seeds)]
-    result = run_ablation(cfg, specs, train_utts, heldout, args.out, seeds)
+    result = run_ablation(cfg, aliases, train_utts, heldout, args.out, seeds)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = result.render_text()

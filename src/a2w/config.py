@@ -64,7 +64,7 @@ def config_from_items(items: dict[str, str], base: TrainConfig | None = None) ->
 
 
 def load_config(path: str | Path, base: TrainConfig | None = None) -> TrainConfig:
-    items: dict[str, str] = {}
+    cfg = dataclasses.replace(base) if base else TrainConfig()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -72,8 +72,11 @@ def load_config(path: str | Path, base: TrainConfig | None = None) -> TrainConfi
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        items[key.strip()] = value.strip()
-    return config_from_items(items, base)
+        try:
+            cfg = config_from_items({key.strip(): value.strip()}, cfg)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {stripped!r}: {exc.args[0]}") from None
+    return cfg
 
 
 def save_config(cfg: TrainConfig, path: str | Path) -> None:

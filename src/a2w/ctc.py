@@ -98,7 +98,6 @@ class ExpandedTarget:
     """Blank-interleaved target: blanks at even positions, labels at odd."""
 
     labels: tuple[int, ...]
-    original_length: int
 
 
 def expand_target(y: Sequence[int]) -> ExpandedTarget:
@@ -110,7 +109,7 @@ def expand_target(y: Sequence[int]) -> ExpandedTarget:
     for label in y:
         out.append(label)
         out.append(BLANK_ID)
-    return ExpandedTarget(labels=tuple(out), original_length=len(y))
+    return ExpandedTarget(labels=tuple(out))
 
 
 def min_frames_for(y: Sequence[int]) -> int:

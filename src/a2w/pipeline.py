@@ -263,11 +263,15 @@ def save_corpus(utts: Sequence[Utterance], directory: str | Path) -> None:
 
 def load_corpus(directory: str | Path) -> list[Utterance]:
     directory = Path(directory)
+    tsv = directory / "corpus.tsv"
     utts = []
-    for line in (directory / "corpus.tsv").read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(tsv.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        utt_id, transcript, rel = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"{tsv}:{lineno}: expected id, transcript and feature path separated by tabs")
+        utt_id, transcript, rel = fields
         path = directory / rel
         raw = path.read_bytes()
         t, f = _FEATURE_HEADER.unpack_from(raw) if len(raw) >= _FEATURE_HEADER.size else (0, 0)

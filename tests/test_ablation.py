@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from a2w.ablation import AblationSpec, named_specs, run_ablation, standard_specs
+from a2w.ablation import VARIANTS, default_aliases, run_ablation, variant_config
 from a2w.config import TrainConfig
 from a2w.decoder import decode_utterances
 from a2w.pipeline import SynthSpec, synth_corpus
@@ -17,51 +19,60 @@ def corpora():
     return synth_corpus(spec, 32, seed=1), synth_corpus(spec, 12, seed=2, id_prefix="held")
 
 
-class TestAblationSpec:
-    def test_stable_names(self):
-        spec = AblationSpec(order="descending", dropout=False, warm_start=False)
-        assert spec.name == "order-descending_momentum-on_dropout-off_projection-on_warm-off_size-big"
+ALIASES = ["full", "descending", "random", "no-momentum", "no-dropout", "no-projection", "small", "no-warm"]
 
-    def test_apply_toggles(self):
-        base = TrainConfig(**BASE)
-        cfg = AblationSpec(momentum=False, projection=False, size="small", warm_start=False).apply(base, seed=7)
-        assert cfg.momentum == 0.0
-        assert cfg.projection == 0
-        assert cfg.layers == base.layers - 1
-        assert cfg.seed == 7
-        assert base.momentum == 0.9  # base untouched
+
+class TestAblationSpec:
+    def test_alias_edits(self):
+        # each alias pins order="ascending" unless it sets the order, sets the
+        # seed, and changes exactly the fields listed here
+        base = TrainConfig(**{**BASE, "order": "random", "warm_ckpt": "warm.ckpt"})
+        edits = {
+            "full": {},
+            "descending": {"order": "descending"},
+            "random": {"order": "random"},
+            "no-momentum": {"momentum": 0.0},
+            "no-dropout": {"dropout": 0.0},
+            "no-projection": {"projection": 0},
+            "small": {"layers": base.layers - 1},
+            "no-warm": {"warm_ckpt": ""},
+        }
+        assert list(VARIANTS) == list(edits) == ALIASES
+        for alias, edit in edits.items():
+            expected = dataclasses.replace(base, seed=7, **{"order": "ascending", **edit})
+            assert variant_config(alias, base, seed=7) == expected, alias
+        assert base.momentum == 0.9 and base.order == "random"  # base untouched
+        one_layer = dataclasses.replace(base, layers=1)
+        assert variant_config("small", one_layer, seed=7).layers == 1
 
     def test_standard_specs_cover_components(self):
         base = TrainConfig(**BASE)
-        specs = standard_specs(base)
-        names = [s.name for s in specs]
-        assert len(names) == len(set(names)) == 7  # no warm checkpoint configured
-        assert any("order-descending" in n for n in names)
-        assert any("dropout-off" in n for n in names)
-        assert any("size-small" in n for n in names)
+        aliases = default_aliases(base)
+        configs = [variant_config(a, base, 1) for a in aliases]
+        assert all(c not in configs[:i] for i, c in enumerate(configs))
+        assert aliases == ALIASES[:7]  # no warm checkpoint configured
 
     def test_named_specs_agree_with_standard_specs(self):
-        aliases = ["full", "descending", "random", "no-momentum", "no-dropout", "no-projection", "small", "no-warm"]
-        for warm, count in (("", 7), ("warm.ckpt", 8)):
-            base = TrainConfig(**{**BASE, "warm_ckpt": warm})
-            named = named_specs(base)
-            assert list(named) == aliases
-            assert named["full"].warm_start == bool(warm)
-            assert not named["no-warm"].warm_start
-            assert standard_specs(base) == list(named.values())[:count]
+        # the default sweep is every alias whose config differs from all earlier ones
+        for warm, expected in (("", ALIASES[:7]), ("warm.ckpt", ALIASES)):
+            assert default_aliases(TrainConfig(warm_ckpt=warm)) == expected
+            assert default_aliases(TrainConfig(**{**BASE, "warm_ckpt": warm})) == expected
+        assert default_aliases(TrainConfig(**{**BASE, "layers": 1})) == [a for a in ALIASES[:7] if a != "small"]
+        assert default_aliases(TrainConfig(**{**BASE, "dropout": 0.0})) == [a for a in ALIASES[:7] if a != "no-dropout"]
 
 
 class TestRunAblation:
     def test_single_spec_matches_direct_run(self, corpora, tmp_path):
         train_utts, held = corpora
         base = TrainConfig(**BASE)
-        spec = AblationSpec(warm_start=False)
-        result = run_ablation(base, [spec], train_utts, held, tmp_path / "ab", seeds=[55])
+        result = run_ablation(base, ["full"], train_utts, held, tmp_path / "ab", seeds=[55])
         assert len(result.cells) == 1
         cell = result.cells[0]
         assert not cell.error
 
-        cfg = spec.apply(base, 55)
+        assert cell.spec_name == "full"
+        assert (tmp_path / "ab" / "full" / "seed55" / "train_run.jsonl").exists()
+        cfg = variant_config("full", base, 55)
         artifacts = run_training(cfg, train_utts, held, tmp_path / "direct")
         prepared = prepare_corpus(held, cfg)
         rows = decode_utterances(artifacts.model, prepared, artifacts.label_space.vocab, batch_size=8)
@@ -73,29 +84,25 @@ class TestRunAblation:
     def test_duplicate_specs_rejected_before_training(self, corpora, tmp_path):
         train_utts, held = corpora
         base = TrainConfig(**BASE)
-        full, no_warm = named_specs(base)["full"], named_specs(base)["no-warm"]
-        assert full == no_warm  # no warm checkpoint: both aliases name one recipe
-        with pytest.raises(ValueError, match=full.name):
-            run_ablation(base, [full, no_warm], train_utts, held, tmp_path / "ab", seeds=[1])
+        # no warm checkpoint: both aliases give one recipe
+        with pytest.raises(ValueError, match="'full' and 'no-warm'"):
+            run_ablation(base, ["full", "no-warm"], train_utts, held, tmp_path / "ab", seeds=[1])
         assert not (tmp_path / "ab").exists()
 
     def test_cells_reproducible(self, corpora, tmp_path):
         train_utts, held = corpora
         base = TrainConfig(**BASE)
-        spec = AblationSpec(warm_start=False)
-        a = run_ablation(base, [spec], train_utts, held, tmp_path / "a", seeds=[1])
-        b = run_ablation(base, [spec], train_utts, held, tmp_path / "b", seeds=[1])
+        a = run_ablation(base, ["full"], train_utts, held, tmp_path / "a", seeds=[1])
+        b = run_ablation(base, ["full"], train_utts, held, tmp_path / "b", seeds=[1])
         assert a.cells[0].wer == b.cells[0].wer
         assert a.cells[0].final_heldout == b.cells[0].final_heldout
 
     def test_failures_recorded_not_raised(self, corpora, tmp_path):
         train_utts, held = corpora
         base = TrainConfig(**BASE, warm_ckpt="/nonexistent/path.ckpt")
-        specs = [AblationSpec(warm_start=True), AblationSpec(warm_start=False)]
-        result = run_ablation(base, specs, train_utts, held, tmp_path / "ab", seeds=[3])
+        result = run_ablation(base, ["full", "no-warm"], train_utts, held, tmp_path / "ab", seeds=[3])
         by_name = {c.spec_name: c for c in result.cells}
-        warm_on = by_name["order-ascending_momentum-on_dropout-on_projection-on_warm-on_size-big"]
-        warm_off = by_name["order-ascending_momentum-on_dropout-on_projection-on_warm-off_size-big"]
+        warm_on, warm_off = by_name["full"], by_name["no-warm"]
         assert warm_on.error
         assert not warm_off.error
         rows = result.rows()
@@ -104,7 +111,7 @@ class TestRunAblation:
     def test_table_outputs(self, corpora, tmp_path):
         train_utts, held = corpora
         base = TrainConfig(**BASE)
-        result = run_ablation(base, [AblationSpec(warm_start=False)], train_utts, held, tmp_path / "ab", seeds=[1, 2])
+        result = run_ablation(base, ["full"], train_utts, held, tmp_path / "ab", seeds=[1, 2])
         text = result.render_text()
         assert "mean_wer" in text.splitlines()[0]
         csv_path = tmp_path / "table.csv"

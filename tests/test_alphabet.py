@@ -236,5 +236,20 @@ class TestSerialization:
         assert lines[3] == "B"
 
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("#a2w-alphabet v1", r"vocab\.txt: unknown variant ''"),
+            ("#a2w-alphabet v1 words min_count=x", r"vocab\.txt: header min_count 'x' is not a count"),
+        ],
+        ids=["bare-header", "bad-min-count"],
+    )
+    def test_bad_header_names_path(self, tmp_path, header, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"{header}\n{UNK_WORD}\nA\n")
+        with pytest.raises(ValueError, match=message):
+            load_alphabet(path)
+
+
 def test_tokenize_uppercases_and_splits():
     assert tokenize("the  cat\tsat ") == ["THE", "CAT", "SAT"]

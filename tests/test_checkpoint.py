@@ -116,6 +116,48 @@ class TestFormat:
         with pytest.raises(ValueError, match=rf"dims\.ckpt: tensor model\.out\.W has a non-positive dimension in {dims}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "prefix, record",
+        [
+            ("tensor model.out.W ", "tensor model.out.W 2xa 0"),
+            ("tensor model.out.W ", "tensor model.out.W 0"),
+            ("epoch ", "epoch x"),
+        ],
+        ids=["bad-dim", "missing-field", "bad-epoch"],
+    )
+    def test_malformed_record_names_file_and_record(self, tmp_path, prefix, record):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        self._rewrite_manifest_line(path, prefix, record)
+        with pytest.raises(ValueError, match=rf"bad\.ckpt: malformed manifest record '{record}'"):
+            load_checkpoint(path)
+
+    def test_non_utf8_manifest_names_file(self, tmp_path):
+        path = tmp_path / "bin.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        raw = bytearray(path.read_bytes())
+        raw[16] = 0xFF  # first manifest byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"bin\.ckpt: 'utf-8' codec can't decode"):
+            load_checkpoint(path)
+
+    def test_manifest_past_end_names_file(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + (len(raw)).to_bytes(8, "little") + raw[16:])
+        with pytest.raises(ValueError, match=rf"long\.ckpt: manifest length {len(raw)} runs past the end"):
+            load_checkpoint(path)
+
+    def test_inspect_ckpt_exits_2_naming_file(self, tmp_path, capsys):
+        from a2w.cli import cli_main
+
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        self._rewrite_manifest_line(path, "tensor model.out.W ", "tensor model.out.W 2xa 0")
+        assert cli_main(["inspect-ckpt", str(path)]) == 2
+        assert f"{path}: malformed manifest record" in capsys.readouterr().err
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(sample_checkpoint(), path)

@@ -132,7 +132,7 @@ class TestAblate:
         )
         assert status == 0
         table = capsys.readouterr().out
-        assert "dropout-off" in table
+        assert "no-dropout" in table
         assert (out / "table.txt").exists()
         assert (out / "table.csv").exists()
         assert len((out / "table.csv").read_text().splitlines()) == 3
@@ -146,6 +146,20 @@ class TestAblate:
         err = capsys.readouterr().err
         assert "'full'" in err and "'no-warm'" in err
         assert not out.exists()
+
+    def test_warm_start_makes_no_warm_a_variant(self, corpus_dir, run_dir, tmp_path):
+        out = tmp_path / "warm"
+        status = run(
+            "ablate", "--corpus", corpus_dir, "--out", out,
+            "--specs", "full,no-warm", "--seeds", 1, "--warm_ckpt", run_dir / "epoch002.ckpt",
+            "--layers", 1, "--hidden", 6, "--projection", 4, "--epochs", 1,
+            "--batch_size", 8, "--heldout_fraction", 0.2, "--min_count", 1,
+            "--deltas", "false", "--stacking", "false", "--seed", 2,
+        )
+        assert status == 0
+        assert len((out / "table.csv").read_text().splitlines()) == 3
+        assert (out / "full" / "seed2" / "warm_start.txt").exists()
+        assert not (out / "no-warm" / "seed2" / "warm_start.txt").exists()
 
 
 class TestExitCodes:

@@ -50,6 +50,21 @@ def test_unknown_key_rejected():
         config_from_items({"learning_rate": "0.1"})
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("layers=3\nnope=1\n", r"c\.txt:2: 'nope=1': unknown config key 'nope'"),
+        ("layers=three\n", r"c\.txt:1: 'layers=three': invalid literal for int\(\)"),
+    ],
+    ids=["unknown-key", "bad-int"],
+)
+def test_bad_file_entry_names_path_and_key(tmp_path, text, message):
+    path = tmp_path / "c.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
 def test_malformed_line_rejected(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("layers 3\n")

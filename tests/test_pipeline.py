@@ -251,6 +251,14 @@ class TestCorpusIo:
         with pytest.raises(ValueError, match=victim.name):
             load_corpus(tmp_path)
 
+    def test_short_corpus_line_named(self, tmp_path):
+        save_corpus(synth_corpus(SynthSpec(vocab_size=4, proto_seed=2), 3, seed=5), tmp_path)
+        tsv = tmp_path / "corpus.tsv"
+        lines = tsv.read_text().splitlines()
+        tsv.write_text("\n".join([lines[0], "utt9 A B"] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"corpus\.tsv:2: expected id, transcript and feature path"):
+            load_corpus(tmp_path)
+
     def test_split_is_stable_partition(self):
         utts = make_utts([3] * 40)
         train, heldout = split_by_id_hash(utts, 0.25)
