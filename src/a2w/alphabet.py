@@ -361,8 +361,10 @@ def save_alphabet(path: str | Path, space: Vocabulary | CharSet) -> None:
 
 
 def load_alphabet(path: str | Path) -> Vocabulary | CharSet:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not lines or not lines[0].startswith(ALPHABET_FILE_MAGIC):
         raise ValueError(f"{path}: not an alphabet file")
     variant, *extras = lines[0][len(ALPHABET_FILE_MAGIC):].split() or [""]

@@ -84,6 +84,7 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
     manifest = raw[16 : 16 + manifest_len].decode("utf-8")
     data = raw[16 + manifest_len :]
     ckpt = Checkpoint()
+    spans: list[tuple[int, int, str]] = []  # data byte range of each tensor read so far
     for line in manifest.splitlines():
         kind, _, rest = line.partition(" ")
         if kind == "epoch":
@@ -104,10 +105,20 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
                 raise ValueError(f"tensor {name} has a non-positive dimension in {dims}")
             if start < 0:
                 raise ValueError(f"tensor {name} has negative data offset {start}")
-            if start + 8 * count > len(data):
+            end = start + 8 * count
+            if end > len(data):
                 raise ValueError(f"tensor {name} data is truncated")
+            if name in ckpt.tensors:
+                raise ValueError(f"tensor {name} is listed twice")
+            for lo, hi, other in spans:
+                if start < hi and lo < end:
+                    raise ValueError(f"tensor {name} data [{start}, {end}) overlaps tensor {other} [{lo}, {hi})")
+            spans.append((start, end, name))
             values = np.frombuffer(data, dtype="<f8", count=count, offset=start)
             ckpt.tensors[name] = values.reshape(shape).copy()
         else:
             raise ValueError(f"unknown manifest record {kind!r}")
+    covered = sum(hi - lo for lo, hi, _ in spans)
+    if covered != len(data):
+        raise ValueError(f"tensors cover {covered} of the {len(data)} data bytes")
     return ckpt

@@ -64,8 +64,12 @@ def config_from_items(items: dict[str, str], base: TrainConfig | None = None) ->
 
 
 def load_config(path: str | Path, base: TrainConfig | None = None) -> TrainConfig:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     cfg = dataclasses.replace(base) if base else TrainConfig()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -43,20 +43,34 @@ class Utterance:
 
 @dataclass(frozen=True)
 class Batch:
-    """Length-padded feature tensor plus the true-length sidecar."""
+    """A run of utterances, padded to a ``B x T_max x F`` tensor on access.
 
-    features: np.ndarray          # B x T_max x F
-    lengths: np.ndarray           # B
+    The batch keeps references to its utterances' ``T_i x F`` arrays, so a
+    list of batches costs almost nothing beyond the corpus it was built
+    from. Each read of ``features`` builds a fresh zero-padded copy; the
+    counting properties read only ``lengths``.
+    """
+
+    frames: tuple[np.ndarray, ...]  # B arrays, T_i x F
+    lengths: np.ndarray             # B
     targets: tuple[tuple[int, ...], ...]
     ids: tuple[str, ...]
 
     @property
+    def features(self) -> np.ndarray:
+        """The zero-padded ``B x T_max x F`` float64 tensor."""
+        padded = np.zeros((self.size, self.max_frames, self.frames[0].shape[1]))
+        for row, f in zip(padded, self.frames):
+            row[: f.shape[0]] = f
+        return padded
+
+    @property
     def size(self) -> int:
-        return self.features.shape[0]
+        return len(self.lengths)
 
     @property
     def max_frames(self) -> int:
-        return self.features.shape[1]
+        return int(self.lengths.max())
 
     @property
     def padding_waste(self) -> float:
@@ -134,10 +148,11 @@ def sort_and_batch(
     batch_size: int,
     encode: Callable[[Sequence[str]], Sequence[int]],
 ) -> list[Batch]:
-    """Arrange utterances, group consecutive runs of ``batch_size``, and pad.
+    """Arrange utterances and group consecutive runs of ``batch_size``.
 
     The batch sequence preserves the curriculum order; the final batch may
     be smaller. ``encode`` maps a transcript to its target label sequence.
+    Padding waits until a batch's ``features`` are read.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -145,16 +160,10 @@ def sort_and_batch(
     batches = []
     for start in range(0, len(arranged), batch_size):
         chunk = arranged[start : start + batch_size]
-        lengths = np.array([u.num_frames for u in chunk], dtype=np.int64)
-        t_max = int(lengths.max())
-        feat_dim = chunk[0].features.shape[1]
-        padded = np.zeros((len(chunk), t_max, feat_dim))
-        for i, u in enumerate(chunk):
-            padded[i, : u.num_frames] = u.features
         batches.append(
             Batch(
-                features=padded,
-                lengths=lengths,
+                frames=tuple(u.features for u in chunk),
+                lengths=np.array([u.num_frames for u in chunk], dtype=np.int64),
                 targets=tuple(tuple(int(l) for l in encode(u.transcript)) for u in chunk),
                 ids=tuple(u.id for u in chunk),
             )
@@ -264,8 +273,12 @@ def save_corpus(utts: Sequence[Utterance], directory: str | Path) -> None:
 def load_corpus(directory: str | Path) -> list[Utterance]:
     directory = Path(directory)
     tsv = directory / "corpus.tsv"
+    try:
+        text = tsv.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{tsv}: {exc}") from None
     utts = []
-    for lineno, line in enumerate(tsv.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         fields = line.split("\t")

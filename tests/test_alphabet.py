@@ -250,6 +250,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             load_alphabet(path)
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(f"#a2w-alphabet v1 words\n{UNK_WORD}\nA".encode() + b"\xff\n")
+        with pytest.raises(ValueError, match=r"vocab\.txt: 'utf-8' codec can't decode byte 0xff"):
+            load_alphabet(path)
+
 
 def test_tokenize_uppercases_and_splits():
     assert tokenize("the  cat\tsat ") == ["THE", "CAT", "SAT"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from a2w.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 
@@ -16,6 +18,11 @@ def sample_checkpoint():
         config={"lr": "0.01", "order": "ascending"},
         epoch=7,
     )
+
+
+def two_tensor_checkpoint():
+    """``model.a`` at data offset 0 and ``model.b`` at 32, filling the data."""
+    return Checkpoint(tensors={"model.a": np.arange(4.0).reshape(2, 2), "model.b": -np.arange(4.0).reshape(2, 2)}, epoch=3)
 
 
 class TestRoundTrip:
@@ -149,6 +156,27 @@ class TestFormat:
         with pytest.raises(ValueError, match=rf"long\.ckpt: manifest length {len(raw)} runs past the end"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "prefix, record, message",
+        [
+            ("tensor model.b ", "tensor model.b 2x2 0", "tensor model.b data [0, 32) overlaps tensor model.a [0, 32)"),
+            ("tensor model.b ", "tensor model.a 2x2 32", "tensor model.a is listed twice"),
+            ("tensor model.a ", "tensor model.a 1x2 0", "tensors cover 48 of the 64 data bytes"),
+        ],
+        ids=["overlap", "repeated-name", "uncovered-bytes"],
+    )
+    def test_bad_tensor_layout_names_file_and_tensors(self, tmp_path, capsys, prefix, record, message):
+        from a2w.cli import cli_main
+
+        path = tmp_path / "layout.ckpt"
+        save_checkpoint(two_tensor_checkpoint(), path)
+        self._rewrite_manifest_line(path, prefix, record)
+        with pytest.raises(ValueError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+        assert cli_main(["inspect-ckpt", str(path)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     def test_inspect_ckpt_exits_2_naming_file(self, tmp_path, capsys):
         from a2w.cli import cli_main
 
@@ -162,3 +190,45 @@ class TestFormat:
         path = tmp_path / "x.ckpt"
         save_checkpoint(sample_checkpoint(), path)
         assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
+
+_RECORD_EDITS = st.one_of(
+    st.tuples(st.just("offset"), st.sampled_from(["model.a", "model.b"]), st.integers(-64, 128).map(str)),
+    st.tuples(
+        st.just("dims"),
+        st.sampled_from(["model.a", "model.b"]),
+        st.lists(st.integers(-2, 9), min_size=1, max_size=3).map(lambda ds: "x".join(map(str, ds))),
+    ),
+    st.tuples(st.just("name"), st.sampled_from(["model.a", "model.b"]), st.sampled_from(["model.a", "model.b"])),
+    st.tuples(st.just("epoch"), st.just(""), st.text(max_size=12)),
+    st.tuples(st.just("truncate"), st.just(""), st.integers(0, 200).map(str)),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=_RECORD_EDITS)
+def test_edited_manifest_loads_exactly_or_names_the_file(tmp_path, edit):
+    """One edited manifest record, or a truncated file, either loads the
+    saved tensors bit for bit or raises a ValueError that starts with the
+    path. A dims edit that keeps the element count only relabels the shape,
+    which the data cannot reveal, so tensors are compared as raw bytes."""
+    saved = two_tensor_checkpoint()
+    path = tmp_path / "fuzz.ckpt"
+    save_checkpoint(saved, path)
+    field, target, value = edit
+    if field == "truncate":
+        path.write_bytes(path.read_bytes()[: int(value) % path.stat().st_size])
+    elif field == "epoch":
+        TestFormat._rewrite_manifest_line(path, "epoch ", f"epoch {value}")
+    else:
+        parts = {"model.a": ["model.a", "2x2", "0"], "model.b": ["model.b", "2x2", "32"]}[target]
+        parts[["name", "dims", "offset"].index(field)] = value
+        TestFormat._rewrite_manifest_line(path, f"tensor {target} ", " ".join(["tensor", *parts]))
+    try:
+        loaded = load_checkpoint(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    assert set(loaded.tensors) == set(saved.tensors)
+    for name, tensor in saved.tensors.items():
+        assert loaded.tensors[name].tobytes() == tensor.tobytes()

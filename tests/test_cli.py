@@ -195,6 +195,20 @@ class TestExitCodes:
         assert run("train", "--corpus", corpus, "--out", tmp_path / "r") == 2
         assert str(victim) in capsys.readouterr().err
 
+    def test_non_utf8_config_file_is_named(self, tmp_path, corpus_dir, capsys):
+        config = tmp_path / "c.txt"
+        config.write_bytes(b"layers=\xff\n")
+        assert run("train", "--corpus", corpus_dir, "--out", tmp_path / "r", "--config", config) == 2
+        assert f"{config}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_non_utf8_corpus_file_is_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run("synth", "--out", corpus, "--seed", 1, "--count", 4) == 0
+        tsv = corpus / "corpus.tsv"
+        tsv.write_bytes(b"\xff" + tsv.read_bytes())
+        assert run("train", "--corpus", corpus, "--out", tmp_path / "r") == 2
+        assert f"{tsv}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
     def test_bad_config_value_is_runtime_failure(self, tmp_path, corpus_dir):
         # an unparseable value surfaces when the config is resolved
         assert run("train", "--corpus", corpus_dir, "--out", tmp_path / "r", "--layers", "three") == 2

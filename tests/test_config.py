@@ -70,3 +70,10 @@ def test_malformed_line_rejected(tmp_path):
     path.write_text("layers 3\n")
     with pytest.raises(ValueError):
         load_config(path)
+
+
+def test_non_utf8_file_names_path(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"layers=\xff\n")
+    with pytest.raises(ValueError, match=r"c\.txt: 'utf-8' codec can't decode byte 0xff"):
+        load_config(path)

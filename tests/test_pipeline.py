@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -141,6 +143,26 @@ class TestSortAndBatch:
                 )
                 np.testing.assert_allclose(batch.features[i, batch.lengths[i] :], 0.0)
 
+    def test_batches_pad_on_access_and_retain_no_copy(self):
+        rng = np.random.default_rng(4)
+        utts = make_utts(rng.integers(50, 150, size=200), feat_dim=40)  # about 6 MB of features
+        corpus_bytes = sum(u.features.nbytes for u in utts)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batches = sort_and_batch(utts, random_order(1), 50, encode_len)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            counts = [(b.size, b.max_frames, b.padding_waste) for b in batches]
+            counting_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.05 * corpus_bytes
+        padded_bytes = min(b.size * b.max_frames * 40 * 8 for b in batches)
+        assert counting_peak < 0.01 * padded_bytes
+        assert [b.features.shape for b in batches] == [(size, t_max, 40) for size, t_max, _ in counts]
+
     def test_waste_zero_iff_equal_lengths(self):
         equal = sort_and_batch(make_utts([3, 3, 3]), ASCENDING, 3, encode_len)[0]
         assert equal.padding_waste == 0.0
@@ -257,6 +279,13 @@ class TestCorpusIo:
         lines = tsv.read_text().splitlines()
         tsv.write_text("\n".join([lines[0], "utt9 A B"] + lines[1:]) + "\n")
         with pytest.raises(ValueError, match=r"corpus\.tsv:2: expected id, transcript and feature path"):
+            load_corpus(tmp_path)
+
+    def test_non_utf8_corpus_line_named(self, tmp_path):
+        save_corpus(synth_corpus(SynthSpec(vocab_size=4, proto_seed=2), 3, seed=5), tmp_path)
+        tsv = tmp_path / "corpus.tsv"
+        tsv.write_bytes(tsv.read_bytes().replace(b"\t", b"\t\xff", 1))
+        with pytest.raises(ValueError, match=r"corpus\.tsv: 'utf-8' codec can't decode byte 0xff"):
             load_corpus(tmp_path)
 
     def test_split_is_stable_partition(self):
