@@ -53,35 +53,54 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    """Atomic write: the file appears complete or not at all."""
+    """Atomic write: the file appears complete or not at all.
+
+    The header, the manifest and each tensor are streamed into a ``.tmp``
+    file beside ``path``, which then replaces it; no copy of the whole
+    file is built in memory.
+    """
     path = Path(path)
     manifest = ckpt.manifest_text().encode("utf-8")
-    blob = bytearray()
-    blob += MAGIC
-    blob += len(manifest).to_bytes(8, "little")
-    blob += manifest
-    for name in sorted(ckpt.tensors):
-        blob += np.ascontiguousarray(ckpt.tensors[name], dtype="<f8").tobytes()
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(blob))
+    with open(tmp, "wb") as f:
+        f.write(MAGIC)
+        f.write(len(manifest).to_bytes(8, "little"))
+        f.write(manifest)
+        for name in sorted(ckpt.tensors):
+            f.write(np.ascontiguousarray(ckpt.tensors[name], dtype="<f8"))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Any malformed part of the file raises ``ValueError("<path>: ...")``."""
+    """Any malformed part of the file raises ``ValueError("<path>: ...")``.
+
+    The tensors are views of one buffer holding the file, not copies.
+    """
     try:
-        return _parse_checkpoint(Path(path).read_bytes())
+        return _parse_checkpoint(_read_aligned(path))
     except ValueError as exc:  # UnicodeDecodeError is one too
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_checkpoint(raw: bytes) -> Checkpoint:
+def _read_aligned(path: str | Path) -> memoryview:
+    """The file's bytes in a writable buffer, placed so that the data
+    section (after the manifest its header announces) is 8-byte aligned."""
+    with open(path, "rb") as f:
+        manifest_len = int.from_bytes(f.read(16)[8:], "little")
+        pad = -(16 + manifest_len) % 8
+        buf = np.empty(pad + os.fstat(f.fileno()).st_size, dtype=np.uint8)
+        f.seek(0)
+        size = f.readinto(memoryview(buf)[pad:])
+    return memoryview(buf)[pad : pad + size]
+
+
+def _parse_checkpoint(raw: memoryview) -> Checkpoint:
     if raw[:8] != MAGIC:
         raise ValueError("bad magic, not a checkpoint")
     manifest_len = int.from_bytes(raw[8:16], "little")
     if 16 + manifest_len > len(raw):
         raise ValueError(f"manifest length {manifest_len} runs past the end of the file")
-    manifest = raw[16 : 16 + manifest_len].decode("utf-8")
+    manifest = str(raw[16 : 16 + manifest_len], "utf-8")
     data = raw[16 + manifest_len :]
     ckpt = Checkpoint()
     spans: list[tuple[int, int, str]] = []  # data byte range of each tensor read so far
@@ -92,7 +111,9 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
                 raise ValueError(f"malformed manifest record {line!r}")
             ckpt.epoch = int(rest)
         elif kind == "config":
-            key, _, value = rest.partition("=")
+            key, sep, value = rest.partition("=")
+            if not sep:
+                raise ValueError(f"malformed manifest record {line!r}")
             ckpt.config[key] = value
         elif kind == "tensor":
             try:
@@ -114,8 +135,7 @@ def _parse_checkpoint(raw: bytes) -> Checkpoint:
                 if start < hi and lo < end:
                     raise ValueError(f"tensor {name} data [{start}, {end}) overlaps tensor {other} [{lo}, {hi})")
             spans.append((start, end, name))
-            values = np.frombuffer(data, dtype="<f8", count=count, offset=start)
-            ckpt.tensors[name] = values.reshape(shape).copy()
+            ckpt.tensors[name] = np.frombuffer(data, dtype="<f8", count=count, offset=start).reshape(shape)
         else:
             raise ValueError(f"unknown manifest record {kind!r}")
     covered = sum(hi - lo for lo, hi, _ in spans)

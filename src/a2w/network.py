@@ -21,10 +21,20 @@ block, using sigmoid(z) = (1 + tanh(z/2)) / 2, so nothing can overflow.
 The backward pass mirrors this: one reverse time loop for both
 directions, dL/dz written over the gate buffer, then one stacked GEMM
 each for the W, R and input gradients.
+
+Memory: a training step holds each large array once. The forward cache
+keeps each layer's input, gates, cell and hidden states (tanh(c) is
+recomputed by backward, dropout keep-masks are bool) and the one
+T x B x V logits buffer, of which the float64 lattices are views. The
+backward pass consumes that buffer as dL/dlogits, so the forward's
+lattices are invalid after it, and frees it after the output layer. A
+forward without a cache writes only h per step and frees each layer
+before the next one runs.
 """
 
 from __future__ import annotations
 
+import collections.abc
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -169,11 +179,10 @@ def _gate_affine(hidden: int, dtype) -> tuple[np.ndarray, np.ndarray]:
 class _LayerCache:
     """Both directions of one layer; axis 0 is the direction, axis 1 its time step."""
 
-    x: np.ndarray       # 2 x T x B x In layer input, in each direction's time order
-    gates: np.ndarray   # 2 x T x B x 4H post-nonlinearity [i, f, g, o]
-    c: np.ndarray       # 2 x (T+1) x B x H cell states after a zero slot 0
-    tanh_c: np.ndarray  # 2 x T x B x H
-    h: np.ndarray       # 2 x (T+1) x B x H hidden states after a zero slot 0
+    x: np.ndarray      # 2 x T x B x In layer input, in each direction's time order
+    gates: np.ndarray  # 2 x T x B x 4H post-nonlinearity [i, f, g, o]
+    c: np.ndarray      # 2 x (T+1) x B x H cell states after a zero slot 0
+    h: np.ndarray      # 2 x (T+1) x B x H hidden states after a zero slot 0
 
 
 def _stacked(params: dict[str, np.ndarray], layer: int, tensor: str) -> np.ndarray:
@@ -185,15 +194,17 @@ def _stacked(params: dict[str, np.ndarray], layer: int, tensor: str) -> np.ndarr
     return out
 
 
-def _blstm_forward(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray) -> _LayerCache:
+def _blstm_forward(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray, want_cache: bool) -> _LayerCache:
     """Run both directions of one layer in a single time loop.
 
     ``w``, ``r`` and ``b`` stack the fwd and bwd tensors on axis 0. The
     input GEMM for every frame goes straight into the gate buffer. Each
     step works on contiguous 2 x B x ... blocks (at desk sizes a numpy
     call on one costs about a third of the same call on strided slices of
-    the cache), allocates nothing, and copies its gates, cell and hidden
-    state into the cache buffers.
+    the cache), allocates nothing, and copies its hidden state into the
+    cache. With ``want_cache`` it also copies the gates and cell state
+    (tanh(c) is recomputed by backward); without it the result holds
+    only ``h`` and the gate buffer is released on return.
     """
     _, t_max, batch, in_dim = x.shape
     hidden = r.shape[2]
@@ -203,11 +214,12 @@ def _blstm_forward(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray) -
     r_t = np.ascontiguousarray((r * scale[:, None]).transpose(0, 2, 1))
     gates = np.matmul(x.reshape(2, t_max * batch, in_dim), w_t).reshape(2, t_max, batch, 4 * hidden)
     gates += (b * scale)[:, None, None]
-    c = np.empty((2, t_max + 1, batch, hidden), dtype=x.dtype)
-    h = np.empty_like(c)
-    c[:, 0] = 0.0
+    h = np.empty((2, t_max + 1, batch, hidden), dtype=x.dtype)
     h[:, 0] = 0.0
-    tanh_c = np.empty((2, t_max, batch, hidden), dtype=x.dtype)
+    c = None
+    if want_cache:
+        c = np.empty_like(h)
+        c[:, 0] = 0.0
 
     z = np.empty((2, batch, 4 * hidden), dtype=x.dtype)
     i, f, g, o = (z[..., k * hidden : (k + 1) * hidden] for k in range(4))
@@ -226,11 +238,13 @@ def _blstm_forward(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray) -
         c_t += i_g
         np.tanh(c_t, out=tc)
         np.multiply(o, tc, out=h_t)
-        gates[:, t] = z
-        c[:, t + 1] = c_t
-        tanh_c[:, t] = tc
         h[:, t + 1] = h_t
-    return _LayerCache(x=x, gates=gates, c=c, tanh_c=tanh_c, h=h)
+        if want_cache:
+            gates[:, t] = z
+            c[:, t + 1] = c_t
+    if not want_cache:
+        return _LayerCache(x=None, gates=None, c=None, h=h)
+    return _LayerCache(x=x, gates=gates, c=c, h=h)
 
 
 def _blstm_backward(cache: _LayerCache, dh: np.ndarray, w: np.ndarray, r: np.ndarray, want_dx: bool):
@@ -238,29 +252,40 @@ def _blstm_backward(cache: _LayerCache, dh: np.ndarray, w: np.ndarray, r: np.nda
 
     ``dh`` is 2 x T x B x H in each direction's time order and must be zero
     on padded frames. ``cache.gates`` is overwritten and ends up holding
-    dL/dz. Returns stacked (grad_w, grad_r, grad_b) and the
-    2 x T x B x In input gradient, or None when ``want_dx`` is false.
+    dL/dz; ``cache.c`` is overwritten with tanh(c) and released. Returns
+    stacked (grad_w, grad_r, grad_b) and the 2 x T x B x In input
+    gradient, or None when ``want_dx`` is false.
     """
     _, t_max, batch, hidden = dh.shape
     dtype = dh.dtype
     i, f, g, o = (cache.gates[..., k * hidden : (k + 1) * hidden] for k in range(4))
-    tc = cache.tanh_c
     # The factors that do not depend on the recurrence, for every frame at
     # once, from the stored gate outputs (sigmoid' = a(1-a), tanh' = 1-a^2):
     #   dc_t  = dc_{t+1} f_{t+1} + dh_t * o (1 - tanh(c)^2)
     #   dz_i  = dc_t * g i (1 - i)       dz_f = dc_t * c_{t-1} f (1 - f)
     #   dz_g  = dc_t * i (1 - g^2)       dz_o = dh_t * tanh(c) o (1 - o)
-    dc_dh = o * (1.0 - tc * tc)
-    o *= 1.0 - o
-    o *= tc
+    # Each is formed in place with one scratch buffer, in the operand order
+    # of the expressions above, so the values are the same bit for bit.
+    scratch = np.empty(dh.shape, dtype=dtype)
     forget = f.copy()
-    f *= 1.0 - f
+    np.subtract(1.0, f, out=scratch)
+    f *= scratch
     f *= cache.c[:, :-1]
-    dz_i = g * i
-    dz_i *= 1.0 - i
-    np.multiply(i, 1.0 - g * g, out=g)
-    i[...] = dz_i
-    del dz_i
+    # c_{t-1} is used up, so tanh(c_t) can overwrite the cell states
+    tc = np.tanh(cache.c[:, 1:], out=cache.c[:, 1:])
+    dc_dh = np.multiply(tc, tc)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    np.subtract(1.0, o, out=scratch)
+    o *= scratch
+    o *= tc
+    np.multiply(g, i, out=scratch)
+    np.multiply(g, g, out=g)
+    np.subtract(1.0, g, out=g)
+    np.multiply(i, g, out=g)
+    np.subtract(1.0, i, out=i)
+    i *= scratch
+    del tc, scratch
 
     # per step, dz = (those factors) * [dc, dc, dc, dh] over the whole gate block
     dz_step = np.empty((2, batch, 4 * hidden), dtype=dtype)
@@ -279,6 +304,8 @@ def _blstm_backward(cache: _LayerCache, dh: np.ndarray, w: np.ndarray, r: np.nda
         dc *= forget[:, t]
         np.matmul(dz_step, r, out=dh_rec)
         cache.gates[:, t] = dz_step
+    del dc_dh, forget
+    cache.c = None
 
     dz = cache.gates.reshape(2, t_max * batch, 4 * hidden)
     dz_t = dz.transpose(0, 2, 1)
@@ -316,14 +343,45 @@ def _concat_into(h: np.ndarray, rev_flat: np.ndarray, out: np.ndarray) -> None:
 
 @dataclass
 class ForwardCache:
+    """What ``model_backward`` needs from one train forward, and consumes:
+    the logits buffer becomes dL/dlogits and every buffer is released
+    once its layer's gradients are done."""
+
     config: ModelConfig
     lengths: np.ndarray
     rev_idx: np.ndarray
-    layer_inputs: list[np.ndarray]     # B x T x In views of each layer's input
+    layer_inputs: list[np.ndarray]          # B x T x In views of each layer's input
     directions: list[_LayerCache]
-    dropout_masks: list[np.ndarray | None]
-    concat_top: np.ndarray             # B x T x 2H view of the top layer's output
-    proj_h: np.ndarray | None          # T x B x d
+    dropout_masks: list[np.ndarray | None]  # B x T x 2H bool keep masks
+    concat_top: np.ndarray                  # B x T x 2H view of the top layer's output
+    proj_h: np.ndarray | None               # T x B x d
+    logits: np.ndarray                      # T x B x V; float64 lattices are views of it
+
+
+class LogitSlots(collections.abc.Sequence):
+    """Utterance i's frames of a forward cache's T x B x V logits buffer,
+    as a view made on access.
+
+    A caller may write each utterance's d(loss)/d(logits) into its slot
+    and pass this as ``model_backward``'s upstream. It holds the cache,
+    not the buffer, so backward can free the buffer once the output layer
+    is done.
+    """
+
+    def __init__(self, cache: ForwardCache):
+        self.cache = cache
+
+    def __len__(self) -> int:
+        return len(self.cache.lengths)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.cache.logits[: self.cache.lengths[i], i]
+
+
+def _dropout_scale(config: ModelConfig):
+    """1 / (1 - p) in the model dtype: what inverted dropout multiplies kept units by."""
+    scalar = np.dtype(config.dtype).type
+    return scalar(1.0) / scalar(1.0 - config.dropout_rate)
 
 
 def model_forward(
@@ -339,8 +397,10 @@ def model_forward(
     Frames at or beyond an utterance's true length never influence its
     lattice. With ``train_mode`` set, inter-layer dropout masks are drawn
     from ``rng`` and retained in the cache for the backward pass. Without
-    ``want_cache`` each layer's buffers are dropped once the next layer's
-    input is built.
+    ``want_cache`` no cell states are kept and each layer's buffers are
+    dropped once the next layer's input is built. Float64 lattices are
+    views of one T x B x V logits buffer, which the cache holds and
+    ``model_backward`` overwrites.
     """
     config = model.config
     dtype = np.dtype(config.dtype)
@@ -353,6 +413,7 @@ def model_forward(
     use_dropout = train_mode and config.dropout_rate > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode dropout needs an rng")
+    keep_scale = _dropout_scale(config)
 
     batch, t_max, _ = x.shape
     concat = config.concat_dim
@@ -367,7 +428,8 @@ def model_forward(
     params = model.params
     for layer in range(config.num_layers):
         layer_cache = _blstm_forward(
-            inputs, _stacked(params, layer, "W"), _stacked(params, layer, "R"), _stacked(params, layer, "b")
+            inputs, _stacked(params, layer, "W"), _stacked(params, layer, "R"), _stacked(params, layer, "b"),
+            want_cache,
         )
         if want_cache:
             layer_inputs.append(inputs[0].swapaxes(0, 1))
@@ -375,15 +437,18 @@ def model_forward(
         if layer == config.num_layers - 1:
             top = np.empty((t_max, batch, concat), dtype=dtype)
             _concat_into(layer_cache.h, rev_flat, top)
+            del layer_cache, inputs
             break
         inputs = np.empty((2, t_max, batch, concat), dtype=dtype)
         _concat_into(layer_cache.h, rev_flat, inputs[0])
-        mask = None
+        del layer_cache
+        keep = None
         if use_dropout:
             keep = rng.random((batch, t_max, concat)) >= config.dropout_rate
-            mask = keep.astype(dtype) / (1.0 - config.dropout_rate)
-            inputs[0] *= mask.swapaxes(0, 1)
-        masks.append(mask)
+            # (x * keep) * s is x times a float mask of 0s and s, bit for bit
+            inputs[0] *= keep.swapaxes(0, 1)
+            inputs[0] *= keep_scale
+        masks.append(keep)
         _reverse_into(inputs[0], rev_flat, inputs[1])
 
     proj_h = None
@@ -405,16 +470,34 @@ def model_forward(
         dropout_masks=masks,
         concat_top=top.swapaxes(0, 1),
         proj_h=proj_h,
+        logits=logits,
     )
     return lattices, cache
+
+
+def _fill_dlogits(dlogits: np.ndarray, upstream: Sequence[np.ndarray], lengths: np.ndarray) -> None:
+    """Write the upstream gradients into T x B x V ``dlogits``, zeros on padded frames."""
+    v = dlogits.shape[2]
+    for i, g in enumerate(upstream):
+        n = int(lengths[i])
+        g = np.asarray(g, dtype=dlogits.dtype)
+        if g.shape != (n, v):
+            raise BadShape(f"utterance {i}: upstream grad must be {n} x {v}, got {g.shape}")
+        dlogits[:n, i] = g
+        dlogits[n:, i] = 0.0
 
 
 def model_backward(upstream: Sequence[np.ndarray], cache: ForwardCache | None, model: Model) -> dict[str, np.ndarray]:
     """Exact parameter gradients given per-utterance d(loss)/d(logits).
 
     Deterministic: reuses the dropout masks captured by the forward pass.
-    Consumes the cache: each layer's buffers are reused for its gradients
-    and released once done, so a cache backs one backward pass only.
+    Consumes the cache: the upstream gradients are written over its logits
+    buffer, which becomes d(loss)/d(logits) with zeros on padded frames,
+    so the forward's lattices are invalid afterwards. ``upstream`` may be
+    the cache's ``LogitSlots`` with the gradients already in place, as in
+    the training step. Each layer's buffers are reused for its
+    gradients and released once done, so a cache backs one backward pass
+    only.
     """
     if cache is None:
         raise NoForwardCache("model_backward needs the cache from model_forward(want_cache=True)")
@@ -424,16 +507,12 @@ def model_backward(upstream: Sequence[np.ndarray], cache: ForwardCache | None, m
     dtype = np.dtype(config.dtype)
     batch = len(cache.lengths)
     top = cache.concat_top.swapaxes(0, 1)
-    t_max = top.shape[0]
     v = config.output_dim
     if len(upstream) != batch:
         raise BadShape("one upstream gradient per utterance is required")
-    dlogits = np.zeros((t_max, batch, v), dtype=dtype)
-    for i, g in enumerate(upstream):
-        g = np.asarray(g, dtype=dtype)
-        if g.shape != (int(cache.lengths[i]), v):
-            raise BadShape(f"utterance {i}: upstream grad must be {int(cache.lengths[i])} x {v}, got {g.shape}")
-        dlogits[: cache.lengths[i], i] = g
+    dlogits = cache.logits
+    _fill_dlogits(dlogits, upstream, cache.lengths)
+    t_max = dlogits.shape[0]
 
     grads: dict[str, np.ndarray] = {}
     hidden = config.hidden_per_direction
@@ -447,12 +526,14 @@ def model_backward(upstream: Sequence[np.ndarray], cache: ForwardCache | None, m
         grads["out.W"] = dlogits.reshape(-1, v).T @ top.reshape(-1, config.concat_dim)
         dcurrent = dlogits @ model.params["out.W"]
     del dlogits, top
-    cache.concat_top = cache.proj_h = None
+    cache.concat_top = cache.proj_h = cache.logits = None
 
     rev_flat = _flat_reversal(cache.rev_idx)
+    keep_scale = _dropout_scale(config)
     for layer in range(config.num_layers - 1, -1, -1):
         if layer < config.num_layers - 1 and cache.dropout_masks[layer] is not None:
             dcurrent *= cache.dropout_masks[layer].swapaxes(0, 1)
+            dcurrent *= keep_scale
         dh = np.empty((2, t_max, batch, hidden), dtype=dtype)
         dh[0] = dcurrent[..., :hidden]
         _reverse_into(dcurrent[..., hidden:], rev_flat, dh[1])

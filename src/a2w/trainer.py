@@ -34,7 +34,7 @@ from .alphabet import (
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_items, config_to_items, save_config
 from .ctc import InfeasibleAlignment, ctc_loss, min_frames_for
-from .network import Model, ModelConfig, init_model, model_backward, model_forward, warm_start
+from .network import LogitSlots, Model, ModelConfig, init_model, model_backward, model_forward, warm_start
 from .pipeline import (
     ASCENDING,
     CurriculumOrder,
@@ -275,11 +275,14 @@ def train(
                     lattices, cache = model_forward(
                         batch.features, batch.lengths, probe, train_mode=True, rng=rng, want_cache=True
                     )
-                    upstream, losses = [], []
-                    for lat, target in zip(lattices, batch.targets):
+                    upstream, losses = LogitSlots(cache), []
+                    for i, (lat, target) in enumerate(zip(lattices, batch.targets)):
                         result = ctc_loss(lat, target)
                         losses.append(result.log_loss)
-                        upstream.append(result.grad / batch.size)
+                        # into the logits the lattice was read from, not lat.values:
+                        # float32 lattices are float64 copies
+                        np.divide(result.grad, batch.size, out=upstream[i])
+                    del lattices, lat, result
                     grads = clip_global_norm(model_backward(upstream, cache, probe), cfg.grad_clip)
                     return sum(losses) / batch.size, grads
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -53,6 +55,30 @@ class TestRoundTrip:
         back = load_checkpoint(path).tensors["model.w"].astype(np.float32)
         np.testing.assert_array_equal(back, values)
 
+
+    def test_save_and_load_peak_near_the_file_size(self, tmp_path):
+        # the write streams the tensors and the read parses one buffer that
+        # the tensors are views of; a copy of the file or of its tensors
+        # would double either peak
+        rng = np.random.default_rng(3)
+        ckpt = Checkpoint(tensors={f"model.w{k}": rng.normal(size=(256, 256)) for k in range(8)}, epoch=1)
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_checkpoint(ckpt, path)
+            save_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert save_peak <= 1.1 * size
+        assert load_peak <= 1.1 * size
+        for name, tensor in ckpt.tensors.items():
+            np.testing.assert_array_equal(loaded.tensors[name], tensor)
 
 class TestFormat:
     def test_magic_enforced(self, tmp_path):
@@ -129,8 +155,9 @@ class TestFormat:
             ("tensor model.out.W ", "tensor model.out.W 2xa 0"),
             ("tensor model.out.W ", "tensor model.out.W 0"),
             ("epoch ", "epoch x"),
+            ("config lr=", "config lr"),
         ],
-        ids=["bad-dim", "missing-field", "bad-epoch"],
+        ids=["bad-dim", "missing-field", "bad-epoch", "config-without-value"],
     )
     def test_malformed_record_names_file_and_record(self, tmp_path, prefix, record):
         path = tmp_path / "bad.ckpt"

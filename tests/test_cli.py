@@ -92,6 +92,19 @@ class TestTrainDecodeScore:
         out = capsys.readouterr().out
         assert "WER 0.00%" in out
 
+    def test_config_record_without_value_names_the_file(self, run_dir, corpus_dir, tmp_path, capsys):
+        from test_checkpoint import TestFormat
+
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        ckpt = bad / "epoch002.ckpt"
+        TestFormat._rewrite_manifest_line(ckpt, "config lr=", "config lr")
+        message = f"{ckpt}: malformed manifest record 'config lr'"
+        assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
+        assert message in capsys.readouterr().err
+        assert run("inspect-ckpt", ckpt) == 2
+        assert message in capsys.readouterr().err
+
     def test_inspect_ckpt(self, run_dir, capsys):
         assert run("inspect-ckpt", run_dir / "epoch002.ckpt") == 0
         out = capsys.readouterr().out

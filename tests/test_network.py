@@ -145,6 +145,27 @@ class TestForward:
         assert peak(6, False) <= 1.05 * peak(2, False)
         assert peak(6, True) >= 2 * peak(6, False)
 
+    def test_no_cache_forward_keeps_no_cell_states(self):
+        # an eval/decode forward writes only h per step: its peak fits in the
+        # layer input, gate, h, top and logits buffers plus half of one
+        # 2 x (T+1) x B x H cell-state buffer (c and tanh(c) would take two)
+        t_max, batch, hidden, in_dim, out_dim = 100, 16, 32, 2, 3
+        cfg = ModelConfig(input_dim=in_dim, output_dim=out_dim, num_layers=1, hidden_per_direction=hidden,
+                          projection_dim=0, dropout_rate=0.0)
+        model = init_model(cfg, np.random.default_rng(0))
+        feats = np.random.default_rng(1).normal(size=(batch, t_max, in_dim))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model_forward(feats, [t_max] * batch, model)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        cell = 8 * 2 * (t_max + 1) * batch * hidden
+        frames = t_max * batch
+        needed = 8 * (2 * frames * (in_dim + 4 * hidden) + frames * (2 * hidden + out_dim)) + cell
+        assert peak <= needed + cell // 2
+
     def test_bidirectionality_mirror(self):
         # swap fwd/bwd parameters and reverse the input: hidden halves swap
         # and the frame order reverses
@@ -366,10 +387,11 @@ class TestFloat32:
         feats = np.random.default_rng(1).normal(size=(2, 4, 5))
         _, cache = model_forward(feats, [4, 3], model, train_mode=True, rng=np.random.default_rng(2), want_cache=True)
         assert seen == [np.float32, np.float32]
-        buffers = [cache.concat_top, cache.proj_h, *cache.layer_inputs,
-                   *(m for m in cache.dropout_masks if m is not None)]
+        buffers = [cache.concat_top, cache.proj_h, cache.logits, *cache.layer_inputs]
         for layer in cache.directions:
-            buffers += [layer.x, layer.gates, layer.c, layer.tanh_c, layer.h]
+            buffers += [layer.x, layer.gates, layer.c, layer.h]
         assert all(b.dtype == np.float32 for b in buffers)
+        masks = [m for m in cache.dropout_masks if m is not None]
+        assert len(masks) == 1 and all(m.dtype == np.bool_ for m in masks)
         grads = model_backward([np.ones((4, 6)), np.ones((3, 6))], cache, model)
         assert all(g.dtype == np.float32 for g in grads.values())

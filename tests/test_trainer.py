@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from a2w.checkpoint import load_checkpoint, save_checkpoint
 from a2w.config import TrainConfig
 from a2w.ctc import InfeasibleAlignment
 from a2w.network import init_model
-from a2w.pipeline import SynthSpec, synth_corpus
+from a2w.pipeline import SynthSpec, Utterance, synth_corpus
 from a2w.trainer import (
     DivergedGradient,
     LrSchedule,
@@ -22,6 +23,7 @@ from a2w.trainer import (
     nesterov_step,
     prepare_corpus,
     run_training,
+    train,
 )
 
 TOY = dict(layers=1, hidden=6, projection=4, dropout=0.1, epochs=3, batch_size=8,
@@ -290,3 +292,43 @@ class TestTrainLoop:
             run_training(TrainConfig(**TOY), train_utts, [], tmp_path)
         with pytest.raises(ValueError):
             run_training(TrainConfig(**TOY), [], held, tmp_path)
+
+
+def test_step_holds_at_most_one_logits_sized_array_above_the_forward_cache(tmp_path, monkeypatch):
+    # With V large and H small a T x B x V array dominates the step. The CTC
+    # gradients are written over the cache's logits buffer and backward uses
+    # that buffer as dlogits, so from the end of the forward to the end of
+    # backward the step allocates less than one more such array. (Keeping
+    # the per-utterance gradients and a separate zeroed dlogits takes two.)
+    import a2w.trainer as trainer
+
+    t_max, batch, vocab = 40, 16, 2000
+    rng = np.random.default_rng(0)
+    utts = [Utterance(f"u{k}", rng.normal(size=(t_max, 3)), tuple(str(w) for w in rng.integers(1, vocab, size=5)))
+            for k in range(batch)]
+    cfg = TrainConfig(layers=1, hidden=4, projection=0, dropout=0.0, epochs=1, batch_size=batch,
+                      deltas=False, stacking=False)
+    model = init_model(build_model_config(cfg, 3, vocab), np.random.default_rng(1))
+    marks = {}
+    forward, backward = trainer.model_forward, trainer.model_backward
+
+    def marked_forward(*args, **kwargs):
+        result = forward(*args, **kwargs)
+        if kwargs.get("want_cache"):
+            tracemalloc.reset_peak()
+            marks["cache"] = tracemalloc.get_traced_memory()[0]
+        return result
+
+    def marked_backward(*args):
+        grads = backward(*args)
+        marks["peak"] = tracemalloc.get_traced_memory()[1]
+        return grads
+
+    monkeypatch.setattr(trainer, "model_forward", marked_forward)
+    monkeypatch.setattr(trainer, "model_backward", marked_backward)
+    tracemalloc.start()
+    try:
+        train(model, utts, utts[:1], cfg, tmp_path, lambda words: [int(w) for w in words])
+    finally:
+        tracemalloc.stop()
+    assert marks["peak"] - marks["cache"] <= t_max * batch * vocab * 8
