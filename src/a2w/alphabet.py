@@ -135,27 +135,34 @@ class CharSet:
         return text in self._by_text
 
 
+def _positional_text(unit: str, position: str) -> str:
+    """Symbol text of a unit in a position: x / b-x / e-x / be-x for a single
+    character, xx / b-2x / e-2x / be-2x for a doubled letter."""
+    core = f"2{unit[0]}" if len(unit) == 2 else unit
+    if position == BEGIN:
+        return f"b-{core}"
+    if position == END:
+        return f"e-{core}"
+    if position == BOTH:
+        return f"be-{core}"
+    return unit
+
+
+def _charset(variant: str, units: Sequence[str], positions: Sequence[str]) -> CharSet:
+    """One symbol per unit and position, in unit-major order."""
+    symbols = tuple(CharSymbol(_positional_text(u, p), u, p) for u in units for p in positions)
+    return CharSet(variant=variant, symbols=symbols)
+
+
 def build_simple_charset() -> CharSet:
     """Flat 41-symbol set: letters, digits, whitespace and punctuation."""
-    symbols = tuple(CharSymbol(c, c, MIDDLE) for c in BASE_CHARS)
-    return CharSet(variant="simple", symbols=symbols)
+    return _charset("simple", BASE_CHARS, (MIDDLE,))
 
 
 def build_positional_charset() -> CharSet:
     """Position-marked set: b-x / x / e-x / be-x per base character, plus
     doubled-letter symbols (b-2x / xx / e-2x / be-2x) for each letter."""
-    symbols: list[CharSymbol] = []
-    for c in BASE_CHARS:
-        symbols.append(CharSymbol(f"b-{c}", c, BEGIN))
-        symbols.append(CharSymbol(c, c, MIDDLE))
-        symbols.append(CharSymbol(f"e-{c}", c, END))
-        symbols.append(CharSymbol(f"be-{c}", c, BOTH))
-    for c in LETTERS:
-        symbols.append(CharSymbol(f"b-2{c}", c + c, BEGIN))
-        symbols.append(CharSymbol(c + c, c + c, MIDDLE))
-        symbols.append(CharSymbol(f"e-2{c}", c + c, END))
-        symbols.append(CharSymbol(f"be-2{c}", c + c, BOTH))
-    return CharSet(variant="positional", symbols=tuple(symbols))
+    return _charset("positional", [*BASE_CHARS, *(c + c for c in LETTERS)], (BEGIN, MIDDLE, END, BOTH))
 
 
 def build_charset(variant: str) -> CharSet:
@@ -183,17 +190,6 @@ def _spelling_units(word: str) -> list[str]:
             units.append(c)
             i += 1
     return units
-
-
-def _positional_text(unit: str, position: str) -> str:
-    core = f"2{unit[0]}" if len(unit) == 2 else unit
-    if position == BEGIN:
-        return f"b-{core}"
-    if position == END:
-        return f"e-{core}"
-    if position == BOTH:
-        return f"be-{core}"
-    return unit
 
 
 def spell_word(word: str, charset: CharSet) -> list[int]:
@@ -379,6 +375,13 @@ def load_alphabet(path: str | Path) -> Vocabulary | CharSet:
                 min_count = int(value)
         if not body or body[0] != UNK_WORD:
             raise ValueError(f"{path}: word file must place {UNK_WORD} at id 1")
+        seen = {UNK_WORD}
+        for lineno, word in enumerate(body[1:], 3):
+            if tokenize(word) != [word]:
+                raise ValueError(f"{path}:{lineno}: {word!r} is not one uppercase token")
+            if word in seen:
+                raise ValueError(f"{path}:{lineno}: {word!r} is listed twice")
+            seen.add(word)
         return Vocabulary(words=tuple(body[1:]), min_count=min_count)
     if variant in ("chars-simple", "chars-positional"):
         reference = build_charset(variant.removeprefix("chars-"))

@@ -6,7 +6,7 @@ Layout, all little-endian:
     bytes 8..15   uint64 byte length of the manifest text
     manifest      UTF-8 text, one record per line:
                       epoch <n>
-                      config <key>=<value>
+                      config <key>=<value>    (a TrainConfig key, input_dim or output_dim)
                       tensor <name> <d0>x<d1>x... <byte offset into data>
     data          the tensors' float64 values, row-major, back to back
 
@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .config import config_from_items
 
 MAGIC = b"A2WCKPT1"
 
@@ -114,6 +116,13 @@ def _parse_checkpoint(raw: memoryview) -> Checkpoint:
             key, sep, value = rest.partition("=")
             if not sep:
                 raise ValueError(f"malformed manifest record {line!r}")
+            try:
+                if key not in ("input_dim", "output_dim"):
+                    config_from_items({key: value})
+                elif not (value.isdecimal() and int(value) > 0):
+                    raise ValueError(f"{value!r} is not a positive integer")
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"malformed manifest record {line!r}: key {key!r}: {exc.args[0]}") from None
             ckpt.config[key] = value
         elif kind == "tensor":
             try:

@@ -100,9 +100,14 @@ def _cmd_decode(args) -> int:
     run_dir = Path(args.run)
     cfg, model = model_from_checkpoint(load_checkpoint(_find_checkpoint(run_dir, args.epoch)))
     vocab = load_alphabet(run_dir / "vocab.txt")
-    joint = None
+    joint, files, size = None, "vocab.txt", vocab.size
     if cfg.targets == "sar":
         joint = JointAlphabet(vocab=vocab, charset=load_alphabet(run_dir / "chars.txt"))
+        files, size = "vocab.txt and chars.txt", joint.size
+    if size != model.config.output_dim:
+        raise ValueError(
+            f"{run_dir}: {size} labels in {files}, but the checkpoint's output layer has {model.config.output_dim}"
+        )
     utts = prepare_corpus(load_corpus(args.corpus), cfg)
     rows = decode_utterances(model, utts, vocab, joint=joint, mode=args.mode, batch_size=cfg.batch_size)
     write_transcripts(args.out, [(utt_id, words) for utt_id, words, _ in rows])

@@ -5,7 +5,9 @@ of every frame-level path that collapses to it (remove adjacent repeats,
 then blanks). A log-domain forward recursion over the blank-interleaved
 target computes the loss; the backward recursion yields per-frame label
 occupancies and from them the exact gradient with respect to the logits.
-A path-enumeration oracle cross-checks small instances.
+The arithmetic is float64 whatever the lattice's dtype, so a float32
+lattice can be a view of the network's logits. The test suite's
+path-enumeration and finite-difference oracles (tests/oracles.py) check it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ LOGITS = "logits"
 NEG_INF = float("-inf")
 
 ROW_SUM_TOL = 1e-9
-ORACLE_MAX_T = 10
-ORACLE_MAX_K = 6
-_ORACLE_CHUNK = 1 << 20
 
 
 class BlankInTarget(ValueError):
@@ -37,19 +36,21 @@ class InfeasibleAlignment(ValueError):
     """Raised when no frame-level path can produce the target."""
 
 
-class OracleTooLarge(ValueError):
-    """Raised when brute-force enumeration would exceed the size cap."""
-
-
 @dataclass(frozen=True)
 class PosteriorLattice:
-    """T x K matrix of per-frame label scores; column 0 is the blank."""
+    """T x K matrix of per-frame label scores; column 0 is the blank.
+
+    float32 values are kept as given (no copy); any other input becomes
+    float64. Validation, ``log_probs`` and ``probs`` work in float64.
+    """
 
     values: np.ndarray
     kind: Literal["probabilities", "logits"]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values)
+        if v.dtype != np.float32:
+            v = v.astype(np.float64, copy=False)
         object.__setattr__(self, "values", v)
         if v.ndim != 2:
             raise ValueError(f"lattice must be 2-d, got shape {v.shape}")
@@ -57,6 +58,7 @@ class PosteriorLattice:
         if t < 1 or k < 2:
             raise ValueError(f"lattice needs T >= 1 and K >= 2, got {v.shape}")
         if self.kind == PROBABILITIES:
+            v = self._values64()
             if np.any(v < 0) or np.any(v > 1):
                 raise ValueError("probability entries must lie in [0, 1]")
             if np.max(np.abs(v.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
@@ -75,17 +77,20 @@ class PosteriorLattice:
     def num_labels(self) -> int:
         return self.values.shape[1]
 
+    def _values64(self) -> np.ndarray:
+        return self.values.astype(np.float64, copy=False)
+
     def log_probs(self) -> np.ndarray:
         """Row-normalized log-probabilities; zeros map to -inf."""
         if self.kind == LOGITS:
-            return log_softmax(self.values)
+            return log_softmax(self._values64())
         with np.errstate(divide="ignore"):
-            return np.log(self.values)
+            return np.log(self._values64())
 
     def probs(self) -> np.ndarray:
         if self.kind == PROBABILITIES:
-            return self.values
-        return np.exp(log_softmax(self.values))
+            return self._values64()
+        return np.exp(log_softmax(self._values64()))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -201,69 +206,3 @@ def ctc_loss(lattice: PosteriorLattice, y: Sequence[int]) -> CtcResult:
         gamma[:, label] += occupancy[:, s]
     grad = lattice.probs() - gamma
     return CtcResult(log_loss=-log_total, grad=grad)
-
-
-def ctc_brute_force(lattice: PosteriorLattice, y: Sequence[int]) -> float:
-    """Log-probability by enumerating every one of the K^T frame paths.
-
-    Keeps the paths whose collapse equals ``y`` and sums their linear-domain
-    probabilities with compensated summation. Returns -inf when no path
-    exists. Independent of the forward-backward recursion by construction.
-    """
-    t_frames, k_labels = lattice.values.shape
-    if t_frames > ORACLE_MAX_T or k_labels > ORACLE_MAX_K:
-        raise OracleTooLarge(
-            f"enumeration capped at T <= {ORACLE_MAX_T}, K <= {ORACLE_MAX_K}; got T={t_frames}, K={k_labels}"
-        )
-    y = np.asarray(list(y), dtype=np.int64)
-    probs = lattice.probs()
-    n_paths = k_labels**t_frames
-    partial_sums: list[np.ndarray] = []
-    for start in range(0, n_paths, _ORACLE_CHUNK):
-        idx = np.arange(start, min(start + _ORACLE_CHUNK, n_paths), dtype=np.int64)
-        paths = np.empty((len(idx), t_frames), dtype=np.int64)
-        rem = idx
-        for t in range(t_frames - 1, -1, -1):
-            paths[:, t] = rem % k_labels
-            rem = rem // k_labels
-        keep = np.ones(paths.shape, dtype=bool)
-        keep[:, 1:] = paths[:, 1:] != paths[:, :-1]
-        keep &= paths != BLANK_ID
-        ok = keep.sum(axis=1) == len(y)
-        pos = np.cumsum(keep, axis=1) - 1
-        for j, label in enumerate(y):
-            ok &= (keep & (pos == j) & (paths == label)).any(axis=1)
-        if not ok.any():
-            continue
-        chosen = paths[ok]
-        path_probs = np.ones(len(chosen))
-        for t in range(t_frames):
-            path_probs *= probs[t, chosen[:, t]]
-        partial_sums.append(path_probs)
-    if not partial_sums:
-        return NEG_INF
-    total = math.fsum(np.concatenate(partial_sums))
-    return math.log(total) if total > 0.0 else NEG_INF
-
-
-def ctc_grad_check(lattice: PosteriorLattice, y: Sequence[int], step: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient against central differences.
-
-    Relative error per entry is |analytic - numeric| / max(1, |analytic|).
-    """
-    if lattice.kind != LOGITS:
-        raise ValueError("gradient check requires a logits-kind lattice")
-    analytic = ctc_loss(lattice, y).grad
-    worst = 0.0
-    base = lattice.values
-    for t in range(lattice.num_frames):
-        for k in range(lattice.num_labels):
-            bumped = base.copy()
-            bumped[t, k] += step
-            hi = ctc_loss(PosteriorLattice(bumped, LOGITS), y).log_loss
-            bumped[t, k] -= 2 * step
-            lo = ctc_loss(PosteriorLattice(bumped, LOGITS), y).log_loss
-            numeric = (hi - lo) / (2 * step)
-            err = abs(analytic[t, k] - numeric) / max(1.0, abs(analytic[t, k]))
-            worst = max(worst, err)
-    return worst

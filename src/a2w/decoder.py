@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alphabet import BEGIN, BLANK_ID, BOTH, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, decode_words
+from .alphabet import BEGIN, BLANK_ID, BOTH, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, decode_words, unspell
 from .ctc import PROBABILITIES, PosteriorLattice
 from .network import Model, model_forward
 from .pipeline import ASCENDING, Utterance, sort_and_batch
@@ -94,17 +94,13 @@ def sar_decode_word(lattice: PosteriorLattice, joint: JointAlphabet) -> list[str
     return [joint.vocab.word_of(l) for l in greedy_collapse(lattice) if joint.is_word_id(l)]
 
 
-def _spelling_chars(labels: Sequence[int], joint: JointAlphabet) -> list[int]:
-    return [l for l in labels if joint.is_char_id(l) and l != joint.separator_id]
-
-
 def sar_decode_chars(lattice: PosteriorLattice, joint: JointAlphabet) -> SarHypothesis:
     """Recombine the character track into words at word-begin symbols.
 
     Characters before the first begin form, and segments that never reach
     an end form, are still emitted but tagged incomplete.
     """
-    chars = _spelling_chars(greedy_collapse(lattice), joint)
+    chars = [l for l in greedy_collapse(lattice) if joint.is_char_id(l) and l != joint.separator_id]
     segments: list[list[int]] = []
     for label in chars:
         if joint.char_symbol(label).position in (BEGIN, BOTH) or not segments:
@@ -175,7 +171,7 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
     """Inverse of render_hypothesis; needs the charset to classify tokens."""
 
     def _unspell(symbols: list[str]) -> str:
-        return "".join(charset.symbol_of(charset.id_of(s)).base for s in symbols)
+        return unspell([charset.id_of(s) for s in symbols], charset).upper()
 
     entries = []
     for chunk in text.split(" _ ") if text.strip() else []:
@@ -184,11 +180,11 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
             continue
         last = tokens[-1]
         if last in charset:
-            entries.append(SarWord(word=_unspell(tokens).upper(), spelling=tuple(tokens), tag=TAG_INCOMPLETE))
+            entries.append(SarWord(word=_unspell(tokens), spelling=tuple(tokens), tag=TAG_INCOMPLETE))
         elif last == UNK_WORD:
             spelling = tokens[:-1]
             if spelling:
-                entries.append(SarWord(word=_unspell(spelling).upper(), spelling=tuple(spelling), tag=TAG_FROM_CHARS))
+                entries.append(SarWord(word=_unspell(spelling), spelling=tuple(spelling), tag=TAG_FROM_CHARS))
             else:
                 entries.append(SarWord(word=UNK_WORD, spelling=(), tag=TAG_INCOMPLETE))
         else:

@@ -13,19 +13,19 @@ the forget-gate bias starts at 1.0, all other biases at 0.
 Both directions of a layer run in one time loop. Their W, R and b are
 stacked on a leading axis of 2 and every buffer is time-major,
 2 x T x B x features, with the bwd direction stored in its own (reversed)
-time order, so step t is one slice for both. One gather builds both
-directions' input; one GEMM per layer writes x @ W.T + b for every frame
-into the gate buffer, and each step adds h @ R.T for both directions with
-one stacked matmul. The nonlinearity is one tanh over the whole 4H gate
-block, using sigmoid(z) = (1 + tanh(z/2)) / 2, so nothing can overflow.
-The backward pass mirrors this: one reverse time loop for both
-directions, dL/dz written over the gate buffer, then one stacked GEMM
-each for the W, R and input gradients.
+time order, so step t is one slice for both. One row gather reverses a
+layer's input for the bwd direction; one GEMM per layer writes x @ W.T + b
+for every frame into the gate buffer, and each step adds h @ R.T for both
+directions with one stacked matmul. The nonlinearity is one tanh over the
+whole 4H gate block, using sigmoid(z) = (1 + tanh(z/2)) / 2, so nothing
+can overflow. The backward pass mirrors this: one reverse time loop for
+both directions, dL/dz written over the gate buffer, then one stacked
+GEMM each for the W, R and input gradients.
 
 Memory: a training step holds each large array once. The forward cache
 keeps each layer's input, gates, cell and hidden states (tanh(c) is
 recomputed by backward, dropout keep-masks are bool) and the one
-T x B x V logits buffer, of which the float64 lattices are views. The
+T x B x V logits buffer, of which the lattices are views. The
 backward pass consumes that buffer as dL/dlogits, so the forward's
 lattices are invalid after it, and frees it after the output layer. A
 forward without a cache writes only h per step and frees each layer
@@ -316,29 +316,25 @@ def _blstm_backward(cache: _LayerCache, dh: np.ndarray, w: np.ndarray, r: np.nda
     return grad_w, grad_r, grad_b, dx
 
 
-def _reversal_index(lengths: np.ndarray, t_max: int) -> np.ndarray:
-    """Per-row frame permutation reversing the valid prefix, fixing the padding."""
-    t = np.arange(t_max)
-    n = lengths[:, None]
-    return np.where(t < n, n - 1 - t, t)
+def _reversal_rows(lengths: np.ndarray, t_max: int) -> np.ndarray:
+    """Row indices into a T x B frame grid flattened to (T*B) rows that
+    reverse each utterance's valid frames in time and fix its padding."""
+    t = np.arange(t_max)[:, None]
+    batch = len(lengths)
+    return (np.where(t < lengths, lengths - 1 - t, t) * batch + np.arange(batch)).ravel()
 
 
-def _flat_reversal(rev_idx: np.ndarray) -> np.ndarray:
-    """The reversal as row indices into a T x B frame grid flattened to (T*B) rows."""
-    batch = rev_idx.shape[0]
-    return (rev_idx.T * batch + np.arange(batch)).ravel()
+def _reverse_into(src: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """``out[t, b] = src[n_b - 1 - t, b]`` on utterance b's n_b valid frames and
+    ``src[t, b]`` on its padding, for time-major T x B x D arrays."""
+    np.take(src.reshape(-1, src.shape[-1]), rows, axis=0, out=out.reshape(-1, out.shape[-1]))
 
 
-def _reverse_into(src: np.ndarray, rev_flat: np.ndarray, out: np.ndarray) -> None:
-    """``out[t, b] = src[rev[b, t], b]`` for time-major T x B x D arrays."""
-    np.take(src.reshape(-1, src.shape[-1]), rev_flat, axis=0, out=out.reshape(-1, out.shape[-1]))
-
-
-def _concat_into(h: np.ndarray, rev_flat: np.ndarray, out: np.ndarray) -> None:
+def _concat_into(h: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     """Write a layer's output, [h_fwd, h_bwd put back in forward time], into T x B x 2H."""
     hidden = h.shape[-1]
     out[..., :hidden] = h[0, 1:]
-    _reverse_into(h[1, 1:], rev_flat, out[..., hidden:])
+    _reverse_into(h[1, 1:], rows, out[..., hidden:])
 
 
 @dataclass
@@ -349,13 +345,12 @@ class ForwardCache:
 
     config: ModelConfig
     lengths: np.ndarray
-    rev_idx: np.ndarray
-    layer_inputs: list[np.ndarray]          # B x T x In views of each layer's input
+    rev_rows: np.ndarray                    # _reversal_rows of the batch
     directions: list[_LayerCache]
     dropout_masks: list[np.ndarray | None]  # B x T x 2H bool keep masks
     concat_top: np.ndarray                  # B x T x 2H view of the top layer's output
     proj_h: np.ndarray | None               # T x B x d
-    logits: np.ndarray                      # T x B x V; float64 lattices are views of it
+    logits: np.ndarray                      # T x B x V; the lattices are views of it
 
 
 class LogitSlots(collections.abc.Sequence):
@@ -398,8 +393,8 @@ def model_forward(
     lattice. With ``train_mode`` set, inter-layer dropout masks are drawn
     from ``rng`` and retained in the cache for the backward pass. Without
     ``want_cache`` no cell states are kept and each layer's buffers are
-    dropped once the next layer's input is built. Float64 lattices are
-    views of one T x B x V logits buffer, which the cache holds and
+    dropped once the next layer's input is built. The lattices are views
+    of one T x B x V logits buffer, which the cache holds and
     ``model_backward`` overwrites.
     """
     config = model.config
@@ -417,30 +412,28 @@ def model_forward(
 
     batch, t_max, _ = x.shape
     concat = config.concat_dim
-    rev_idx = _reversal_index(lengths, t_max)
-    rev_flat = _flat_reversal(rev_idx)
-    # one gather: both directions' frame orders, batch-major -> time-major
-    frame_order = np.stack([np.broadcast_to(np.arange(t_max)[:, None], (t_max, batch)), rev_idx.T])
-    inputs = x[np.arange(batch), frame_order]
-    layer_inputs: list[np.ndarray] = []
+    rows = _reversal_rows(lengths, t_max)
+    # each layer's input holds both directions' frame orders, time-major
+    inputs = np.empty((2, t_max, batch, config.input_dim), dtype=dtype)
+    inputs[0] = x.swapaxes(0, 1)
     directions: list[_LayerCache] = []
     masks: list[np.ndarray | None] = []
     params = model.params
     for layer in range(config.num_layers):
+        _reverse_into(inputs[0], rows, inputs[1])
         layer_cache = _blstm_forward(
             inputs, _stacked(params, layer, "W"), _stacked(params, layer, "R"), _stacked(params, layer, "b"),
             want_cache,
         )
         if want_cache:
-            layer_inputs.append(inputs[0].swapaxes(0, 1))
             directions.append(layer_cache)
         if layer == config.num_layers - 1:
             top = np.empty((t_max, batch, concat), dtype=dtype)
-            _concat_into(layer_cache.h, rev_flat, top)
+            _concat_into(layer_cache.h, rows, top)
             del layer_cache, inputs
             break
         inputs = np.empty((2, t_max, batch, concat), dtype=dtype)
-        _concat_into(layer_cache.h, rev_flat, inputs[0])
+        _concat_into(layer_cache.h, rows, inputs[0])
         del layer_cache
         keep = None
         if use_dropout:
@@ -449,7 +442,6 @@ def model_forward(
             inputs[0] *= keep.swapaxes(0, 1)
             inputs[0] *= keep_scale
         masks.append(keep)
-        _reverse_into(inputs[0], rev_flat, inputs[1])
 
     proj_h = None
     if config.projection_dim:
@@ -464,8 +456,7 @@ def model_forward(
     cache = ForwardCache(
         config=config,
         lengths=lengths,
-        rev_idx=rev_idx,
-        layer_inputs=layer_inputs,
+        rev_rows=rows,
         directions=directions,
         dropout_masks=masks,
         concat_top=top.swapaxes(0, 1),
@@ -528,7 +519,6 @@ def model_backward(upstream: Sequence[np.ndarray], cache: ForwardCache | None, m
     del dlogits, top
     cache.concat_top = cache.proj_h = cache.logits = None
 
-    rev_flat = _flat_reversal(cache.rev_idx)
     keep_scale = _dropout_scale(config)
     for layer in range(config.num_layers - 1, -1, -1):
         if layer < config.num_layers - 1 and cache.dropout_masks[layer] is not None:
@@ -536,10 +526,10 @@ def model_backward(upstream: Sequence[np.ndarray], cache: ForwardCache | None, m
             dcurrent *= keep_scale
         dh = np.empty((2, t_max, batch, hidden), dtype=dtype)
         dh[0] = dcurrent[..., :hidden]
-        _reverse_into(dcurrent[..., hidden:], rev_flat, dh[1])
+        _reverse_into(dcurrent[..., hidden:], cache.rev_rows, dh[1])
         del dcurrent
         layer_cache = cache.directions[layer]
-        cache.directions[layer] = cache.layer_inputs[layer] = None
+        cache.directions[layer] = None
         grad_w, grad_r, grad_b, dx = _blstm_backward(
             layer_cache, dh, _stacked(model.params, layer, "W"), _stacked(model.params, layer, "R"), want_dx=layer > 0
         )
@@ -550,7 +540,7 @@ def model_backward(upstream: Sequence[np.ndarray], cache: ForwardCache | None, m
             grads[f"layers.{layer}.{direction}.b"] = grad_b[d]
         if dx is not None:
             dcurrent = dx[0]
-            dcurrent += np.take(dx[1].reshape(-1, dx.shape[-1]), rev_flat, axis=0).reshape(dcurrent.shape)
+            dcurrent += np.take(dx[1].reshape(-1, dx.shape[-1]), cache.rev_rows, axis=0).reshape(dcurrent.shape)
     return grads
 
 

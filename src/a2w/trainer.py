@@ -279,8 +279,6 @@ def train(
                     for i, (lat, target) in enumerate(zip(lattices, batch.targets)):
                         result = ctc_loss(lat, target)
                         losses.append(result.log_loss)
-                        # into the logits the lattice was read from, not lat.values:
-                        # float32 lattices are float64 copies
                         np.divide(result.grad, batch.size, out=upstream[i])
                     del lattices, lat, result
                     grads = clip_global_norm(model_backward(upstream, cache, probe), cfg.grad_clip)

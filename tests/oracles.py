@@ -1,13 +1,113 @@
 """Independent reference implementations used only by the test suite."""
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+
+from a2w.alphabet import BLANK_ID
+from a2w.ctc import LOGITS, NEG_INF, PosteriorLattice, ctc_loss
+
+ORACLE_MAX_T = 10
+ORACLE_MAX_K = 6
+_ORACLE_CHUNK = 1 << 20
+
+
+class OracleTooLarge(ValueError):
+    """Raised when brute-force enumeration would exceed the size cap."""
+
+
+# -- CTC path enumeration and finite differences ----------------------------
+
+
+def ctc_brute_force(lattice: PosteriorLattice, y: Sequence[int]) -> float:
+    """Log-probability by enumerating every one of the K^T frame paths.
+
+    Keeps the paths whose collapse equals ``y`` and sums their linear-domain
+    probabilities with compensated summation. Returns -inf when no path
+    exists. Independent of the forward-backward recursion by construction.
+    """
+    t_frames, k_labels = lattice.values.shape
+    if t_frames > ORACLE_MAX_T or k_labels > ORACLE_MAX_K:
+        raise OracleTooLarge(
+            f"enumeration capped at T <= {ORACLE_MAX_T}, K <= {ORACLE_MAX_K}; got T={t_frames}, K={k_labels}"
+        )
+    y = np.asarray(list(y), dtype=np.int64)
+    probs = lattice.probs()
+    n_paths = k_labels**t_frames
+    partial_sums: list[np.ndarray] = []
+    for start in range(0, n_paths, _ORACLE_CHUNK):
+        idx = np.arange(start, min(start + _ORACLE_CHUNK, n_paths), dtype=np.int64)
+        paths = np.empty((len(idx), t_frames), dtype=np.int64)
+        rem = idx
+        for t in range(t_frames - 1, -1, -1):
+            paths[:, t] = rem % k_labels
+            rem = rem // k_labels
+        keep = np.ones(paths.shape, dtype=bool)
+        keep[:, 1:] = paths[:, 1:] != paths[:, :-1]
+        keep &= paths != BLANK_ID
+        ok = keep.sum(axis=1) == len(y)
+        pos = np.cumsum(keep, axis=1) - 1
+        for j, label in enumerate(y):
+            ok &= (keep & (pos == j) & (paths == label)).any(axis=1)
+        if not ok.any():
+            continue
+        chosen = paths[ok]
+        path_probs = np.ones(len(chosen))
+        for t in range(t_frames):
+            path_probs *= probs[t, chosen[:, t]]
+        partial_sums.append(path_probs)
+    if not partial_sums:
+        return NEG_INF
+    total = math.fsum(np.concatenate(partial_sums))
+    return math.log(total) if total > 0.0 else NEG_INF
+
+
+def ctc_grad_check(lattice: PosteriorLattice, y: Sequence[int], step: float = 1e-5) -> float:
+    """Max relative error of the analytic gradient against central differences.
+
+    Relative error per entry is |analytic - numeric| / max(1, |analytic|).
+    """
+    if lattice.kind != LOGITS:
+        raise ValueError("gradient check requires a logits-kind lattice")
+    analytic = ctc_loss(lattice, y).grad
+    worst = 0.0
+    base = lattice.values
+    for t in range(lattice.num_frames):
+        for k in range(lattice.num_labels):
+            bumped = base.copy()
+            bumped[t, k] += step
+            hi = ctc_loss(PosteriorLattice(bumped, LOGITS), y).log_loss
+            bumped[t, k] -= 2 * step
+            lo = ctc_loss(PosteriorLattice(bumped, LOGITS), y).log_loss
+            numeric = (hi - lo) / (2 * step)
+            err = abs(analytic[t, k] - numeric) / max(1.0, abs(analytic[t, k]))
+            worst = max(worst, err)
+    return worst
+
+
+# -- exhaustive WER ---------------------------------------------------------
 
 
 def brute_force_min_edits(ref, hyp):
     """Minimum S+I+D over every monotone alignment, by direct enumeration.
+
+    The count depends only on which tokens are equal, so the enumeration
+    runs once per pattern: both sides are renamed to the order in which
+    their tokens first occur (ref then hyp) and the result is cached.
+    """
+    first_seen = {}
+    for token in (*ref, *hyp):
+        first_seen.setdefault(token, len(first_seen))
+    return enumerate_min_edits(tuple(first_seen[t] for t in ref), tuple(first_seen[t] for t in hyp))
+
+
+@functools.cache
+def enumerate_min_edits(ref, hyp):
+    """Minimum S+I+D of two token tuples, enumerating every alignment.
 
     An alignment pairs ref positions with hyp positions, strictly increasing
     on both sides (combinations zipped in order); paired-unequal tokens are

@@ -26,8 +26,6 @@ from a2w.ctc import (
     LOGITS,
     PROBABILITIES,
     PosteriorLattice,
-    ctc_brute_force,
-    ctc_grad_check,
     ctc_loss,
     min_frames_for,
 )
@@ -50,7 +48,7 @@ from a2w.pipeline import (
 )
 from a2w.scoring import corpus_wer, wer
 from a2w.trainer import LrSchedule, OptimizerState, lr_at, nesterov_step, prepare_corpus, run_training
-from oracles import brute_force_min_edits
+from oracles import brute_force_min_edits, ctc_brute_force, ctc_grad_check
 
 
 def report(criterion, text):

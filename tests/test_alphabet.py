@@ -1,4 +1,6 @@
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,32 @@ class TestSerialization:
         path.write_text(f"{header}\n{UNK_WORD}\nA\n")
         with pytest.raises(ValueError, match=message):
             load_alphabet(path)
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            (["B", "A", "A"], r"vocab\.txt:5: 'A' is listed twice"),
+            (["A", UNK_WORD], r"vocab\.txt:4: 'UNK' is listed twice"),
+            (["A", ""], r"vocab\.txt:4: '' is not one uppercase token"),
+            (["LOW ER"], r"vocab\.txt:3: 'LOW ER' is not one uppercase token"),
+            (["low"], r"vocab\.txt:3: 'low' is not one uppercase token"),
+        ],
+        ids=["repeated-word", "second-unk", "empty-word", "whitespace", "lowercase"],
+    )
+    def test_word_save_cannot_write_names_path_and_line(self, tmp_path, words, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(["#a2w-alphabet v1 words min_count=1", UNK_WORD, *words]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_alphabet(path)
+
+    @given(st.lists(st.text(max_size=12), min_size=1, max_size=6), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_any_built_vocabulary_round_trips(self, transcripts, min_count):
+        vocab = build_vocabulary(transcripts, min_count)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vocab.txt"
+            save_alphabet(path, vocab)
+            assert load_alphabet(path) == vocab
 
     def test_non_utf8_file_names_path(self, tmp_path):
         path = tmp_path / "vocab.txt"

@@ -156,8 +156,12 @@ class TestFormat:
             ("tensor model.out.W ", "tensor model.out.W 0"),
             ("epoch ", "epoch x"),
             ("config lr=", "config lr"),
+            ("config lr=", "config lr=abc"),
+            ("config lr=", "config nope=1"),
+            ("config lr=", "config output_dim=0"),
         ],
-        ids=["bad-dim", "missing-field", "bad-epoch", "config-without-value"],
+        ids=["bad-dim", "missing-field", "bad-epoch", "config-without-value", "config-bad-value",
+             "config-unknown-key", "config-bad-output-dim"],
     )
     def test_malformed_record_names_file_and_record(self, tmp_path, prefix, record):
         path = tmp_path / "bad.ckpt"

@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from a2w.alphabet import build_charset, save_alphabet
 from a2w.cli import cli_main
 from a2w.decoder import read_transcripts
 
@@ -104,6 +105,43 @@ class TestTrainDecodeScore:
         assert message in capsys.readouterr().err
         assert run("inspect-ckpt", ckpt) == 2
         assert message in capsys.readouterr().err
+
+    def test_config_record_with_bad_value_names_the_file_and_key(self, run_dir, corpus_dir, tmp_path, capsys):
+        from test_checkpoint import TestFormat
+
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        ckpt = bad / "epoch002.ckpt"
+        TestFormat._rewrite_manifest_line(ckpt, "config lr=", "config lr=abc")
+        assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
+        assert f"{ckpt}: malformed manifest record 'config lr=abc': key 'lr': could not convert" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["insert", "delete"])
+    def test_decode_checks_vocab_against_the_checkpoint(self, run_dir, corpus_dir, tmp_path, capsys, edit):
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        lines = (bad / "vocab.txt").read_text().splitlines()
+        trained = len(lines)  # header, UNK, W words: as many lines as blank + UNK + W labels
+        lines = lines[:3] + ["QQQ"] + lines[3:] if edit == "insert" else lines[:-1]
+        (bad / "vocab.txt").write_text("\n".join(lines) + "\n")
+        assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
+        message = f"{bad}: {len(lines)} labels in vocab.txt, but the checkpoint's output layer has {trained}"
+        assert message in capsys.readouterr().err
+
+    def test_decode_checks_chars_against_the_checkpoint(self, tmp_path, capsys):
+        corpus, out = tmp_path / "corpus", tmp_path / "run"
+        assert run(
+            "synth", "--out", corpus, "--seed", 11, "--count", 12, "--vocab-size", 4, "--feature-dim", 4,
+            "--min-words", 1, "--max-words", 2, "--min-frames", 12, "--max-frames", 16,
+        ) == 0
+        assert run(
+            "train", "--corpus", corpus, "--out", out, "--targets", "sar", "--layers", 1, "--hidden", 4,
+            "--projection", 0, "--epochs", 1, "--batch_size", 8, "--heldout_fraction", 0.2,
+            "--deltas", "false", "--stacking", "false", "--seed", 5,
+        ) == 0
+        save_alphabet(out / "chars.txt", build_charset("simple"))
+        assert run("decode", "--run", out, "--corpus", corpus, "--out", tmp_path / "hyp.tsv") == 2
+        assert "labels in vocab.txt and chars.txt, but the checkpoint's output layer has" in capsys.readouterr().err
 
     def test_inspect_ckpt(self, run_dir, capsys):
         assert run("inspect-ckpt", run_dir / "epoch002.ckpt") == 0

@@ -10,15 +10,13 @@ from a2w.ctc import (
     PROBABILITIES,
     BlankInTarget,
     InfeasibleAlignment,
-    OracleTooLarge,
     PosteriorLattice,
-    ctc_brute_force,
-    ctc_grad_check,
     ctc_loss,
     expand_target,
     forward_backward,
     min_frames_for,
 )
+from oracles import OracleTooLarge, ctc_brute_force, ctc_grad_check
 
 
 def random_prob_lattice(rng, t, k):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import a2w.network as network
-from a2w.ctc import ctc_loss
+from a2w.ctc import LOGITS, PosteriorLattice, ctc_loss
 from a2w.network import (
     BadShape,
     Model,
@@ -206,13 +206,13 @@ class TestDropout:
         model = init_model(cfg, np.random.default_rng(3))
         feats = np.random.default_rng(4).normal(size=(1, 2, 4))
         _, eval_cache = model_forward(feats, [2], model, want_cache=True)
-        undropped = eval_cache.layer_inputs[1]
+        undropped = eval_cache.directions[1].x[0]
         rng = np.random.default_rng(99)
         draws = 10_000
         acc = np.zeros_like(undropped)
         for _ in range(draws):
             _, cache = model_forward(feats, [2], model, train_mode=True, rng=rng, want_cache=True)
-            acc += cache.layer_inputs[1]
+            acc += cache.directions[1].x[0]
         mean = acc / draws
         scale = np.abs(undropped).max()
         assert np.abs(mean - undropped).max() <= 0.02 * scale
@@ -387,7 +387,7 @@ class TestFloat32:
         feats = np.random.default_rng(1).normal(size=(2, 4, 5))
         _, cache = model_forward(feats, [4, 3], model, train_mode=True, rng=np.random.default_rng(2), want_cache=True)
         assert seen == [np.float32, np.float32]
-        buffers = [cache.concat_top, cache.proj_h, cache.logits, *cache.layer_inputs]
+        buffers = [cache.concat_top, cache.proj_h, cache.logits]
         for layer in cache.directions:
             buffers += [layer.x, layer.gates, layer.c, layer.h]
         assert all(b.dtype == np.float32 for b in buffers)
@@ -395,3 +395,17 @@ class TestFloat32:
         assert len(masks) == 1 and all(m.dtype == np.bool_ for m in masks)
         grads = model_backward([np.ones((4, 6)), np.ones((3, 6))], cache, model)
         assert all(g.dtype == np.float32 for g in grads.values())
+
+    def test_float32_lattices_are_views_of_the_logits(self):
+        cfg = ModelConfig(input_dim=5, output_dim=6, num_layers=2, hidden_per_direction=4,
+                          projection_dim=3, dropout_rate=0.25, dtype="float32")
+        model = init_model(cfg, np.random.default_rng(0))
+        feats = np.random.default_rng(1).normal(size=(2, 4, 5))
+        lattices, cache = model_forward(feats, [4, 3], model, want_cache=True)
+        for lattice in lattices:
+            assert lattice.values.dtype == np.float32
+            assert np.shares_memory(lattice.values, cache.logits)
+            # CTC reads the float32 values in float64, as from a float64 copy
+            a = ctc_loss(lattice, [1, 2])
+            b = ctc_loss(PosteriorLattice(lattice.values.astype(np.float64), LOGITS), [1, 2])
+            assert a.log_loss == b.log_loss and np.array_equal(a.grad, b.grad)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from a2w.alphabet import build_vocabulary
 from a2w.scoring import EmptyReference, WerReport, corpus_wer, oov_rate, wer
-from oracles import brute_force_min_edits
+from oracles import brute_force_min_edits, enumerate_min_edits
 
 TOKENS = ("A", "B", "C")
 
@@ -65,6 +65,12 @@ class TestWerOracle:
     @settings(max_examples=150, deadline=None)
     def test_sampled_length_5(self, ref, hyp):
         assert wer(ref, hyp).errors == brute_force_min_edits(ref, hyp)
+
+    @given(st.lists(st.sampled_from("ABCD"), max_size=5), st.lists(st.sampled_from("ABCD"), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_oracle_equals_direct_enumeration(self, ref, hyp):
+        # the cache is keyed on the first-occurrence renaming of the pair
+        assert brute_force_min_edits(ref, hyp) == enumerate_min_edits.__wrapped__(tuple(ref), tuple(hyp))
 
     @given(
         st.lists(st.sampled_from(TOKENS), max_size=6),
