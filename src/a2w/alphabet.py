@@ -306,38 +306,6 @@ def build_sar_targets(transcript: Sequence[str], joint: JointAlphabet) -> SarTar
     return SarTargetSequence(labels=tuple(labels))
 
 
-@dataclass(frozen=True)
-class SarSegment:
-    """One spelled-then-recognized group recovered from a label sequence."""
-
-    word: str          # the word label's text, or "" when the group never closed
-    spelling: str      # base characters spelled before the word label
-    complete: bool
-
-
-def invert_sar_targets(labels: Sequence[int], joint: JointAlphabet) -> list[SarSegment]:
-    """Segment a joint-alphabet label sequence on word labels.
-
-    Separator characters and blanks are skipped. Trailing characters that
-    never reach a word label come back as an incomplete final segment.
-    """
-    segments: list[SarSegment] = []
-    buffer: list[int] = []
-    for label in labels:
-        if label == BLANK_ID or label == joint.separator_id:
-            continue
-        if joint.is_word_id(label):
-            segments.append(
-                SarSegment(word=joint.vocab.word_of(label), spelling=joint.unspell(buffer), complete=True)
-            )
-            buffer = []
-        elif joint.is_char_id(label):
-            buffer.append(label)
-    if buffer:
-        segments.append(SarSegment(word="", spelling=joint.unspell(buffer), complete=False))
-    return segments
-
-
 def save_alphabet(path: str | Path, space: Vocabulary | CharSet) -> None:
     """Line-oriented serialization: header, then one symbol per line.
 

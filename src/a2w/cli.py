@@ -11,13 +11,13 @@ import sys
 from pathlib import Path
 
 from .ablation import VARIANTS, default_aliases, run_ablation
-from .alphabet import JointAlphabet, build_charset, load_alphabet
+from .alphabet import build_charset
 from .checkpoint import load_checkpoint
 from .config import TrainConfig, config_from_items, load_config
-from .decoder import decode_utterances, parse_hypothesis, read_transcripts, write_sar_file, write_transcripts
+from .decoder import decode_utterances, read_sar_file, read_transcripts, write_sar_file, write_transcripts
 from .pipeline import SynthSpec, load_corpus, save_corpus, split_by_id_hash, synth_corpus
 from .scoring import corpus_wer
-from .trainer import model_from_checkpoint, prepare_corpus, run_training
+from .trainer import open_run, prepare_corpus, run_training
 
 
 class _UsageError(Exception):
@@ -84,32 +84,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _find_checkpoint(run_dir: Path, epoch: int | None) -> Path:
-    if epoch is not None:
-        path = run_dir / f"epoch{epoch:03d}.ckpt"
-        if not path.exists():
-            raise FileNotFoundError(f"no checkpoint for epoch {epoch} in {run_dir}")
-        return path
-    candidates = sorted(run_dir.glob("epoch*.ckpt"))
-    if not candidates:
-        raise FileNotFoundError(f"no checkpoints in {run_dir}")
-    return candidates[-1]
-
-
 def _cmd_decode(args) -> int:
-    run_dir = Path(args.run)
-    cfg, model = model_from_checkpoint(load_checkpoint(_find_checkpoint(run_dir, args.epoch)))
-    vocab = load_alphabet(run_dir / "vocab.txt")
-    joint, files, size = None, "vocab.txt", vocab.size
-    if cfg.targets == "sar":
-        joint = JointAlphabet(vocab=vocab, charset=load_alphabet(run_dir / "chars.txt"))
-        files, size = "vocab.txt and chars.txt", joint.size
-    if size != model.config.output_dim:
-        raise ValueError(
-            f"{run_dir}: {size} labels in {files}, but the checkpoint's output layer has {model.config.output_dim}"
-        )
+    cfg, model, space = open_run(args.run, args.epoch)
     utts = prepare_corpus(load_corpus(args.corpus), cfg)
-    rows = decode_utterances(model, utts, vocab, joint=joint, mode=args.mode, batch_size=cfg.batch_size)
+    rows = decode_utterances(model, utts, space.vocab, joint=space.joint, mode=args.mode, batch_size=cfg.batch_size)
     write_transcripts(args.out, [(utt_id, words) for utt_id, words, _ in rows])
     annotated = [(utt_id, hyp) for utt_id, _, hyp in rows if hyp is not None]
     if annotated:
@@ -121,22 +99,12 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-def _read_hypotheses(path: str, strip_sar: bool, charset_variant: str) -> dict[str, list[str]]:
-    if not strip_sar:
-        return read_transcripts(path)
-    charset = build_charset(charset_variant)
-    out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        utt_id, _, text = line.partition("\t")
-        out[utt_id] = parse_hypothesis(text, charset).words
-    return out
-
-
 def _cmd_score(args) -> int:
     refs = read_transcripts(args.ref)
-    hyps = _read_hypotheses(args.hyp, args.strip_sar, args.charset)
+    if args.strip_sar:
+        hyps = {utt_id: hyp.words for utt_id, hyp in read_sar_file(args.hyp, build_charset(args.charset)).items()}
+    else:
+        hyps = read_transcripts(args.hyp)
     print(corpus_wer(refs, hyps))
     return 0
 

@@ -98,23 +98,15 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-@dataclass(frozen=True)
-class ExpandedTarget:
-    """Blank-interleaved target: blanks at even positions, labels at odd."""
-
-    labels: tuple[int, ...]
-
-
-def expand_target(y: Sequence[int]) -> ExpandedTarget:
-    """Interleave blanks around and between the target labels (length 2L+1)."""
+def expand_target(y: Sequence[int]) -> tuple[int, ...]:
+    """Interleave blanks around and between the target labels (length 2L+1):
+    blanks at even positions, labels at odd."""
     y = list(y)
     if BLANK_ID in y:
         raise BlankInTarget("target sequences must not contain the blank label")
-    out = [BLANK_ID]
-    for label in y:
-        out.append(label)
-        out.append(BLANK_ID)
-    return ExpandedTarget(labels=tuple(out))
+    out = [BLANK_ID] * (2 * len(y) + 1)
+    out[1::2] = y
+    return tuple(out)
 
 
 def min_frames_for(y: Sequence[int]) -> int:
@@ -143,8 +135,7 @@ def forward_backward(lattice: PosteriorLattice, y: Sequence[int]):
     emission at its own frame, so sum_s alpha[t, s] * beta[t, s] equals the
     total path probability at every t.
     """
-    exp_target = expand_target(y)
-    ext = np.asarray(exp_target.labels, dtype=np.int64)
+    ext = np.asarray(expand_target(y), dtype=np.int64)
     t_frames = lattice.num_frames
     if t_frames < min_frames_for(y):
         raise InfeasibleAlignment(

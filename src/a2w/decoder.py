@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,6 +171,8 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
     """Inverse of render_hypothesis; needs the charset to classify tokens."""
 
     def _unspell(symbols: list[str]) -> str:
+        if not all(s in charset for s in symbols):
+            raise ValueError(f"{' '.join(symbols)!r} holds a token outside the {charset.variant} charset")
         return unspell([charset.id_of(s) for s in symbols], charset).upper()
 
     entries = []
@@ -221,21 +223,43 @@ def decode_utterances(
     return [(u.id, *by_id[u.id]) for u in utts]
 
 
-def write_transcripts(path: str | Path, rows: Sequence[tuple[str, Sequence[str]]]) -> None:
-    lines = [f"{utt_id}\t{' '.join(words)}" for utt_id, words in rows]
+def _write_lines(path: str | Path, rows: Sequence[tuple[str, str]]) -> None:
+    lines = [f"{utt_id}\t{text}" for utt_id, text in rows]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def read_transcripts(path: str | Path) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        utt_id, _, words = line.partition("\t")
-        out[utt_id] = words.upper().split()
+def _read_lines(path: str | Path, parse: Callable[[str], object]) -> dict:
+    """Inverse of ``_write_lines``, applying ``parse`` to each line's text. A
+    malformed line raises a ValueError that names the path and the line."""
+    out, first = {}, {}
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            utt_id, tab, rest = line.partition("\t")
+            if not tab:
+                raise ValueError(f"expected id<TAB>text, got {line!r}")
+            if first.setdefault(utt_id, lineno) != lineno:
+                raise ValueError(f"id {utt_id!r} repeats line {first[utt_id]}")
+            out[utt_id] = parse(rest)
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
+def write_transcripts(path: str | Path, rows: Sequence[tuple[str, Sequence[str]]]) -> None:
+    _write_lines(path, [(utt_id, " ".join(words)) for utt_id, words in rows])
+
+
+def read_transcripts(path: str | Path) -> dict[str, list[str]]:
+    return _read_lines(path, lambda text: text.upper().split())
+
+
 def write_sar_file(path: str | Path, rows: Sequence[tuple[str, SarHypothesis]]) -> None:
-    lines = [f"{utt_id}\t{render_hypothesis(hyp)}" for utt_id, hyp in rows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    _write_lines(path, [(utt_id, render_hypothesis(hyp)) for utt_id, hyp in rows])
+
+
+def read_sar_file(path: str | Path, charset: CharSet) -> dict[str, SarHypothesis]:
+    """Inverse of ``write_sar_file``; needs the charset the decode spelled in."""
+    return _read_lines(path, lambda text: parse_hypothesis(text, charset))

@@ -143,23 +143,6 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
     return Model(config=config, params=params)
 
 
-def output_side_param_count(config: ModelConfig) -> int:
-    """V*d + d*D with a projection, V*D without; exact, no hidden biases."""
-    v, d_cat = config.output_dim, config.concat_dim
-    if config.projection_dim:
-        return v * config.projection_dim + config.projection_dim * d_cat
-    return v * d_cat
-
-
-def parameter_count(config: ModelConfig) -> int:
-    hidden = config.hidden_per_direction
-    total = 0
-    for layer in range(config.num_layers):
-        in_dim = config.layer_input_dim(layer)
-        total += 2 * (4 * hidden * in_dim + 4 * hidden * hidden + 4 * hidden)
-    return total + output_side_param_count(config)
-
-
 def _gate_affine(hidden: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Per-column (scale, shift) that make one tanh every gate nonlinearity.
 

@@ -278,6 +278,7 @@ def load_corpus(directory: str | Path) -> list[Utterance]:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{tsv}: {exc}") from None
     utts = []
+    first: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -285,11 +286,15 @@ def load_corpus(directory: str | Path) -> list[Utterance]:
         if len(fields) != 3:
             raise ValueError(f"{tsv}:{lineno}: expected id, transcript and feature path separated by tabs")
         utt_id, transcript, rel = fields
+        if first.setdefault(utt_id, lineno) != lineno:
+            raise ValueError(f"{tsv}:{lineno}: id {utt_id!r} repeats line {first[utt_id]}")
         path = directory / rel
         raw = path.read_bytes()
         t, f = _FEATURE_HEADER.unpack_from(raw) if len(raw) >= _FEATURE_HEADER.size else (0, 0)
         if t < 1 or f < 1 or len(raw) != _FEATURE_HEADER.size + 4 * t * f:
             raise ValueError(f"{path}: {len(raw)} bytes do not hold the {t}x{f} float32 features its header declares")
         feats = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size).reshape(t, f)
+        if not np.all(np.isfinite(feats)):
+            raise ValueError(f"{path}: features of {utt_id!r} are not all finite")
         utts.append(Utterance(id=utt_id, features=feats.astype(np.float64), transcript=tuple(tokenize(transcript))))
     return utts

@@ -23,12 +23,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .alphabet import (
+    CharSet,
     JointAlphabet,
     Vocabulary,
     build_charset,
     build_sar_targets,
     build_vocabulary,
     encode_words,
+    load_alphabet,
     save_alphabet,
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -44,6 +46,9 @@ from .pipeline import (
     stack_decimate,
 )
 from .seeding import derive_seed
+
+
+CHECKPOINT_NAME = "epoch{:03d}.ckpt"  # of each 1-based epoch, in the run directory
 
 
 class DivergedGradient(RuntimeError):
@@ -169,14 +174,19 @@ class LabelSpace:
         return self.joint.size if self.joint else self.vocab.size
 
 
+def _label_space(vocab: Vocabulary, charset: CharSet | None) -> LabelSpace:
+    """Word targets without a charset, spell-and-recognize targets with one."""
+    if charset is None:
+        return LabelSpace(vocab=vocab, joint=None, encode=lambda words: encode_words(words, vocab))
+    joint = JointAlphabet(vocab=vocab, charset=charset)
+    return LabelSpace(vocab=vocab, joint=joint, encode=lambda words: build_sar_targets(words, joint).labels)
+
+
 def build_label_space(train_utts: Sequence[Utterance], cfg: TrainConfig) -> LabelSpace:
     vocab = build_vocabulary((" ".join(u.transcript) for u in train_utts), cfg.min_count)
-    if cfg.targets == "word":
-        return LabelSpace(vocab=vocab, joint=None, encode=lambda words: encode_words(words, vocab))
-    if cfg.targets == "sar":
-        joint = JointAlphabet(vocab=vocab, charset=build_charset(cfg.charset))
-        return LabelSpace(vocab=vocab, joint=joint, encode=lambda words: build_sar_targets(words, joint).labels)
-    raise ValueError(f"unknown target kind {cfg.targets!r}")
+    if cfg.targets not in ("word", "sar"):
+        raise ValueError(f"unknown target kind {cfg.targets!r}")
+    return _label_space(vocab, build_charset(cfg.charset) if cfg.targets == "sar" else None)
 
 
 def check_feasible(utts: Sequence[Utterance], encode) -> None:
@@ -287,7 +297,7 @@ def train(
                 _, state, loss = nesterov_step(model.params, grad_fn, state, lr)
                 loss_sum += loss * batch.size
             heldout_loss = evaluate_loss(model, heldout_utts, encode, cfg.batch_size)
-            ckpt_path = out_dir / f"epoch{epoch:03d}.ckpt"
+            ckpt_path = out_dir / CHECKPOINT_NAME.format(epoch)
             save_checkpoint(make_checkpoint(model, state, cfg, epoch), ckpt_path)
             record = EpochRecord(
                 epoch=epoch,
@@ -357,3 +367,31 @@ def run_training(
 
     run = train(model, train_utts, heldout_utts, cfg, out_dir, space.encode, state=state, start_epoch=start_epoch)
     return TrainArtifacts(run=run, model=model, label_space=space)
+
+
+def _load_alphabet_file(path: Path, kind: type) -> Vocabulary | CharSet:
+    space = load_alphabet(path)
+    if not isinstance(space, kind):
+        found, wanted = ("word", "character") if kind is CharSet else ("character", "word")
+        raise ValueError(f"{path}: holds a {found} alphabet where a {wanted} alphabet belongs")
+    return space
+
+
+def open_run(run_dir: str | Path, epoch: int | None = None) -> tuple[TrainConfig, Model, LabelSpace]:
+    """Inverse of ``run_training``'s directory: the run config, the model of
+    one checkpoint (the latest when ``epoch`` is None) and its label space."""
+    run_dir = Path(run_dir)
+    pattern = "epoch*.ckpt" if epoch is None else CHECKPOINT_NAME.format(epoch)
+    found = sorted(run_dir.glob(pattern))
+    if not found:
+        raise FileNotFoundError(f"{run_dir}: no checkpoint matches {pattern}")
+    cfg, model = model_from_checkpoint(load_checkpoint(found[-1]))
+    vocab = _load_alphabet_file(run_dir / "vocab.txt", Vocabulary)
+    charset = _load_alphabet_file(run_dir / "chars.txt", CharSet) if cfg.targets == "sar" else None
+    space = _label_space(vocab, charset)
+    if space.size != model.config.output_dim:
+        files = "vocab.txt and chars.txt" if charset else "vocab.txt"
+        raise ValueError(
+            f"{run_dir}: {space.size} labels in {files}, but the checkpoint's output layer has {model.config.output_dim}"
+        )
+    return cfg, model, space

@@ -19,13 +19,18 @@ from a2w.alphabet import (
     build_vocabulary,
     decode_words,
     encode_words,
-    invert_sar_targets,
     load_alphabet,
     save_alphabet,
     spell_word,
     tokenize,
     unspell,
 )
+from a2w.decoder import TAG_FROM_WORD, one_hot_lattice, sar_decode_switched
+
+def spelled(joint, entry):
+    """The base characters an annotated word's spelling stands for."""
+    return joint.unspell([joint.char_id(text) for text in entry.spelling])
+
 
 words_strategy = st.lists(
     st.text(alphabet=string.ascii_uppercase, min_size=1, max_size=6), min_size=1, max_size=8
@@ -183,25 +188,19 @@ class TestJointAlphabet:
 
     def test_invert_round_trip(self, joint):
         target = build_sar_targets(["THE", "CAT"], joint)
-        segments = invert_sar_targets(target.labels, joint)
-        assert [(s.word, s.spelling) for s in segments] == [("THE", "the"), ("CAT", "cat")]
-        assert all(s.complete for s in segments)
-
-    def test_invert_trailing_chars_incomplete(self, joint):
-        labels = list(build_sar_targets(["THE"], joint).labels[:-1])  # drop the word label
-        segments = invert_sar_targets(labels, joint)
-        assert len(segments) == 1
-        assert not segments[0].complete
-        assert segments[0].spelling == "the"
+        hyp = sar_decode_switched(one_hot_lattice(target.labels, joint.size), joint)
+        assert [(e.word, spelled(joint, e)) for e in hyp.entries] == [("THE", "the"), ("CAT", "cat")]
+        assert all(e.tag == TAG_FROM_WORD for e in hyp.entries)
 
     @given(words_strategy)
     @settings(max_examples=50)
     def test_invert_of_build_is_identity_in_vocab(self, transcript):
         vocab = build_vocabulary([" ".join(transcript)], min_count=1)
         joint = JointAlphabet(vocab=vocab, charset=build_positional_charset())
-        segments = invert_sar_targets(build_sar_targets(transcript, joint).labels, joint)
-        assert [s.word for s in segments] == transcript
-        assert [s.spelling for s in segments] == [w.lower() for w in transcript]
+        labels = build_sar_targets(transcript, joint).labels
+        hyp = sar_decode_switched(one_hot_lattice(labels, joint.size), joint)
+        assert hyp.words == transcript
+        assert [spelled(joint, e) for e in hyp.entries] == [w.lower() for w in transcript]
 
 
 class TestSerialization:

@@ -35,6 +35,29 @@ def run_dir(tmp_path_factory, corpus_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def sar_run(tmp_path_factory):
+    """(corpus, run directory) of a one-epoch spell-and-recognize run."""
+    corpus, out = tmp_path_factory.mktemp("sar_corpus"), tmp_path_factory.mktemp("sar_run")
+    assert run(
+        "synth", "--out", corpus, "--seed", 11, "--count", 12, "--vocab-size", 4, "--feature-dim", 4,
+        "--min-words", 1, "--max-words", 2, "--min-frames", 12, "--max-frames", 16,
+    ) == 0
+    assert run(
+        "train", "--corpus", corpus, "--out", out, "--targets", "sar", "--layers", 1, "--hidden", 4,
+        "--projection", 0, "--epochs", 1, "--batch_size", 8, "--heldout_fraction", 0.2,
+        "--deltas", "false", "--stacking", "false", "--seed", 5,
+    ) == 0
+    return corpus, out
+
+
+def write_ref(corpus_dir, path):
+    """A reference transcript file: the id and transcript columns of corpus.tsv."""
+    lines = [line.rsplit("\t", 1)[0] for line in (corpus_dir / "corpus.tsv").read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestSynth:
     def test_deterministic_directories(self, tmp_path):
         for name in ("a", "b"):
@@ -64,13 +87,7 @@ class TestTrainDecodeScore:
         assert run("decode", "--run", run_dir, "--corpus", corpus_dir, "--out", hyp) == 0
         decoded = read_transcripts(hyp)
         assert len(decoded) == 30
-        ref = tmp_path / "ref.tsv"
-        lines = []
-        for line in (corpus_dir / "corpus.tsv").read_text().splitlines():
-            utt_id, transcript, _ = line.split("\t")
-            lines.append(f"{utt_id}\t{transcript}")
-        ref.write_text("\n".join(lines) + "\n")
-        assert run("score", ref, hyp) == 0
+        assert run("score", write_ref(corpus_dir, tmp_path / "ref.tsv"), hyp) == 0
 
     def test_decode_needs_no_config_file(self, run_dir, corpus_dir, tmp_path):
         # model shape and feature recipe come from the checkpoint's own snapshot
@@ -83,12 +100,7 @@ class TestTrainDecodeScore:
         assert without_config.read_text() == with_config.read_text()
 
     def test_score_self_is_zero(self, corpus_dir, tmp_path, capsys):
-        ref = tmp_path / "self.tsv"
-        lines = []
-        for line in (corpus_dir / "corpus.tsv").read_text().splitlines():
-            utt_id, transcript, _ = line.split("\t")
-            lines.append(f"{utt_id}\t{transcript}")
-        ref.write_text("\n".join(lines) + "\n")
+        ref = write_ref(corpus_dir, tmp_path / "self.tsv")
         assert run("score", ref, ref) == 0
         out = capsys.readouterr().out
         assert "WER 0.00%" in out
@@ -128,19 +140,12 @@ class TestTrainDecodeScore:
         message = f"{bad}: {len(lines)} labels in vocab.txt, but the checkpoint's output layer has {trained}"
         assert message in capsys.readouterr().err
 
-    def test_decode_checks_chars_against_the_checkpoint(self, tmp_path, capsys):
-        corpus, out = tmp_path / "corpus", tmp_path / "run"
-        assert run(
-            "synth", "--out", corpus, "--seed", 11, "--count", 12, "--vocab-size", 4, "--feature-dim", 4,
-            "--min-words", 1, "--max-words", 2, "--min-frames", 12, "--max-frames", 16,
-        ) == 0
-        assert run(
-            "train", "--corpus", corpus, "--out", out, "--targets", "sar", "--layers", 1, "--hidden", 4,
-            "--projection", 0, "--epochs", 1, "--batch_size", 8, "--heldout_fraction", 0.2,
-            "--deltas", "false", "--stacking", "false", "--seed", 5,
-        ) == 0
-        save_alphabet(out / "chars.txt", build_charset("simple"))
-        assert run("decode", "--run", out, "--corpus", corpus, "--out", tmp_path / "hyp.tsv") == 2
+    def test_decode_checks_chars_against_the_checkpoint(self, sar_run, tmp_path, capsys):
+        corpus, out = sar_run
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        save_alphabet(bad / "chars.txt", build_charset("simple"))
+        assert run("decode", "--run", bad, "--corpus", corpus, "--out", tmp_path / "hyp.tsv") == 2
         assert "labels in vocab.txt and chars.txt, but the checkpoint's output layer has" in capsys.readouterr().err
 
     def test_inspect_ckpt(self, run_dir, capsys):
@@ -169,6 +174,85 @@ class TestTrainDecodeScore:
             assert run("decode", "--run", out, "--corpus", corpus, "--out", hyp, "--mode", mode) == 0
             if mode != "word":
                 assert hyp.with_suffix(".sar").exists()
+
+
+class TestReaderFaults:
+    """Bad input files exit 2 with a message that names the file."""
+
+    def test_chars_file_as_vocab_is_named(self, run_dir, sar_run, corpus_dir, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        shutil.copy(sar_run[1] / "chars.txt", bad / "vocab.txt")
+        assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
+        message = f"{bad / 'vocab.txt'}: holds a character alphabet where a word alphabet belongs"
+        assert message in capsys.readouterr().err
+
+    def test_vocab_file_as_chars_is_named(self, sar_run, tmp_path, capsys):
+        corpus, out = sar_run
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        shutil.copy(out / "vocab.txt", bad / "chars.txt")
+        assert run("decode", "--run", bad, "--corpus", corpus, "--out", tmp_path / "hyp.tsv") == 2
+        message = f"{bad / 'chars.txt'}: holds a word alphabet where a character alphabet belongs"
+        assert message in capsys.readouterr().err
+
+    def test_decode_epoch_picks_the_checkpoint(self, run_dir, corpus_dir, tmp_path, capsys):
+        first, latest = tmp_path / "first.tsv", tmp_path / "latest.tsv"
+        assert run("decode", "--run", run_dir, "--corpus", corpus_dir, "--out", first, "--epoch", 1) == 0
+        assert run("decode", "--run", run_dir, "--corpus", corpus_dir, "--out", latest, "--epoch", 2) == 0
+        assert read_transcripts(first).keys() == read_transcripts(latest).keys()
+        assert run("decode", "--run", run_dir, "--corpus", corpus_dir, "--out", tmp_path / "x", "--epoch", 9) == 2
+        assert f"{run_dir}: no checkpoint matches epoch009.ckpt" in capsys.readouterr().err
+
+    def test_missing_tab_in_both_files_exits_2(self, tmp_path, capsys):
+        # with a space where the tab belongs, "b THE DOG" once read as an id with no words
+        ref, hyp = tmp_path / "ref.tsv", tmp_path / "hyp.tsv"
+        for path in (ref, hyp):
+            path.write_text("a\tTHE CAT\nb THE DOG\n")
+        assert run("score", ref, hyp) == 2
+        assert f"{ref}:2: expected id<TAB>text, got 'b THE DOG'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, flags, message",
+        [
+            (b"utt00000\tA\nutt00000\tB\n", (), ":2: id 'utt00000' repeats line 1"),
+            (b"utt00000\t\xff\n", (), ":1: 'utf-8' codec can't decode byte 0xff"),
+            (b"utt00000\tb-z q-q e-o UNK\n", ("--strip-sar",), ":1: 'b-z q-q e-o' holds a token outside"),
+        ],
+        ids=["repeated-id", "non-utf8", "sar-token"],
+    )
+    def test_bad_hypothesis_file_exits_2(self, corpus_dir, tmp_path, capsys, data, flags, message):
+        hyp = tmp_path / "hyp.sar"
+        hyp.write_bytes(data)
+        assert run("score", write_ref(corpus_dir, tmp_path / "ref.tsv"), hyp, *flags) == 2
+        assert f"{hyp}{message}" in capsys.readouterr().err
+
+    def test_score_strip_sar_reads_decoded_annotations(self, sar_run, tmp_path, capsys):
+        corpus, out = sar_run
+        hyp = tmp_path / "hyp.tsv"
+        assert run("decode", "--run", out, "--corpus", corpus, "--out", hyp, "--mode", "switched") == 0
+        ref = write_ref(corpus, tmp_path / "ref.tsv")
+        assert run("score", ref, hyp) == 0
+        plain = capsys.readouterr().out.splitlines()[-1]
+        assert run("score", ref, hyp.with_suffix(".sar"), "--strip-sar") == 0
+        assert capsys.readouterr().out.splitlines()[-1] == plain
+
+    def test_repeated_corpus_id_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run("synth", "--out", corpus, "--seed", 1, "--count", 6) == 0
+        tsv = corpus / "corpus.tsv"
+        lines = tsv.read_text().splitlines()
+        tsv.write_text("\n".join(lines[:5] + [lines[0]]) + "\n")
+        assert run("train", "--corpus", corpus, "--out", tmp_path / "r") == 2
+        assert f"{tsv}:6: id 'utt00000' repeats line 1" in capsys.readouterr().err
+
+    def test_non_finite_feature_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run("synth", "--out", corpus, "--seed", 1, "--count", 4) == 0
+        victim = corpus / "features" / "utt00002.bin"
+        victim.write_bytes(victim.read_bytes()[:-4] + b"\x00\x00\xc0\x7f")  # a float32 NaN
+        assert run("train", "--corpus", corpus, "--out", tmp_path / "r") == 2
+        assert f"{victim}: features of 'utt00002' are not all finite" in capsys.readouterr().err
 
 
 class TestAblate:

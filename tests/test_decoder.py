@@ -24,6 +24,7 @@ from a2w.decoder import (
     greedy_collapse,
     one_hot_lattice,
     parse_hypothesis,
+    read_sar_file,
     read_transcripts,
     render_hypothesis,
     sar_decode_chars,
@@ -89,7 +90,7 @@ class TestGreedyCollapse:
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=6))
     def test_expanded_target_one_hot_decodes_to_target(self, y):
         expanded = expand_target(y)
-        lat = one_hot_lattice(expanded.labels, 5)
+        lat = one_hot_lattice(expanded, 5)
         assert greedy_collapse(lat) == y
 
 
@@ -263,3 +264,39 @@ class TestTranscriptFiles:
         write_sar_file(path, [("u1", hyp)])
         text = path.read_text()
         assert text == "u1\tb-t h e-e THE\n"
+
+    def test_sar_file_round_trip(self, tmp_path, joint):
+        hyp = SarHypothesis(
+            entries=(
+                SarWord(word="THE", spelling=("b-t", "h", "e-e"), tag=TAG_FROM_WORD),
+                SarWord(word="ZOO", spelling=("b-z", "e-2o"), tag=TAG_FROM_CHARS),
+            )
+        )
+        path = tmp_path / "hyp.sar"
+        rows = [("u1", hyp), ("u2", SarHypothesis(entries=()))]
+        write_sar_file(path, rows)
+        assert read_sar_file(path, joint.charset) == dict(rows)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"a\tTHE CAT\nb THE DOG\n", r":2: expected id<TAB>text, got 'b THE DOG'"),
+            (b"a\tTHE\n\nb\tA\na\tCAT\n", r":4: id 'a' repeats line 1"),
+            (b"a\tTHE\nb\tDO\xffG\n", r":2: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["no-tab", "repeated-id", "non-utf8"],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, joint, data, message):
+        path = tmp_path / "hyp.tsv"
+        path.write_bytes(data)
+        for read in (read_transcripts, lambda p: read_sar_file(p, joint.charset)):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value).startswith(f"{path}{message}")
+
+    def test_unreadable_sar_token_names_path_and_line(self, tmp_path, joint):
+        path = tmp_path / "hyp.sar"
+        path.write_text("u1\tb-t h e-e THE\nu2\tb-z q-q e-o UNK\n")
+        message = f"{path}:2: 'b-z q-q e-o' holds a token outside the positional charset"
+        with pytest.raises(ValueError, match=message):
+            read_sar_file(path, joint.charset)

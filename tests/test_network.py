@@ -16,8 +16,6 @@ from a2w.network import (
     init_uniform_fan_in,
     model_backward,
     model_forward,
-    output_side_param_count,
-    parameter_count,
     warm_start,
 )
 from oracles import reference_backward, reference_forward
@@ -75,15 +73,23 @@ class TestInit:
 
 class TestParameterAccounting:
     def test_projection_factorization_counts(self):
+        # V x d plus d x D with a projection, V x D without, and no bias on the output side
         cfg = ModelConfig(input_dim=10, output_dim=50, num_layers=2, hidden_per_direction=8, projection_dim=6)
-        assert output_side_param_count(cfg) == 50 * 6 + 6 * 16
+        params = init_model(cfg, np.random.default_rng(0)).params
+        assert sorted(n for n in params if not n.startswith("layers.")) == ["out.W", "proj.W"]
+        assert params["proj.W"].shape == (6, 16)
+        assert params["out.W"].shape == (50, 6)
         flat = ModelConfig(input_dim=10, output_dim=50, num_layers=2, hidden_per_direction=8, projection_dim=0)
-        assert output_side_param_count(flat) == 50 * 16
+        flat_params = init_model(flat, np.random.default_rng(0)).params
+        assert sorted(n for n in flat_params if not n.startswith("layers.")) == ["out.W"]
+        assert flat_params["out.W"].shape == (50, 16)
 
     def test_total_count_matches_tensors(self):
         cfg = ModelConfig(input_dim=7, output_dim=9, num_layers=3, hidden_per_direction=5, projection_dim=4)
         model = init_model(cfg, np.random.default_rng(0))
-        assert parameter_count(cfg) == sum(p.size for p in model.params.values())
+        # per direction 4H x (in + H) + 4H; layer 0 reads 7 inputs, the others 2H = 10
+        stack = 2 * (20 * (7 + 5) + 20) + 2 * 2 * (20 * (10 + 5) + 20)
+        assert sum(p.size for p in model.params.values()) == stack + 9 * 4 + 4 * 10
 
     def test_projection_dim_bound_enforced(self):
         with pytest.raises(BadShape):

@@ -288,6 +288,26 @@ class TestCorpusIo:
         with pytest.raises(ValueError, match=r"corpus\.tsv: 'utf-8' codec can't decode byte 0xff"):
             load_corpus(tmp_path)
 
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        save_corpus(synth_corpus(SynthSpec(vocab_size=4, proto_seed=2), 3, seed=5), tmp_path)
+        tsv = tmp_path / "corpus.tsv"
+        lines = tsv.read_text().splitlines()
+        tsv.write_text("\n".join(lines + [lines[0]]) + "\n")
+        with pytest.raises(ValueError, match=r"corpus\.tsv:4: id 'utt00000' repeats line 1"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_the_file(self, tmp_path, value):
+        utts = synth_corpus(SynthSpec(vocab_size=4, feature_dim=3, proto_seed=2), 3, seed=5)
+        save_corpus(utts, tmp_path)
+        victim = tmp_path / "features" / "utt00001.bin"
+        raw = bytearray(victim.read_bytes())
+        raw[-4:] = np.array([value], dtype="<f4").tobytes()
+        victim.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as err:
+            load_corpus(tmp_path)
+        assert str(err.value) == f"{victim}: features of 'utt00001' are not all finite"
+
     def test_split_is_stable_partition(self):
         utts = make_utts([3] * 40)
         train, heldout = split_by_id_hash(utts, 0.25)

@@ -24,7 +24,7 @@ def test_sar_demo_runs():
     assert "switched" in result.stdout
 
 
-@pytest.mark.parametrize("name", ["curriculum_study.py", "toy_experiment.py", "step_memory.py"])
+@pytest.mark.parametrize("name", ["curriculum_study.py", "toy_experiment.py", "step_memory.py", "cli_sweep.py"])
 def test_help(name):
     result = run_script(name, "--help")
     assert result.returncode == 0, result.stderr

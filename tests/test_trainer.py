@@ -21,6 +21,7 @@ from a2w.trainer import (
     make_checkpoint,
     model_from_checkpoint,
     nesterov_step,
+    open_run,
     prepare_corpus,
     run_training,
     train,
@@ -292,6 +293,35 @@ class TestTrainLoop:
             run_training(TrainConfig(**TOY), train_utts, [], tmp_path)
         with pytest.raises(ValueError):
             run_training(TrainConfig(**TOY), [], held, tmp_path)
+
+
+class TestOpenRun:
+    @pytest.mark.parametrize("targets", ["word", "sar"])
+    def test_reopens_what_run_training_wrote(self, tmp_path, targets):
+        spec = SynthSpec(vocab_size=4, feature_dim=4, min_words=1, max_words=2, min_frames=12, max_frames=16,
+                         proto_seed=1)
+        train_utts, held = synth_corpus(spec, 12, seed=2), synth_corpus(spec, 4, seed=3, id_prefix="held")
+        cfg = TrainConfig(**{**TOY, "epochs": 2, "targets": targets})
+        artifacts = run_training(cfg, train_utts, held, tmp_path)
+        back_cfg, model, space = open_run(tmp_path)
+        assert back_cfg == cfg
+        assert model.config == artifacts.model.config
+        for name, value in artifacts.model.params.items():
+            np.testing.assert_array_equal(model.params[name], value)
+        assert (space.vocab, space.joint) == (artifacts.label_space.vocab, artifacts.label_space.joint)
+        assert list(space.encode(held[0].transcript)) == list(artifacts.label_space.encode(held[0].transcript))
+        _, first, _ = open_run(tmp_path, epoch=1)
+        expected = load_checkpoint(tmp_path / "epoch001.ckpt").model_tensors()
+        for name, value in expected.items():
+            np.testing.assert_array_equal(first.params[name], value)
+
+    def test_missing_checkpoint_names_the_run(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match=f"{tmp_path}: no checkpoint matches epoch\\*\\.ckpt"):
+            open_run(tmp_path)
+        train_utts, held = toy_corpora()
+        run_training(TrainConfig(**{**TOY, "epochs": 1}), train_utts, held, tmp_path)
+        with pytest.raises(FileNotFoundError, match=f"{tmp_path}: no checkpoint matches epoch004\\.ckpt"):
+            open_run(tmp_path, epoch=4)
 
 
 def test_step_holds_at_most_one_logits_sized_array_above_the_forward_cache(tmp_path, monkeypatch):
