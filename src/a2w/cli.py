@@ -14,7 +14,7 @@ from .ablation import VARIANTS, default_aliases, run_ablation
 from .alphabet import build_charset
 from .checkpoint import load_checkpoint
 from .config import TrainConfig, config_from_items, load_config
-from .decoder import decode_utterances, read_sar_file, read_transcripts, write_sar_file, write_transcripts
+from .decoder import DECODE_MODES, decode_utterances, read_sar_file, read_transcripts, write_sar_file, write_transcripts
 from .pipeline import SynthSpec, load_corpus, save_corpus, split_by_id_hash, synth_corpus
 from .scoring import corpus_wer
 from .trainer import open_run, prepare_corpus, run_training
@@ -105,6 +105,9 @@ def _cmd_score(args) -> int:
         hyps = {utt_id: hyp.words for utt_id, hyp in read_sar_file(args.hyp, build_charset(args.charset)).items()}
     else:
         hyps = read_transcripts(args.hyp)
+    if refs.keys() != hyps.keys():
+        only_ref, only_hyp = sorted(refs.keys() - hyps.keys())[:3], sorted(hyps.keys() - refs.keys())[:3]
+        raise ValueError(f"ids differ: {only_ref} only in {args.ref}, {only_hyp} only in {args.hyp}")
     print(corpus_wer(refs, hyps))
     return 0
 
@@ -169,7 +172,7 @@ def build_parser() -> _Parser:
     p.add_argument("--run", required=True, help="training run directory")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output transcript tsv")
-    p.add_argument("--mode", choices=("word", "chars", "switched"), default="word")
+    p.add_argument("--mode", choices=DECODE_MODES, default="word")
     p.add_argument("--epoch", type=int, default=None, help="checkpoint epoch (default: latest)")
     p.set_defaults(func=_cmd_decode)
 

@@ -2,12 +2,14 @@
 
 The loss of a target sequence is the negative log of the summed probability
 of every frame-level path that collapses to it (remove adjacent repeats,
-then blanks). A log-domain forward recursion over the blank-interleaved
-target computes the loss; the backward recursion yields per-frame label
-occupancies and from them the exact gradient with respect to the logits.
-The arithmetic is float64 whatever the lattice's dtype, so a float32
-lattice can be a view of the network's logits. The test suite's
-path-enumeration and finite-difference oracles (tests/oracles.py) check it.
+then blanks). One log-domain recursion over the blank-interleaved target,
+stepped over the lattice and over its time- and state-reversal in one time
+loop, gives alpha (hence the loss) and beta (Graves et al. 2006); they give
+per-frame label occupancies and the exact gradient w.r.t. the logits. Each
+call takes one log-softmax, whose exponent becomes the gradient buffer. The
+arithmetic is float64 whatever the lattice's dtype, so a float32 lattice can
+be a view of the network's logits. The test suite's path-enumeration,
+finite-difference and two-loop reference oracles (tests/oracles.py) check it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class PosteriorLattice:
     """T x K matrix of per-frame label scores; column 0 is the blank.
 
     float32 values are kept as given (no copy); any other input becomes
-    float64. Validation, ``log_probs`` and ``probs`` work in float64.
+    float64. Validation and ``log_probs`` work in float64.
     """
 
     values: np.ndarray
@@ -58,7 +60,7 @@ class PosteriorLattice:
         if t < 1 or k < 2:
             raise ValueError(f"lattice needs T >= 1 and K >= 2, got {v.shape}")
         if self.kind == PROBABILITIES:
-            v = self._values64()
+            v = v.astype(np.float64, copy=False)
             if np.any(v < 0) or np.any(v > 1):
                 raise ValueError("probability entries must lie in [0, 1]")
             if np.max(np.abs(v.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
@@ -77,20 +79,13 @@ class PosteriorLattice:
     def num_labels(self) -> int:
         return self.values.shape[1]
 
-    def _values64(self) -> np.ndarray:
-        return self.values.astype(np.float64, copy=False)
-
     def log_probs(self) -> np.ndarray:
-        """Row-normalized log-probabilities; zeros map to -inf."""
+        """Row-normalized float64 log-probabilities; zeros map to -inf."""
+        v = self.values.astype(np.float64, copy=False)
         if self.kind == LOGITS:
-            return log_softmax(self._values64())
+            return log_softmax(v)
         with np.errstate(divide="ignore"):
-            return np.log(self._values64())
-
-    def probs(self) -> np.ndarray:
-        if self.kind == PROBABILITIES:
-            return self._values64()
-        return np.exp(log_softmax(self._values64()))
+            return np.log(v)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -121,19 +116,17 @@ class CtcResult:
     grad: np.ndarray  # T x K, d(-log p)/d logit
 
 
-def _skip_allowed(ext: np.ndarray) -> np.ndarray:
-    """allow[s]: the s-2 -> s transition is legal (label differs, non-blank)."""
-    allow = np.zeros(len(ext), dtype=bool)
-    allow[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
-    return allow
-
-
 def forward_backward(lattice: PosteriorLattice, y: Sequence[int]):
-    """Log-domain alpha/beta over the expanded target.
+    """Log-domain alpha/beta over the expanded target, in one sweep.
 
-    Returns (log_alpha, log_beta, log_total, ext) where beta excludes the
-    emission at its own frame, so sum_s alpha[t, s] * beta[t, s] equals the
-    total path probability at every t.
+    Beta is alpha's recursion over the lattice reversed in time and state, so
+    one time loop steps both directions (0: the lattice, 1: its reversal); a
+    sweep row holds the log mass entering a frame, before its emission.
+
+    Returns (log_alpha, log_beta, log_total, ext, log_probs) where beta
+    excludes the emission at its own frame, so sum_s alpha[t, s] * beta[t, s]
+    equals the total path probability at every t, and log_probs is the
+    lattice's T x K row-normalized log-probabilities.
     """
     ext = np.asarray(expand_target(y), dtype=np.int64)
     t_frames = lattice.num_frames
@@ -141,39 +134,24 @@ def forward_backward(lattice: PosteriorLattice, y: Sequence[int]):
         raise InfeasibleAlignment(
             f"target of length {len(list(y))} needs at least {min_frames_for(y)} frames, lattice has {t_frames}"
         )
-    lp_full = lattice.log_probs()
-    lp = lp_full[:, ext]  # T x S
-    s_len = len(ext)
-    allow = _skip_allowed(ext)
+    log_probs = lattice.log_probs()
+    lp = log_probs[:, ext]  # T x S
+    emit = np.stack([lp, lp[::-1, ::-1]], axis=1)  # T x 2 x S
+    states = np.stack([ext, ext[::-1]])
+    skip = (states[:, 2:] != BLANK_ID) & (states[:, 2:] != states[:, :-2])  # s-2 -> s is legal
 
-    log_alpha = np.full((t_frames, s_len), NEG_INF)
-    log_alpha[0, 0] = lp[0, 0]
-    if s_len > 1:
-        log_alpha[0, 1] = lp[0, 1]
+    sweep = np.full(emit.shape, NEG_INF)
+    sweep[0, :, :2] = 0.0
     for t in range(1, t_frames):
-        prev = log_alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        acc[2:] = np.where(allow[2:], np.logaddexp(acc[2:], prev[:-2]), acc[2:])
-        log_alpha[t] = acc + lp[t]
+        prev = sweep[t - 1] + emit[t - 1]
+        acc = sweep[t]
+        acc[:] = prev
+        acc[:, 1:] = np.logaddexp(acc[:, 1:], prev[:, :-1])
+        acc[:, 2:] = np.where(skip, np.logaddexp(acc[:, 2:], prev[:, :-2]), acc[:, 2:])
 
-    tail = log_alpha[t_frames - 1, s_len - 1]
-    if s_len > 1:
-        tail = np.logaddexp(tail, log_alpha[t_frames - 1, s_len - 2])
-    log_total = float(tail)
-
-    log_beta = np.full((t_frames, s_len), NEG_INF)
-    log_beta[t_frames - 1, s_len - 1] = 0.0
-    if s_len > 1:
-        log_beta[t_frames - 1, s_len - 2] = 0.0
-    for t in range(t_frames - 2, -1, -1):
-        nxt = log_beta[t + 1] + lp[t + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        acc[:-2] = np.where(allow[2:], np.logaddexp(acc[:-2], nxt[2:]), acc[:-2])
-        log_beta[t] = acc
-
-    return log_alpha, log_beta, log_total, ext
+    log_alpha = sweep[:, 0] + emit[:, 0]
+    log_total = float(np.logaddexp.reduce(log_alpha[-1, -2:]))
+    return log_alpha, sweep[::-1, 1, ::-1], log_total, ext, log_probs
 
 
 def ctc_loss(lattice: PosteriorLattice, y: Sequence[int]) -> CtcResult:
@@ -184,7 +162,7 @@ def ctc_loss(lattice: PosteriorLattice, y: Sequence[int]) -> CtcResult:
     one (rows sum to zero); the posterior-side gradient follows from the
     softmax chain rule.
     """
-    log_alpha, log_beta, log_total, ext = forward_backward(lattice, y)
+    log_alpha, log_beta, log_total, ext, grad = forward_backward(lattice, y)
     if not np.isfinite(log_total):
         # structurally feasible but zero-probability: loss is +inf, keep it
         return CtcResult(log_loss=math.inf, grad=np.full(lattice.values.shape, np.nan))
@@ -193,7 +171,7 @@ def ctc_loss(lattice: PosteriorLattice, y: Sequence[int]) -> CtcResult:
     # positive float cancellation residue under extreme logits
     occupancy = np.exp(np.minimum(log_alpha + log_beta - log_total, 0.0))  # T x S
     gamma = np.zeros(lattice.values.shape)
-    for s, label in enumerate(ext):
-        gamma[:, label] += occupancy[:, s]
-    grad = lattice.probs() - gamma
+    np.add.at(gamma, (slice(None), ext), occupancy)  # in state order, as a loop over s
+    np.exp(grad, out=grad)  # the log-probabilities become the posteriors in place
+    grad -= gamma
     return CtcResult(log_loss=-log_total, grad=grad)

@@ -194,6 +194,18 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
     return SarHypothesis(entries=tuple(entries))
 
 
+def _annotated(hyp: SarHypothesis) -> tuple[list[str], SarHypothesis]:
+    return hyp.words, hyp
+
+
+# spell-and-recognize decode mode -> (lattice, joint) -> (words, annotation or None)
+DECODE_MODES = {
+    "word": lambda lattice, joint: (sar_decode_word(lattice, joint), None),
+    "chars": lambda lattice, joint: _annotated(sar_decode_chars(lattice, joint)),
+    "switched": lambda lattice, joint: _annotated(sar_decode_switched(lattice, joint)),
+}
+
+
 def decode_utterances(
     model: Model,
     utts: Sequence[Utterance],
@@ -203,23 +215,19 @@ def decode_utterances(
     batch_size: int = 16,
 ) -> list[tuple[str, list[str], SarHypothesis | None]]:
     """Greedy-decode a prepared corpus; returns (id, words, annotation) rows
-    in corpus order. Plain word models ignore ``mode``."""
+    in corpus order. ``mode`` must be a ``DECODE_MODES`` key; plain word
+    models decode words whatever it is."""
+    if mode not in DECODE_MODES:
+        raise ValueError(f"unknown decode mode {mode!r}; choose from {', '.join(DECODE_MODES)}")
+    decode = DECODE_MODES[mode]
     by_id = {}
     for batch in sort_and_batch(utts, ASCENDING, batch_size, lambda words: ()):
         lattices, _ = model_forward(batch.features, batch.lengths, model)
         for utt_id, lattice in zip(batch.ids, lattices):
             if joint is None:
                 by_id[utt_id] = (decode_words(greedy_collapse(lattice), vocab), None)
-            elif mode == "word":
-                by_id[utt_id] = (sar_decode_word(lattice, joint), None)
-            elif mode == "chars":
-                hyp = sar_decode_chars(lattice, joint)
-                by_id[utt_id] = (hyp.words, hyp)
-            elif mode == "switched":
-                hyp = sar_decode_switched(lattice, joint)
-                by_id[utt_id] = (hyp.words, hyp)
             else:
-                raise ValueError(f"unknown decode mode {mode!r}")
+                by_id[utt_id] = decode(lattice, joint)
     return [(u.id, *by_id[u.id]) for u in utts]
 
 

@@ -64,7 +64,8 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 2 or self.num_layers < 1:
-            raise BadShape("input_dim, output_dim and num_layers must be positive (output includes blank)")
+            dims = f"input_dim={self.input_dim}, output_dim={self.output_dim}, num_layers={self.num_layers}"
+            raise BadShape(f"{dims}: each must be positive, and output_dim >= 2 (it includes the blank)")
         if self.hidden_per_direction < 1:
             raise BadShape("hidden_per_direction must be positive")
         if self.projection_dim and not 0 < self.projection_dim < self.concat_dim:
@@ -72,7 +73,7 @@ class ModelConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.dtype not in ("float64", "float32"):
-            raise ValueError("dtype must be float64 or float32")
+            raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
         self.stack_init_gain()  # validates the scheme string
 
     def stack_init_gain(self) -> float:

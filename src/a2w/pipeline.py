@@ -289,7 +289,10 @@ def load_corpus(directory: str | Path) -> list[Utterance]:
         if first.setdefault(utt_id, lineno) != lineno:
             raise ValueError(f"{tsv}:{lineno}: id {utt_id!r} repeats line {first[utt_id]}")
         path = directory / rel
-        raw = path.read_bytes()
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise ValueError(f"{tsv}:{lineno}: feature path {rel!r}: {exc.strerror}") from None
         t, f = _FEATURE_HEADER.unpack_from(raw) if len(raw) >= _FEATURE_HEADER.size else (0, 0)
         if t < 1 or f < 1 or len(raw) != _FEATURE_HEADER.size + 4 * t * f:
             raise ValueError(f"{path}: {len(raw)} bytes do not hold the {t}x{f} float32 features its header declares")

@@ -330,8 +330,6 @@ def run_training(
     """End-to-end orchestration: transforms, alphabets, init/warm-start/resume,
     then the epoch loop. Writes alphabets and the resolved config beside the
     checkpoints so that decoding needs only the run directory."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not raw_train or not raw_heldout:
         raise ValueError("both the training and heldout splits must be non-empty")
     train_utts = prepare_corpus(raw_train, cfg)
@@ -340,15 +338,13 @@ def run_training(
     check_feasible(train_utts, space.encode)
     check_feasible(heldout_utts, space.encode)
 
-    save_config(cfg, out_dir / "config.txt")
-    save_alphabet(out_dir / "vocab.txt", space.vocab)
-    if space.joint is not None:
-        save_alphabet(out_dir / "chars.txt", space.joint.charset)
-
+    # every check that can reject the recipe runs before the first file is written
     model_config = build_model_config(cfg, train_utts[0].features.shape[1], space.size)
+    CurriculumOrder(cfg.order)
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
     model = init_model(model_config, np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x1417))))
-    state = None
-    start_epoch = 0
+    state, warm_report, start_epoch = None, None, 0
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         report = warm_start(model, ckpt.model_tensors())
@@ -362,8 +358,19 @@ def run_training(
             )
         start_epoch = ckpt.epoch
     elif cfg.warm_ckpt:
-        report = warm_start(model, load_checkpoint(cfg.warm_ckpt).model_tensors())
-        (out_dir / "warm_start.txt").write_text(str(report) + "\n", encoding="utf-8")
+        warm_report = warm_start(model, load_checkpoint(cfg.warm_ckpt).model_tensors())
+    if start_epoch >= cfg.epochs:
+        at = f"{resume_from} is at epoch {start_epoch}, so " if resume_from is not None else ""
+        raise ValueError(f"{at}epochs={cfg.epochs} leaves no epoch to run")
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out_dir / "config.txt")
+    save_alphabet(out_dir / "vocab.txt", space.vocab)
+    if space.joint is not None:
+        save_alphabet(out_dir / "chars.txt", space.joint.charset)
+    if warm_report is not None:
+        (out_dir / "warm_start.txt").write_text(str(warm_report) + "\n", encoding="utf-8")
 
     run = train(model, train_utts, heldout_utts, cfg, out_dir, space.encode, state=state, start_epoch=start_epoch)
     return TrainArtifacts(run=run, model=model, label_space=space)

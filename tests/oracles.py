@@ -9,7 +9,16 @@ from typing import Sequence
 import numpy as np
 
 from a2w.alphabet import BLANK_ID
-from a2w.ctc import LOGITS, NEG_INF, PosteriorLattice, ctc_loss
+from a2w.ctc import (
+    LOGITS,
+    NEG_INF,
+    CtcResult,
+    InfeasibleAlignment,
+    PosteriorLattice,
+    ctc_loss,
+    expand_target,
+    min_frames_for,
+)
 
 ORACLE_MAX_T = 10
 ORACLE_MAX_K = 6
@@ -21,6 +30,14 @@ class OracleTooLarge(ValueError):
 
 
 # -- CTC path enumeration and finite differences ----------------------------
+
+
+def lattice_probs(lattice: PosteriorLattice) -> np.ndarray:
+    """The lattice's rows as float64 probabilities: a softmax of logits, or
+    the probability rows as given."""
+    if lattice.kind == LOGITS:
+        return np.exp(lattice.log_probs())
+    return lattice.values.astype(np.float64, copy=False)
 
 
 def ctc_brute_force(lattice: PosteriorLattice, y: Sequence[int]) -> float:
@@ -36,7 +53,7 @@ def ctc_brute_force(lattice: PosteriorLattice, y: Sequence[int]) -> float:
             f"enumeration capped at T <= {ORACLE_MAX_T}, K <= {ORACLE_MAX_K}; got T={t_frames}, K={k_labels}"
         )
     y = np.asarray(list(y), dtype=np.int64)
-    probs = lattice.probs()
+    probs = lattice_probs(lattice)
     n_paths = k_labels**t_frames
     partial_sums: list[np.ndarray] = []
     for start in range(0, n_paths, _ORACLE_CHUNK):
@@ -87,6 +104,91 @@ def ctc_grad_check(lattice: PosteriorLattice, y: Sequence[int], step: float = 1e
             err = abs(analytic[t, k] - numeric) / max(1.0, abs(analytic[t, k]))
             worst = max(worst, err)
     return worst
+
+
+# -- two-loop CTC reference ---------------------------------------------------
+# The alpha and beta recursions a2w.ctc fused into one sweep, and the loss
+# that read the posteriors from a second softmax and scattered the
+# occupancies one state at a time. Kept verbatim as the equivalence oracle,
+# with ``lattice_probs`` standing in for the deleted ``PosteriorLattice.probs``.
+
+
+def _skip_allowed(ext: np.ndarray) -> np.ndarray:
+    """allow[s]: the s-2 -> s transition is legal (label differs, non-blank)."""
+    allow = np.zeros(len(ext), dtype=bool)
+    allow[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+    return allow
+
+
+def reference_forward_backward(lattice: PosteriorLattice, y: Sequence[int]):
+    """Log-domain alpha/beta over the expanded target.
+
+    Returns (log_alpha, log_beta, log_total, ext) where beta excludes the
+    emission at its own frame, so sum_s alpha[t, s] * beta[t, s] equals the
+    total path probability at every t.
+    """
+    ext = np.asarray(expand_target(y), dtype=np.int64)
+    t_frames = lattice.num_frames
+    if t_frames < min_frames_for(y):
+        raise InfeasibleAlignment(
+            f"target of length {len(list(y))} needs at least {min_frames_for(y)} frames, lattice has {t_frames}"
+        )
+    lp_full = lattice.log_probs()
+    lp = lp_full[:, ext]  # T x S
+    s_len = len(ext)
+    allow = _skip_allowed(ext)
+
+    log_alpha = np.full((t_frames, s_len), NEG_INF)
+    log_alpha[0, 0] = lp[0, 0]
+    if s_len > 1:
+        log_alpha[0, 1] = lp[0, 1]
+    for t in range(1, t_frames):
+        prev = log_alpha[t - 1]
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+        acc[2:] = np.where(allow[2:], np.logaddexp(acc[2:], prev[:-2]), acc[2:])
+        log_alpha[t] = acc + lp[t]
+
+    tail = log_alpha[t_frames - 1, s_len - 1]
+    if s_len > 1:
+        tail = np.logaddexp(tail, log_alpha[t_frames - 1, s_len - 2])
+    log_total = float(tail)
+
+    log_beta = np.full((t_frames, s_len), NEG_INF)
+    log_beta[t_frames - 1, s_len - 1] = 0.0
+    if s_len > 1:
+        log_beta[t_frames - 1, s_len - 2] = 0.0
+    for t in range(t_frames - 2, -1, -1):
+        nxt = log_beta[t + 1] + lp[t + 1]
+        acc = nxt.copy()
+        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
+        acc[:-2] = np.where(allow[2:], np.logaddexp(acc[:-2], nxt[2:]), acc[:-2])
+        log_beta[t] = acc
+
+    return log_alpha, log_beta, log_total, ext
+
+
+def reference_ctc_loss(lattice: PosteriorLattice, y: Sequence[int]) -> CtcResult:
+    """Negative log path-sum probability and its gradient w.r.t. the logits.
+
+    For probability-kind lattices the rows are treated as an already
+    normalized softmax, so the returned gradient is still the logit-side
+    one (rows sum to zero); the posterior-side gradient follows from the
+    softmax chain rule.
+    """
+    log_alpha, log_beta, log_total, ext = reference_forward_backward(lattice, y)
+    if not np.isfinite(log_total):
+        # structurally feasible but zero-probability: loss is +inf, keep it
+        return CtcResult(log_loss=math.inf, grad=np.full(lattice.values.shape, np.nan))
+
+    # each state's share of the total is <= 1; the clamp only removes
+    # positive float cancellation residue under extreme logits
+    occupancy = np.exp(np.minimum(log_alpha + log_beta - log_total, 0.0))  # T x S
+    gamma = np.zeros(lattice.values.shape)
+    for s, label in enumerate(ext):
+        gamma[:, label] += occupancy[:, s]
+    grad = lattice_probs(lattice) - gamma
+    return CtcResult(log_loss=-log_total, grad=grad)
 
 
 # -- exhaustive WER ---------------------------------------------------------

@@ -22,16 +22,17 @@ def corpus_dir(tmp_path_factory):
     return path
 
 
+RUN_FLAGS = (
+    "--layers", 1, "--hidden", 6, "--projection", 4, "--epochs", 2,
+    "--batch_size", 8, "--heldout_fraction", 0.2, "--min_count", 1,
+    "--deltas", "false", "--stacking", "false", "--seed", 3,
+)
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory, corpus_dir):
     out = tmp_path_factory.mktemp("run")
-    status = run(
-        "train", "--corpus", corpus_dir, "--out", out,
-        "--layers", 1, "--hidden", 6, "--projection", 4, "--epochs", 2,
-        "--batch_size", 8, "--heldout_fraction", 0.2, "--min_count", 1,
-        "--deltas", "false", "--stacking", "false", "--seed", 3,
-    )
-    assert status == 0
+    assert run("train", "--corpus", corpus_dir, "--out", out, *RUN_FLAGS) == 0
     return out
 
 
@@ -255,6 +256,35 @@ class TestReaderFaults:
         assert f"{victim}: features of 'utt00002' are not all finite" in capsys.readouterr().err
 
 
+class TestUnrunnableRecipe:
+    """A recipe that cannot run exits 2 naming the value before it writes a
+    file: an existing run directory is left byte for byte, a new one unmade."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--order", "nope"), "unknown curriculum order 'nope'"),
+            (("--batch_size", 0), "batch_size must be >= 1, got 0"),
+            (("--dtype", "float16"), "dtype must be float64 or float32, got 'float16'"),
+            (("--init", "bogus"), "unknown init scheme 'bogus'"),
+            (("--layers", 0), "num_layers=0"),
+            (("--epochs", 0), "epochs=0 leaves no epoch to run"),
+            (("--resume", "epoch002.ckpt"), "epoch002.ckpt is at epoch 2, so epochs=2 leaves no epoch to run"),
+        ],
+        ids=["order", "batch-size", "dtype", "init", "layers", "epochs", "resume-at-last-epoch"],
+    )
+    def test_exits_2_and_writes_nothing(self, run_dir, corpus_dir, tmp_path, capsys, flags, message):
+        existing, fresh = tmp_path / "existing", tmp_path / "fresh"
+        shutil.copytree(run_dir, existing)
+        before = {p.name: p.read_bytes() for p in existing.iterdir()}
+        for out in (existing, fresh):
+            args = [existing / f if f == "epoch002.ckpt" else f for f in flags]
+            assert run("train", "--corpus", corpus_dir, "--out", out, *RUN_FLAGS, *args) == 2
+            assert message in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in existing.iterdir()} == before
+        assert not fresh.exists()
+
+
 class TestAblate:
     def test_two_spec_sweep(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "ablation"
@@ -315,12 +345,13 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run("--help") == 0
 
-    def test_score_on_mismatched_ids_fails(self, tmp_path):
+    def test_score_on_mismatched_ids_fails(self, tmp_path, capsys):
         a = tmp_path / "a.tsv"
         b = tmp_path / "b.tsv"
         a.write_text("u1\tHELLO\n")
         b.write_text("u2\tHELLO\n")
         assert run("score", a, b) == 2
+        assert f"error: ValueError: ids differ: ['u1'] only in {a}, ['u2'] only in {b}" in capsys.readouterr().err
 
     def test_truncated_feature_file_is_named(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

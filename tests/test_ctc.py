@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from a2w.ctc import (
@@ -16,7 +16,7 @@ from a2w.ctc import (
     forward_backward,
     min_frames_for,
 )
-from oracles import OracleTooLarge, ctc_brute_force, ctc_grad_check
+from oracles import OracleTooLarge, ctc_brute_force, ctc_grad_check, reference_ctc_loss, reference_forward_backward
 
 
 def random_prob_lattice(rng, t, k):
@@ -235,7 +235,7 @@ class TestInvariants:
         seed = data.draw(st.integers(0, 2**31))
         rng = np.random.default_rng(seed)
         lat = random_prob_lattice(rng, t, k)
-        log_alpha, log_beta, log_total, _ = forward_backward(lat, y)
+        log_alpha, log_beta, log_total, _, _ = forward_backward(lat, y)
         for frame in range(t):
             with np.errstate(divide="ignore"):
                 frame_total = np.logaddexp.reduce(log_alpha[frame] + log_beta[frame])
@@ -260,6 +260,63 @@ class TestInvariants:
         assert np.isfinite(ctc_loss(wider, y).log_loss)
 
 
+@st.composite
+def sweep_cases(draw):
+    """(K, target, T, seed): targets of 0-7 labels, sometimes with an adjacent
+    repeat, and T from the minimum frame count up to 9 frames more."""
+    k = draw(st.integers(2, 11))
+    y = draw(st.lists(st.integers(1, k - 1), max_size=7))
+    if len(y) > 1 and draw(st.booleans()):
+        at = draw(st.integers(0, len(y) - 2))
+        y[at + 1] = y[at]
+    t = max(1, min_frames_for(y) + draw(st.integers(0, 9)))
+    return k, y, t, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSweepMatchesTwoLoopReference:
+    """The one-sweep recursion against the two-loop code it replaced
+    (tests/oracles.py): bitwise on logits lattices."""
+
+    @given(sweep_cases(), st.sampled_from([np.float32, np.float64]), st.sampled_from([1.0, 8.0, 80.0, 1000.0]))
+    @example((3, [], 1, 0), np.float64, 1.0)
+    @example((4, [2, 2, 3, 3], 6, 1), np.float32, 8.0)
+    @example((5, [1, 4, 4, 2, 1, 1, 3], 9, 2), np.float64, 80.0)
+    @example((3, [1, 2, 1], 8, 3), np.float64, 1000.0)
+    @settings(max_examples=300, deadline=None)
+    def test_logits_lattices_are_bitwise_equal(self, case, dtype, scale):
+        k, y, t, seed = case
+        logits = (np.random.default_rng(seed).standard_normal((t, k)) * scale).astype(dtype)
+        lat = PosteriorLattice(logits, LOGITS)
+        log_alpha, log_beta, log_total, ext, _ = forward_backward(lat, y)
+        ref_alpha, ref_beta, ref_total, ref_ext = reference_forward_backward(lat, y)
+        assert np.array_equal(log_alpha, ref_alpha)
+        assert np.array_equal(log_beta, ref_beta)
+        assert log_total == ref_total
+        assert np.array_equal(ext, ref_ext)
+        got, want = ctc_loss(lat, y), reference_ctc_loss(lat, y)
+        assert got.log_loss == want.log_loss
+        assert np.array_equal(got.grad, want.grad, equal_nan=True)
+
+    @given(sweep_cases(), st.booleans())
+    @example((3, [], 1, 0), False)
+    @example((4, [2, 2, 3], 4, 1), True)
+    @settings(max_examples=200, deadline=None)
+    def test_probability_lattices_agree(self, case, with_zeros):
+        """Same loss; the gradient is exp(log p) - gamma rather than p - gamma,
+        which may differ from the reference in the last bit."""
+        k, y, t, seed = case
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(k), size=t)
+        if with_zeros:
+            rows[rng.random(rows.shape) < 0.2] = 0.0
+            rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        lat = PosteriorLattice(rows, PROBABILITIES)
+        got, want = ctc_loss(lat, y), reference_ctc_loss(lat, y)
+        assert got.log_loss == want.log_loss
+        np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=2.2e-16)
+
+
 class TestLatticeValidation:
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):
@@ -277,5 +334,6 @@ class TestLatticeValidation:
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(3, 4))
         lat = PosteriorLattice(logits, LOGITS)
-        np.testing.assert_allclose(lat.probs().sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_allclose(np.exp(lat.log_probs()), lat.probs(), atol=1e-12)
+        probs = np.exp(lat.log_probs())
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(PosteriorLattice(probs, PROBABILITIES).log_probs(), lat.log_probs(), atol=1e-12)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import a2w.decoder
 from a2w.alphabet import (
     JointAlphabet,
     build_positional_charset,
@@ -13,6 +14,7 @@ from a2w.alphabet import (
     spell_word,
 )
 from a2w.ctc import PROBABILITIES, PosteriorLattice, expand_target
+from a2w.pipeline import Utterance
 from a2w.decoder import (
     TAG_FROM_CHARS,
     TAG_FROM_WORD,
@@ -20,6 +22,7 @@ from a2w.decoder import (
     SarHypothesis,
     SarWord,
     collapse_labels,
+    decode_utterances,
     frame_argmax,
     greedy_collapse,
     one_hot_lattice,
@@ -200,6 +203,17 @@ class TestPerfectLatticeRoundTrip:
             tuple(joint.charset.symbol_of(i).text for i in spell_word(w, joint.charset)) for w in transcript
         ]
         assert sar_decode_switched(lat, joint).words == transcript
+
+
+def test_unknown_mode_is_rejected_before_any_forward(joint, monkeypatch):
+    def forward(*args, **kwargs):
+        raise AssertionError("model_forward ran before the mode was checked")
+
+    monkeypatch.setattr(a2w.decoder, "model_forward", forward)
+    utts = [Utterance(id="u1", features=np.zeros((4, 2)), transcript=("THE",))]
+    for corpus in (utts, []):
+        with pytest.raises(ValueError, match="unknown decode mode 'spelled'; choose from word, chars, switched"):
+            decode_utterances(None, corpus, joint.vocab, joint=joint, mode="spelled")
 
 
 class TestRendering:

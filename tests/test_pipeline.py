@@ -296,6 +296,19 @@ class TestCorpusIo:
         with pytest.raises(ValueError, match=r"corpus\.tsv:4: id 'utt00000' repeats line 1"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize(
+        "rel, fault", [("", "Is a directory"), ("features/missing.bin", "No such file or directory")], ids=["empty", "missing"]
+    )
+    def test_bad_feature_path_names_the_corpus_line(self, tmp_path, rel, fault):
+        save_corpus(synth_corpus(SynthSpec(vocab_size=4, proto_seed=2), 3, seed=5), tmp_path)
+        tsv = tmp_path / "corpus.tsv"
+        lines = tsv.read_text().splitlines()
+        lines[1] = lines[1].rsplit("\t", 1)[0] + "\t" + rel
+        tsv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_corpus(tmp_path)
+        assert str(err.value) == f"{tsv}:2: feature path {rel!r}: {fault}"
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_the_file(self, tmp_path, value):
         utts = synth_corpus(SynthSpec(vocab_size=4, feature_dim=3, proto_seed=2), 3, seed=5)

@@ -73,9 +73,6 @@ def test_load_corpus(tmp_path, edit, victim):
         load_corpus(tmp_path)
     except ValueError as exc:
         assert str(exc).startswith((f"{tmp_path / 'corpus.tsv'}:", f"{tmp_path / 'features'}/")), str(exc)
-    except OSError as exc:
-        # a truncated feature path names a file that is not there, or a directory
-        assert victim == "corpus.tsv" and exc.filename.startswith(str(tmp_path)), str(exc)
 
 
 @FUZZ
