@@ -14,12 +14,20 @@ The sweep drives only the command line (in-process, through
   chars and switched mode;
 * ``a2w score``, with and without ``--strip-sar``.
 
-It prints one ``sha256  relative/path`` line per file under ``--out``,
-sorted by path. Each ``train_run.jsonl`` record loses its wall-clock
-``seconds`` field before hashing, and each ``score`` output is saved as a
-file. Run it at two commits and diff the output: equal lines mean equal
-corpora, deterministic record fields, checkpoints, transcripts, ``.sar``
-files and scores. Takes about 8 s on a 2-vCPU machine.
+It prints three ``# <name> <version>`` header lines (python, numpy and
+numpy's BLAS, which the float arithmetic depends on), then one
+``sha256  relative/path`` line per file under ``--out``, sorted by path.
+Each ``train_run.jsonl`` record loses its wall-clock ``seconds`` field
+before hashing, and each ``score`` output is saved as a file. Run it at
+two commits and diff the output: equal lines mean equal corpora,
+deterministic record fields, checkpoints, transcripts, ``.sar`` files and
+scores. Takes about 8 s on a 2-vCPU machine.
+
+``tests/golden/cli_sweep.sha256`` is the output with BLAS pinned to one
+thread, and ``tests/test_scripts.py`` compares a fresh sweep with it. A
+change that alters the arithmetic on purpose regenerates it:
+
+    OPENBLAS_NUM_THREADS=1 python scripts/cli_sweep.py --out DIR > tests/golden/cli_sweep.sha256
 """
 
 import argparse
@@ -27,8 +35,11 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -101,6 +112,12 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def header() -> list[str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}",
+            f"# blas {blas['name']} {blas['version']}"]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="new directory for the sweep's files")
@@ -110,6 +127,7 @@ def main() -> None:
         parser.error(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)
     sweep(out)
+    print("\n".join(header()))
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -61,14 +62,16 @@ class AblationCell:
     error: str = ""
 
 
-@dataclass
-class AblationRow:
-    spec_name: str
-    mean_wer: float
-    wer_spread: float  # max - min over seeds
-    mean_final_heldout: float
-    mean_best_epoch: float
-    failures: int
+# (table.csv header, table.txt header, table.txt width and format) of each
+# column after the spec name
+COLUMNS = (
+    ("mean_wer", "mean_wer", 8, ".3f"),
+    ("wer_spread", "spread", 6, ".3f"),  # max - min over seeds
+    ("mean_final_heldout", "heldout", 8, ".4f"),
+    ("mean_best_epoch", "best_ep", 7, ".1f"),
+    ("failures", "fail", 4, "d"),
+)
+AblationRow = namedtuple("AblationRow", ["spec_name", *(name for name, *_ in COLUMNS)])
 
 
 @dataclass
@@ -84,38 +87,28 @@ class AblationResult:
             good = [c for c in cells if not c.error]
             if good:
                 wers = [c.wer for c in good]
-                rows.append(
-                    AblationRow(
-                        spec_name=name,
-                        mean_wer=sum(wers) / len(wers),
-                        wer_spread=max(wers) - min(wers),
-                        mean_final_heldout=sum(c.final_heldout for c in good) / len(good),
-                        mean_best_epoch=sum(c.best_epoch for c in good) / len(good),
-                        failures=len(cells) - len(good),
-                    )
-                )
+                mean_heldout = sum(c.final_heldout for c in good) / len(good)
+                mean_best = sum(c.best_epoch for c in good) / len(good)
+                row = (sum(wers) / len(wers), max(wers) - min(wers), mean_heldout, mean_best, len(cells) - len(good))
             else:
-                rows.append(AblationRow(name, float("inf"), 0.0, float("inf"), -1, len(cells)))
-        rows.sort(key=lambda r: (r.mean_wer, r.spec_name))
-        return rows
+                row = (float("inf"), 0.0, float("inf"), -1, len(cells))
+            rows.append(AblationRow(name, *row))
+        return sorted(rows, key=lambda r: (r.mean_wer, r.spec_name))
 
     def render_text(self) -> str:
         rows = self.rows()
         width = max([len(r.spec_name) for r in rows] + [4])
-        lines = [f"{'spec':<{width}}  mean_wer  spread  heldout   best_ep  fail"]
+        lines = ["  ".join([f"{'spec':<{width}}", *(f"{title:<{w}}" for _, title, w, _ in COLUMNS)])]
         for r in rows:
-            lines.append(
-                f"{r.spec_name:<{width}}  {r.mean_wer:8.3f}  {r.wer_spread:6.3f}  "
-                f"{r.mean_final_heldout:8.4f}  {r.mean_best_epoch:7.1f}  {r.failures:4d}"
-            )
+            cells = (f"{value:{w}{fmt}}" for value, (_, _, w, fmt) in zip(r[1:], COLUMNS))
+            lines.append("  ".join([f"{r.spec_name:<{width}}", *cells]))
         return "\n".join(lines)
 
     def write_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["spec", "mean_wer", "wer_spread", "mean_final_heldout", "mean_best_epoch", "failures"])
-            for r in self.rows():
-                writer.writerow([r.spec_name, r.mean_wer, r.wer_spread, r.mean_final_heldout, r.mean_best_epoch, r.failures])
+            writer.writerow(["spec", *(name for name, *_ in COLUMNS)])
+            writer.writerows(self.rows())
 
 
 def run_ablation(

@@ -79,8 +79,6 @@ def build_vocabulary(corpus: Iterable[str], min_count: int) -> Vocabulary:
     ``corpus`` is an iterable of transcript strings. The literal token
     "UNK" is reserved and never retained as a regular word.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     counts: Counter[str] = Counter()
     n_transcripts = 0
     for transcript in corpus:
@@ -113,7 +111,7 @@ class CharSymbol:
 class CharSet:
     """Character label space; symbol ids are 1..len(symbols), 0 is blank."""
 
-    variant: str  # "simple" | "positional"
+    variant: str  # a CHARSETS name
     symbols: tuple[CharSymbol, ...]
     _by_text: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -165,12 +163,11 @@ def build_positional_charset() -> CharSet:
     return _charset("positional", [*BASE_CHARS, *(c + c for c in LETTERS)], (BEGIN, MIDDLE, END, BOTH))
 
 
+CHARSETS = {"simple": build_simple_charset, "positional": build_positional_charset}
+
+
 def build_charset(variant: str) -> CharSet:
-    if variant == "simple":
-        return build_simple_charset()
-    if variant == "positional":
-        return build_positional_charset()
-    raise ValueError(f"unknown charset variant {variant!r}")
+    return CHARSETS[variant]()
 
 
 def _spelling_units(word: str) -> list[str]:
@@ -351,7 +348,7 @@ def load_alphabet(path: str | Path) -> Vocabulary | CharSet:
                 raise ValueError(f"{path}:{lineno}: {word!r} is listed twice")
             seen.add(word)
         return Vocabulary(words=tuple(body[1:]), min_count=min_count)
-    if variant in ("chars-simple", "chars-positional"):
+    if variant in {f"chars-{name}" for name in CHARSETS}:
         reference = build_charset(variant.removeprefix("chars-"))
         if [s.text for s in reference.symbols] != body:
             raise ValueError(f"{path}: symbol inventory does not match the {variant} charset")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_from_items
+from .config import parse_value
 
 MAGIC = b"A2WCKPT1"
 
@@ -118,11 +118,11 @@ def _parse_checkpoint(raw: memoryview) -> Checkpoint:
                 raise ValueError(f"malformed manifest record {line!r}")
             try:
                 if key not in ("input_dim", "output_dim"):
-                    config_from_items({key: value})
+                    parse_value(key, value)
                 elif not (value.isdecimal() and int(value) > 0):
-                    raise ValueError(f"{value!r} is not a positive integer")
+                    raise ValueError(f"{key}={value!r}: must be a positive integer")
             except (KeyError, ValueError) as exc:
-                raise ValueError(f"malformed manifest record {line!r}: key {key!r}: {exc.args[0]}") from None
+                raise ValueError(f"malformed manifest record {line!r}: {exc.args[0]}") from None
             ckpt.config[key] = value
         elif kind == "tensor":
             try:

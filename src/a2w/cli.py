@@ -11,9 +11,9 @@ import sys
 from pathlib import Path
 
 from .ablation import VARIANTS, default_aliases, run_ablation
-from .alphabet import build_charset
+from .alphabet import CHARSETS, build_charset
 from .checkpoint import load_checkpoint
-from .config import TrainConfig, config_from_items, load_config
+from .config import DEFAULTS, RULES, TrainConfig, config_from_items, load_config
 from .decoder import DECODE_MODES, decode_utterances, read_sar_file, read_transcripts, write_sar_file, write_transcripts
 from .pipeline import SynthSpec, load_corpus, save_corpus, split_by_id_hash, synth_corpus
 from .scoring import corpus_wer
@@ -31,17 +31,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("config overrides (same names as the config file keys)")
-    for f in dataclasses.fields(TrainConfig):
-        group.add_argument(f"--{f.name}", dest=f"cfg_{f.name}", metavar="V", default=None)
+    for key, default in DEFAULTS.items():
+        rule = f"{RULES[key][0]} " if key in RULES else ""
+        group.add_argument(
+            f"--{key}", dest=f"cfg_{key}", metavar=type(default).__name__.upper(), help=f"{rule}(default: {default!r})"
+        )
 
 
 def _resolve_config(args) -> TrainConfig:
     base = load_config(args.config) if args.config else TrainConfig()
-    overrides = {
-        f.name: getattr(args, f"cfg_{f.name}")
-        for f in dataclasses.fields(TrainConfig)
-        if getattr(args, f"cfg_{f.name}", None) is not None
-    }
+    overrides = {key: getattr(args, f"cfg_{key}") for key in DEFAULTS if getattr(args, f"cfg_{key}") is not None}
     return config_from_items(overrides, base)
 
 
@@ -52,19 +51,14 @@ def _load_train_heldout(args, cfg: TrainConfig):
     return split_by_id_hash(utts, cfg.heldout_fraction)
 
 
+# SynthSpec field -> its `a2w synth` flag; --proto-seed has its own, defaulting to --seed
+SYNTH_FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in dataclasses.fields(SynthSpec) if f.name != "proto_seed"}
+SYNTH_FLAGS["oov_pool_size"] = "--oov-pool"
+
+
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        vocab_size=args.vocab_size,
-        feature_dim=args.feature_dim,
-        min_frames=args.min_frames,
-        max_frames=args.max_frames,
-        min_words=args.min_words,
-        max_words=args.max_words,
-        noise=args.noise,
-        oov_pool_size=args.oov_pool,
-        oov_rate=args.oov_rate,
-        proto_seed=args.proto_seed if args.proto_seed is not None else args.seed,
-    )
+    proto_seed = args.proto_seed if args.proto_seed is not None else args.seed
+    spec = SynthSpec(**{name: getattr(args, name) for name in SYNTH_FLAGS}, proto_seed=proto_seed)
     utts = synth_corpus(spec, args.count, args.seed, id_prefix=args.prefix)
     save_corpus(utts, args.out)
     print(f"wrote {len(utts)} utterances to {args.out}")
@@ -146,15 +140,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--vocab-size", type=int, default=20)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--min-frames", type=int, default=3)
-    p.add_argument("--max-frames", type=int, default=8)
-    p.add_argument("--min-words", type=int, default=3)
-    p.add_argument("--max-words", type=int, default=8)
-    p.add_argument("--oov-pool", type=int, default=0)
-    p.add_argument("--oov-rate", type=float, default=0.0)
+    for name, flag in SYNTH_FLAGS.items():
+        default = getattr(SynthSpec, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default, help=f"(default: {default})")
     p.add_argument("--proto-seed", type=int, default=None, help="prototype seed (defaults to --seed)")
     p.add_argument("--prefix", default="utt")
     p.set_defaults(func=_cmd_synth)
@@ -180,7 +168,7 @@ def build_parser() -> _Parser:
     p.add_argument("ref")
     p.add_argument("hyp")
     p.add_argument("--strip-sar", action="store_true", help="parse the hypothesis file as SAR annotations")
-    p.add_argument("--charset", choices=("simple", "positional"), default="positional")
+    p.add_argument("--charset", choices=CHARSETS, default="positional")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("ablate", help="train and score one model per recipe variant")

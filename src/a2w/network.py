@@ -35,6 +35,7 @@ before the next one runs.
 from __future__ import annotations
 
 import collections.abc
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,6 +54,9 @@ class NoForwardCache(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The network shape. The run config's rule table checks each field's
+    own value; this checks only the dims and the cross-field bound."""
+
     input_dim: int
     output_dim: int
     num_layers: int = 6
@@ -63,36 +67,11 @@ class ModelConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 2 or self.num_layers < 1:
-            dims = f"input_dim={self.input_dim}, output_dim={self.output_dim}, num_layers={self.num_layers}"
-            raise BadShape(f"{dims}: each must be positive, and output_dim >= 2 (it includes the blank)")
-        if self.hidden_per_direction < 1:
-            raise BadShape("hidden_per_direction must be positive")
-        if self.projection_dim and not 0 < self.projection_dim < self.concat_dim:
-            raise BadShape("projection_dim must satisfy 0 < d < 2*hidden")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
-        self.stack_init_gain()  # validates the scheme string
-
-    def stack_init_gain(self) -> float:
-        """Multiplier on the recurrent-stack init range.
-
-        "uniform-fan-in" keeps the plain 1/sqrt(fan-in) range everywhere.
-        "uniform-fan-in-gain:G" widens the LSTM W/R ranges by G; a cold
-        stack loses roughly half its activation scale per layer at G=1,
-        so deep desk-scale models that start from scratch (instead of a
-        warm checkpoint) need G around 3 to keep signal flowing.
-        """
-        if self.init_scheme == "uniform-fan-in":
-            return 1.0
-        if self.init_scheme.startswith("uniform-fan-in-gain:"):
-            gain = float(self.init_scheme.split(":", 1)[1])
-            if gain <= 0:
-                raise ValueError("init gain must be positive")
-            return gain
-        raise ValueError(f"unknown init scheme {self.init_scheme!r}")
+        if self.input_dim < 1 or self.output_dim < 2:
+            dims = f"input_dim={self.input_dim}, output_dim={self.output_dim}"
+            raise BadShape(f"{dims}: input_dim must be positive and output_dim >= 2 (it includes the blank)")
+        if self.projection_dim and self.projection_dim >= self.concat_dim:
+            raise BadShape(f"projection={self.projection_dim}: must be < 2*hidden = {self.concat_dim}")
 
     @property
     def concat_dim(self) -> int:
@@ -100,6 +79,25 @@ class ModelConfig:
 
     def layer_input_dim(self, layer: int) -> int:
         return self.input_dim if layer == 0 else self.concat_dim
+
+
+def init_gain(scheme: str) -> float:
+    """Multiplier on the recurrent-stack init range of an init scheme.
+
+    "uniform-fan-in" keeps the plain 1/sqrt(fan-in) range everywhere.
+    "uniform-fan-in-gain:G" widens the LSTM W/R ranges by G; a cold
+    stack loses roughly half its activation scale per layer at G=1,
+    so deep desk-scale models that start from scratch (instead of a
+    warm checkpoint) need G around 3 to keep signal flowing. Any other
+    string, or a G that is not finite and positive, raises ValueError.
+    """
+    if scheme == "uniform-fan-in":
+        return 1.0
+    name, _, text = scheme.partition(":")
+    gain = float(text) if name == "uniform-fan-in-gain" else math.nan
+    if not 0 < gain < math.inf:
+        raise ValueError(f"unknown init scheme {scheme!r}")
+    return gain
 
 
 def init_uniform_fan_in(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
@@ -127,7 +125,7 @@ def _gate_bias(hidden: int, dtype) -> np.ndarray:
 def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
     dtype = np.dtype(config.dtype)
     hidden = config.hidden_per_direction
-    gain = config.stack_init_gain()
+    gain = init_gain(config.init_scheme)
     params: dict[str, np.ndarray] = {}
     for layer in range(config.num_layers):
         in_dim = config.layer_input_dim(layer)

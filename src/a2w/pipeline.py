@@ -77,16 +77,19 @@ class Batch:
         return 1.0 - float(self.lengths.sum()) / (self.size * self.max_frames)
 
 
+ORDERS = ("ascending", "descending", "random")
+
+
 @dataclass(frozen=True)
 class CurriculumOrder:
     """Deterministic presentation order: ascending/descending length or a
     seeded shuffle."""
 
-    kind: str  # "ascending" | "descending" | "random"
+    kind: str  # one of ORDERS
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("ascending", "descending", "random"):
+        if self.kind not in ORDERS:
             raise ValueError(f"unknown curriculum order {self.kind!r}")
 
     def arrange(self, utts: Sequence[Utterance]) -> list[Utterance]:
@@ -154,8 +157,6 @@ def sort_and_batch(
     be smaller. ``encode`` maps a transcript to its target label sequence.
     Padding waits until a batch's ``features`` are read.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     arranged = order.arrange(utts)
     batches = []
     for start in range(0, len(arranged), batch_size):
@@ -192,6 +193,13 @@ class SynthSpec:
     oov_rate: float = 0.0
     proto_seed: int = 0
 
+    def __post_init__(self):
+        lows = dict.fromkeys(("vocab_size", "feature_dim", "min_frames", "min_words"), 1)
+        lows.update(max_frames=self.min_frames, max_words=self.min_words)
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name}={getattr(self, name)}: must be >= {low}")
+
 
 def _synth_words(spec: SynthSpec) -> list[str]:
     rng = np.random.Generator(np.random.PCG64(derive_seed(spec.proto_seed, 0x50)))
@@ -219,6 +227,8 @@ def synth_corpus(spec: SynthSpec, count: int, seed: int, id_prefix: str = "utt")
     Word sequences avoid immediate repetition so every utterance admits a
     CTC alignment even after stacking+decimation.
     """
+    if count < 1:
+        raise ValueError(f"count={count}: must be >= 1")
     main, pool = synth_vocabulary(spec)
     proto_rng = np.random.Generator(np.random.PCG64(derive_seed(spec.proto_seed, 0x51)))
     protos = {}

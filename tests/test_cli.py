@@ -6,6 +6,7 @@ import pytest
 from a2w.alphabet import build_charset, save_alphabet
 from a2w.cli import cli_main
 from a2w.decoder import read_transcripts
+from test_config import TEXT_CASES
 
 
 def run(*argv):
@@ -127,7 +128,8 @@ class TestTrainDecodeScore:
         ckpt = bad / "epoch002.ckpt"
         TestFormat._rewrite_manifest_line(ckpt, "config lr=", "config lr=abc")
         assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
-        assert f"{ckpt}: malformed manifest record 'config lr=abc': key 'lr': could not convert" in capsys.readouterr().err
+        message = f"{ckpt}: malformed manifest record 'config lr=abc': lr='abc': could not convert"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["insert", "delete"])
     def test_decode_checks_vocab_against_the_checkpoint(self, run_dir, corpus_dir, tmp_path, capsys, edit):
@@ -257,21 +259,18 @@ class TestReaderFaults:
 
 
 class TestUnrunnableRecipe:
-    """A recipe that cannot run exits 2 naming the value before it writes a
-    file: an existing run directory is left byte for byte, a new one unmade."""
+    """A recipe that cannot run exits 2 naming the key and the value before
+    it writes a file: an existing run directory is left byte for byte, a new
+    one unmade."""
 
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (("--order", "nope"), "unknown curriculum order 'nope'"),
-            (("--batch_size", 0), "batch_size must be >= 1, got 0"),
-            (("--dtype", "float16"), "dtype must be float64 or float32, got 'float16'"),
-            (("--init", "bogus"), "unknown init scheme 'bogus'"),
-            (("--layers", 0), "num_layers=0"),
-            (("--epochs", 0), "epochs=0 leaves no epoch to run"),
+            *(((f"--{key}", raw), message) for key, raw, message in TEXT_CASES.values()),
+            (("--hidden", 4, "--projection", 9), "projection=9: must be < 2*hidden = 8"),
             (("--resume", "epoch002.ckpt"), "epoch002.ckpt is at epoch 2, so epochs=2 leaves no epoch to run"),
         ],
-        ids=["order", "batch-size", "dtype", "init", "layers", "epochs", "resume-at-last-epoch"],
+        ids=[*TEXT_CASES, "projection-over-2-hidden", "resume-at-last-epoch"],
     )
     def test_exits_2_and_writes_nothing(self, run_dir, corpus_dir, tmp_path, capsys, flags, message):
         existing, fresh = tmp_path / "existing", tmp_path / "fresh"
