@@ -9,7 +9,7 @@ then reloads the epoch checkpoint. ``a2w.trainer``'s ``model_forward``,
 ``model_backward``, ``evaluate_loss`` and ``save_checkpoint`` are wrapped
 from outside to mark the phases:
 
-    forward      the train-mode forward with its cache
+    forward      the training forward (the one given an rng), with its cache
     ctc          from the end of that forward to the start of backward
     backward     model_backward
     eval         the heldout loss (no-cache forward plus CTC)
@@ -52,7 +52,6 @@ class PhaseMeter:
 
     def __init__(self):
         self.rows = {}
-        self.in_eval = False
         self.base = 0
         self.ctc_start = 0
 
@@ -72,7 +71,7 @@ class PhaseMeter:
         evaluate, save = trainer.evaluate_loss, trainer.save_checkpoint
 
         def model_forward(*args, **kwargs):
-            if self.in_eval:
+            if kwargs.get("rng") is None:  # the heldout forward, inside the eval phase
                 return forward(*args, **kwargs)
             result = self.phase("forward", forward, *args, **kwargs)
             tracemalloc.reset_peak()
@@ -83,15 +82,8 @@ class PhaseMeter:
             self.mark("ctc", self.ctc_start)
             return self.phase("backward", backward, *args, **kwargs)
 
-        def evaluate_loss(*args, **kwargs):
-            self.in_eval = True
-            try:
-                return self.phase("eval", evaluate, *args, **kwargs)
-            finally:
-                self.in_eval = False
-
         trainer.model_forward, trainer.model_backward = model_forward, model_backward
-        trainer.evaluate_loss = evaluate_loss
+        trainer.evaluate_loss = lambda *args: self.phase("eval", evaluate, *args)
         trainer.save_checkpoint = lambda *args: self.phase("save", save, *args)
 
 

@@ -303,25 +303,16 @@ def build_sar_targets(transcript: Sequence[str], joint: JointAlphabet) -> SarTar
     return SarTargetSequence(labels=tuple(labels))
 
 
-def save_alphabet(path: str | Path, space: Vocabulary | CharSet) -> None:
-    """Line-oriented serialization: header, then one symbol per line.
-
-    The k-th symbol line (0-based) holds the label with id k+1; blank is
-    implicit at id 0. Vocabulary headers carry min_count so that the
-    round trip is lossless.
-    """
-    lines = []
-    if isinstance(space, Vocabulary):
-        lines.append(f"{ALPHABET_FILE_MAGIC} words min_count={space.min_count}")
-        lines.append(UNK_WORD)
-        lines.extend(space.words)
-    else:
-        lines.append(f"{ALPHABET_FILE_MAGIC} chars-{space.variant}")
-        lines.extend(s.text for s in space.symbols)
+def save_alphabet(path: str | Path, vocab: Vocabulary) -> None:
+    """Line-oriented word file: a header carrying min_count (so the round trip
+    is lossless), then one word per line; the k-th word line (0-based) holds
+    the label with id k+1, and blank is implicit at id 0."""
+    lines = [f"{ALPHABET_FILE_MAGIC} words min_count={vocab.min_count}", UNK_WORD, *vocab.words]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_alphabet(path: str | Path) -> Vocabulary | CharSet:
+def load_alphabet(path: str | Path) -> Vocabulary:
+    """Inverse of ``save_alphabet``; a malformed file raises ValueError naming it."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -329,28 +320,23 @@ def load_alphabet(path: str | Path) -> Vocabulary | CharSet:
     if not lines or not lines[0].startswith(ALPHABET_FILE_MAGIC):
         raise ValueError(f"{path}: not an alphabet file")
     variant, *extras = lines[0][len(ALPHABET_FILE_MAGIC):].split() or [""]
+    if variant != "words":
+        raise ValueError(f"{path}: unknown variant {variant!r}; an alphabet file holds words")
+    min_count = 1
+    for extra in extras:
+        key, _, value = extra.partition("=")
+        if key == "min_count":
+            if not value.isdecimal():
+                raise ValueError(f"{path}: header min_count {value!r} is not a count")
+            min_count = int(value)
     body = lines[1:]
-    if variant == "words":
-        min_count = 1
-        for extra in extras:
-            key, _, value = extra.partition("=")
-            if key == "min_count":
-                if not value.isdecimal():
-                    raise ValueError(f"{path}: header min_count {value!r} is not a count")
-                min_count = int(value)
-        if not body or body[0] != UNK_WORD:
-            raise ValueError(f"{path}: word file must place {UNK_WORD} at id 1")
-        seen = {UNK_WORD}
-        for lineno, word in enumerate(body[1:], 3):
-            if tokenize(word) != [word]:
-                raise ValueError(f"{path}:{lineno}: {word!r} is not one uppercase token")
-            if word in seen:
-                raise ValueError(f"{path}:{lineno}: {word!r} is listed twice")
-            seen.add(word)
-        return Vocabulary(words=tuple(body[1:]), min_count=min_count)
-    if variant in {f"chars-{name}" for name in CHARSETS}:
-        reference = build_charset(variant.removeprefix("chars-"))
-        if [s.text for s in reference.symbols] != body:
-            raise ValueError(f"{path}: symbol inventory does not match the {variant} charset")
-        return reference
-    raise ValueError(f"{path}: unknown variant {variant!r}")
+    if not body or body[0] != UNK_WORD:
+        raise ValueError(f"{path}: word file must place {UNK_WORD} at id 1")
+    seen = {UNK_WORD}
+    for lineno, word in enumerate(body[1:], 3):
+        if tokenize(word) != [word]:
+            raise ValueError(f"{path}:{lineno}: {word!r} is not one uppercase token")
+        if word in seen:
+            raise ValueError(f"{path}:{lineno}: {word!r} is listed twice")
+        seen.add(word)
+    return Vocabulary(words=tuple(body[1:]), min_count=min_count)

@@ -22,19 +22,20 @@ can overflow. The backward pass mirrors this: one reverse time loop for
 both directions, dL/dz written over the gate buffer, then one stacked
 GEMM each for the W, R and input gradients.
 
-Memory: a training step holds each large array once. The forward cache
-keeps each layer's input, gates, cell and hidden states (tanh(c) is
-recomputed by backward, dropout keep-masks are bool) and the one
-T x B x V logits buffer, of which the lattices are views. The
-backward pass consumes that buffer as dL/dlogits, so the forward's
-lattices are invalid after it, and frees it after the output layer. A
-forward without a cache writes only h per step and frees each layer
-before the next one runs.
+Memory: a training step holds each large array once. A forward given an
+rng is a training forward: it draws the dropout masks from that rng and
+returns a cache holding the model it ran, each layer's input, gates, cell
+and hidden states (tanh(c) is recomputed by backward, keep-masks are bool)
+and the one T x B x V logits buffer, of which the lattices are views. The
+caller writes each utterance's d(loss)/d(logits) into ``cache.slot(i)``;
+``model_backward(cache)`` zeroes the padded frames, uses the buffer as
+dL/dlogits and frees it after the output layer, so the forward's lattices
+are invalid after it. A forward without an rng keeps no cache: it writes
+only h per step and frees each layer before the next one runs.
 """
 
 from __future__ import annotations
 
-import collections.abc
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -321,11 +322,11 @@ def _concat_into(h: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
 
 @dataclass
 class ForwardCache:
-    """What ``model_backward`` needs from one train forward, and consumes:
+    """What ``model_backward`` needs from one training forward, and consumes:
     the logits buffer becomes dL/dlogits and every buffer is released
     once its layer's gradients are done."""
 
-    config: ModelConfig
+    model: Model                            # the model the forward ran
     lengths: np.ndarray
     rev_rows: np.ndarray                    # _reversal_rows of the batch
     directions: list[_LayerCache]
@@ -334,25 +335,9 @@ class ForwardCache:
     proj_h: np.ndarray | None               # T x B x d
     logits: np.ndarray                      # T x B x V; the lattices are views of it
 
-
-class LogitSlots(collections.abc.Sequence):
-    """Utterance i's frames of a forward cache's T x B x V logits buffer,
-    as a view made on access.
-
-    A caller may write each utterance's d(loss)/d(logits) into its slot
-    and pass this as ``model_backward``'s upstream. It holds the cache,
-    not the buffer, so backward can free the buffer once the output layer
-    is done.
-    """
-
-    def __init__(self, cache: ForwardCache):
-        self.cache = cache
-
-    def __len__(self) -> int:
-        return len(self.cache.lengths)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.cache.logits[: self.cache.lengths[i], i]
+    def slot(self, i: int) -> np.ndarray:
+        """Utterance i's frames of the logits buffer: where its d(loss)/d(logits) goes."""
+        return self.logits[: self.lengths[i], i]
 
 
 def _dropout_scale(config: ModelConfig):
@@ -365,18 +350,18 @@ def model_forward(
     features: np.ndarray,
     lengths: Sequence[int],
     model: Model,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
-    want_cache: bool = False,
 ):
-    """Run the stack over a padded batch; returns per-utterance logit lattices.
+    """Run the stack over a padded batch; returns (per-utterance logit
+    lattices, cache).
 
     Frames at or beyond an utterance's true length never influence its
-    lattice. With ``train_mode`` set, inter-layer dropout masks are drawn
-    from ``rng`` and retained in the cache for the backward pass. Without
-    ``want_cache`` no cell states are kept and each layer's buffers are
+    lattice. With an ``rng`` this is a training forward: inter-layer
+    dropout masks are drawn from it when the rate is > 0, and the returned
+    ``ForwardCache`` keeps what ``model_backward`` needs. Without one the
+    cache is None, no cell states are kept and each layer's buffers are
     dropped once the next layer's input is built. The lattices are views
-    of one T x B x V logits buffer, which the cache holds and
+    of one T x B x V logits buffer, which a cache holds and
     ``model_backward`` overwrites.
     """
     config = model.config
@@ -387,9 +372,8 @@ def model_forward(
     lengths = np.asarray(lengths, dtype=np.int64)
     if len(lengths) != x.shape[0] or np.any(lengths < 1) or np.any(lengths > x.shape[1]):
         raise BadShape("lengths must match the batch and lie in [1, T_max]")
-    use_dropout = train_mode and config.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("train-mode dropout needs an rng")
+    train = rng is not None
+    use_dropout = train and config.dropout_rate > 0.0
     keep_scale = _dropout_scale(config)
 
     batch, t_max, _ = x.shape
@@ -404,10 +388,9 @@ def model_forward(
     for layer in range(config.num_layers):
         _reverse_into(inputs[0], rows, inputs[1])
         layer_cache = _blstm_forward(
-            inputs, _stacked(params, layer, "W"), _stacked(params, layer, "R"), _stacked(params, layer, "b"),
-            want_cache,
+            inputs, _stacked(params, layer, "W"), _stacked(params, layer, "R"), _stacked(params, layer, "b"), train
         )
-        if want_cache:
+        if train:
             directions.append(layer_cache)
         if layer == config.num_layers - 1:
             top = np.empty((t_max, batch, concat), dtype=dtype)
@@ -433,10 +416,10 @@ def model_forward(
         logits = top @ params["out.W"].T
 
     lattices = [PosteriorLattice(logits[: lengths[i], i], LOGITS) for i in range(batch)]
-    if not want_cache:
+    if not train:
         return lattices, None
     cache = ForwardCache(
-        config=config,
+        model=model,
         lengths=lengths,
         rev_rows=rows,
         directions=directions,
@@ -448,56 +431,42 @@ def model_forward(
     return lattices, cache
 
 
-def _fill_dlogits(dlogits: np.ndarray, upstream: Sequence[np.ndarray], lengths: np.ndarray) -> None:
-    """Write the upstream gradients into T x B x V ``dlogits``, zeros on padded frames."""
-    v = dlogits.shape[2]
-    for i, g in enumerate(upstream):
-        n = int(lengths[i])
-        g = np.asarray(g, dtype=dlogits.dtype)
-        if g.shape != (n, v):
-            raise BadShape(f"utterance {i}: upstream grad must be {n} x {v}, got {g.shape}")
-        dlogits[:n, i] = g
-        dlogits[n:, i] = 0.0
-
-
-def model_backward(upstream: Sequence[np.ndarray], cache: ForwardCache | None, model: Model) -> dict[str, np.ndarray]:
-    """Exact parameter gradients given per-utterance d(loss)/d(logits).
+def model_backward(cache: ForwardCache | None) -> dict[str, np.ndarray]:
+    """Exact parameter gradients of the cache's model, given each
+    utterance's d(loss)/d(logits) written into ``cache.slot(i)``.
 
     Deterministic: reuses the dropout masks captured by the forward pass.
-    Consumes the cache: the upstream gradients are written over its logits
-    buffer, which becomes d(loss)/d(logits) with zeros on padded frames,
-    so the forward's lattices are invalid afterwards. ``upstream`` may be
-    the cache's ``LogitSlots`` with the gradients already in place, as in
-    the training step. Each layer's buffers are reused for its
-    gradients and released once done, so a cache backs one backward pass
-    only.
+    Consumes the cache: the logits buffer, with its padded frames zeroed
+    here, becomes d(loss)/d(logits), so the forward's lattices are invalid
+    afterwards. Each layer's buffers are reused for its gradients and
+    released once done, so a cache backs one backward pass only.
     """
     if cache is None:
-        raise NoForwardCache("model_backward needs the cache from model_forward(want_cache=True)")
+        raise NoForwardCache("model_backward needs the cache of a model_forward given an rng")
     if cache.concat_top is None:
         raise NoForwardCache("this forward cache was already consumed by model_backward")
-    config = cache.config
+    params = cache.model.params
+    config = cache.model.config
     dtype = np.dtype(config.dtype)
     batch = len(cache.lengths)
     top = cache.concat_top.swapaxes(0, 1)
     v = config.output_dim
-    if len(upstream) != batch:
-        raise BadShape("one upstream gradient per utterance is required")
     dlogits = cache.logits
-    _fill_dlogits(dlogits, upstream, cache.lengths)
+    for i, n in enumerate(cache.lengths):
+        dlogits[n:, i] = 0.0
     t_max = dlogits.shape[0]
 
     grads: dict[str, np.ndarray] = {}
     hidden = config.hidden_per_direction
     if config.projection_dim:
         grads["out.W"] = dlogits.reshape(-1, v).T @ cache.proj_h.reshape(-1, config.projection_dim)
-        dproj = dlogits @ model.params["out.W"]
+        dproj = dlogits @ params["out.W"]
         grads["proj.W"] = dproj.reshape(-1, config.projection_dim).T @ top.reshape(-1, config.concat_dim)
-        dcurrent = dproj @ model.params["proj.W"]
+        dcurrent = dproj @ params["proj.W"]
         del dproj
     else:
         grads["out.W"] = dlogits.reshape(-1, v).T @ top.reshape(-1, config.concat_dim)
-        dcurrent = dlogits @ model.params["out.W"]
+        dcurrent = dlogits @ params["out.W"]
     del dlogits, top
     cache.concat_top = cache.proj_h = cache.logits = None
 
@@ -513,7 +482,7 @@ def model_backward(upstream: Sequence[np.ndarray], cache: ForwardCache | None, m
         layer_cache = cache.directions[layer]
         cache.directions[layer] = None
         grad_w, grad_r, grad_b, dx = _blstm_backward(
-            layer_cache, dh, _stacked(model.params, layer, "W"), _stacked(model.params, layer, "R"), want_dx=layer > 0
+            layer_cache, dh, _stacked(params, layer, "W"), _stacked(params, layer, "R"), want_dx=layer > 0
         )
         del layer_cache, dh
         for d, direction in enumerate(("fwd", "bwd")):

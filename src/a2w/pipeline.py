@@ -8,6 +8,7 @@ half the frame rate (40 -> 120 -> 240).
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,10 +196,16 @@ class SynthSpec:
 
     def __post_init__(self):
         lows = dict.fromkeys(("vocab_size", "feature_dim", "min_frames", "min_words"), 1)
-        lows.update(max_frames=self.min_frames, max_words=self.min_words)
+        lows.update(max_frames=self.min_frames, max_words=self.min_words, oov_pool_size=0)
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name}={getattr(self, name)}: must be >= {low}")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError(f"noise={self.noise}: must be finite and >= 0")
+        if not 0 <= self.oov_rate <= 1:
+            raise ValueError(f"oov_rate={self.oov_rate}: must lie in [0, 1]")
+        if self.oov_rate > 0 and self.oov_pool_size < 1:
+            raise ValueError(f"oov_pool_size={self.oov_pool_size}: must be >= 1 when oov_rate > 0")
 
 
 def _synth_words(spec: SynthSpec) -> list[str]:
@@ -241,7 +248,7 @@ def synth_corpus(spec: SynthSpec, count: int, seed: int, id_prefix: str = "utt")
         n_words = int(rng.integers(spec.min_words, spec.max_words + 1))
         words: list[str] = []
         while len(words) < n_words:
-            use_pool = pool and spec.oov_rate > 0 and rng.random() < spec.oov_rate
+            use_pool = spec.oov_rate > 0 and rng.random() < spec.oov_rate
             word = pool[rng.integers(len(pool))] if use_pool else main[rng.integers(len(main))]
             if words and word == words[-1] and len(main) + len(pool) > 1:
                 continue

@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .alphabet import (
-    CharSet,
     JointAlphabet,
     Vocabulary,
     build_charset,
@@ -36,7 +35,7 @@ from .alphabet import (
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_items, config_to_items, save_config
 from .ctc import InfeasibleAlignment, ctc_loss, min_frames_for
-from .network import LogitSlots, Model, ModelConfig, init_model, model_backward, model_forward, warm_start
+from .network import Model, ModelConfig, init_model, model_backward, model_forward, warm_start
 from .pipeline import (
     ASCENDING,
     CurriculumOrder,
@@ -174,17 +173,17 @@ class LabelSpace:
         return self.joint.size if self.joint else self.vocab.size
 
 
-def _label_space(vocab: Vocabulary, charset: CharSet | None) -> LabelSpace:
-    """Word targets without a charset, spell-and-recognize targets with one."""
-    if charset is None:
+def _label_space(vocab: Vocabulary, cfg: TrainConfig) -> LabelSpace:
+    """Word targets, or spell-and-recognize targets over the config's charset."""
+    if cfg.targets != "sar":
         return LabelSpace(vocab=vocab, joint=None, encode=lambda words: encode_words(words, vocab))
-    joint = JointAlphabet(vocab=vocab, charset=charset)
+    joint = JointAlphabet(vocab=vocab, charset=build_charset(cfg.charset))
     return LabelSpace(vocab=vocab, joint=joint, encode=lambda words: build_sar_targets(words, joint).labels)
 
 
 def build_label_space(train_utts: Sequence[Utterance], cfg: TrainConfig) -> LabelSpace:
     vocab = build_vocabulary((" ".join(u.transcript) for u in train_utts), cfg.min_count)
-    return _label_space(vocab, build_charset(cfg.charset) if cfg.targets == "sar" else None)
+    return _label_space(vocab, cfg)
 
 
 def check_feasible(utts: Sequence[Utterance], encode) -> None:
@@ -236,6 +235,25 @@ def model_from_checkpoint(ckpt: Checkpoint) -> tuple[TrainConfig, Model]:
     return cfg, Model(build_model_config(cfg, input_dim, output_dim), params)
 
 
+def _records_through(path: Path, last_epoch: int) -> list[str]:
+    """The lines of an existing ``train_run.jsonl`` whose epoch is at most
+    ``last_epoch``. A line that is not UTF-8 or not a JSON object with an
+    integer epoch raises ValueError naming the file and the line."""
+    kept = []
+    for lineno, raw in enumerate(path.read_bytes().splitlines() if path.exists() else [], 1):
+        try:
+            line = raw.decode("utf-8")
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        epoch = record.get("epoch") if isinstance(record, dict) else None
+        if type(epoch) is not int:
+            raise ValueError(f"{path}:{lineno}: not a record with an integer epoch")
+        if epoch <= last_epoch:
+            kept.append(line + "\n")
+    return kept
+
+
 def train(
     model: Model,
     train_utts: Sequence[Utterance],
@@ -258,10 +276,7 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "train_run.jsonl"
-    kept = []
-    if records_path.exists():
-        lines = records_path.read_text(encoding="utf-8").splitlines()
-        kept = [line + "\n" for line in lines if json.loads(line)["epoch"] <= start_epoch]
+    kept = _records_through(records_path, start_epoch)
     if state is None:
         state = OptimizerState.zeros_like(model.params, rho=cfg.momentum)
     sched = LrSchedule(base_lr=cfg.lr, flat_epochs=cfg.flat_epochs)
@@ -280,16 +295,14 @@ def train(
 
                 def grad_fn(point, batch=batch, rng=rng):
                     probe = Model(model.config, point)
-                    lattices, cache = model_forward(
-                        batch.features, batch.lengths, probe, train_mode=True, rng=rng, want_cache=True
-                    )
-                    upstream, losses = LogitSlots(cache), []
+                    lattices, cache = model_forward(batch.features, batch.lengths, probe, rng=rng)
+                    losses = []
                     for i, (lat, target) in enumerate(zip(lattices, batch.targets)):
                         result = ctc_loss(lat, target)
                         losses.append(result.log_loss)
-                        np.divide(result.grad, batch.size, out=upstream[i])
+                        np.divide(result.grad, batch.size, out=cache.slot(i))
                     del lattices, lat, result
-                    grads = clip_global_norm(model_backward(upstream, cache, probe), cfg.grad_clip)
+                    grads = clip_global_norm(model_backward(cache), cfg.grad_clip)
                     return sum(losses) / batch.size, grads
 
                 _, state, loss = nesterov_step(model.params, grad_fn, state, lr)
@@ -362,21 +375,11 @@ def run_training(
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.txt")
     save_alphabet(out_dir / "vocab.txt", space.vocab)
-    if space.joint is not None:
-        save_alphabet(out_dir / "chars.txt", space.joint.charset)
     if warm_report is not None:
         (out_dir / "warm_start.txt").write_text(str(warm_report) + "\n", encoding="utf-8")
 
     run = train(model, train_utts, heldout_utts, cfg, out_dir, space.encode, state=state, start_epoch=start_epoch)
     return TrainArtifacts(run=run, model=model, label_space=space)
-
-
-def _load_alphabet_file(path: Path, kind: type) -> Vocabulary | CharSet:
-    space = load_alphabet(path)
-    if not isinstance(space, kind):
-        found, wanted = ("word", "character") if kind is CharSet else ("character", "word")
-        raise ValueError(f"{path}: holds a {found} alphabet where a {wanted} alphabet belongs")
-    return space
 
 
 def open_run(run_dir: str | Path, epoch: int | None = None) -> tuple[TrainConfig, Model, LabelSpace]:
@@ -388,11 +391,9 @@ def open_run(run_dir: str | Path, epoch: int | None = None) -> tuple[TrainConfig
     if not found:
         raise FileNotFoundError(f"{run_dir}: no checkpoint matches {pattern}")
     cfg, model = model_from_checkpoint(load_checkpoint(found[-1]))
-    vocab = _load_alphabet_file(run_dir / "vocab.txt", Vocabulary)
-    charset = _load_alphabet_file(run_dir / "chars.txt", CharSet) if cfg.targets == "sar" else None
-    space = _label_space(vocab, charset)
+    space = _label_space(load_alphabet(run_dir / "vocab.txt"), cfg)
     if space.size != model.config.output_dim:
-        files = "vocab.txt and chars.txt" if charset else "vocab.txt"
+        files = f"vocab.txt and the {cfg.charset} charset" if space.joint else "vocab.txt"
         raise ValueError(
             f"{run_dir}: {space.size} labels in {files}, but the checkpoint's output layer has {model.config.output_dim}"
         )

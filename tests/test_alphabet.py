@@ -214,17 +214,6 @@ class TestSerialization:
         save_alphabet(path, loaded)
         assert path.read_bytes() == first
 
-    @pytest.mark.parametrize("variant", ["simple", "positional"])
-    def test_charset_round_trip(self, tmp_path, variant):
-        charset = build_charset(variant)
-        path = tmp_path / "chars.txt"
-        save_alphabet(path, charset)
-        first = path.read_bytes()
-        loaded = load_alphabet(path)
-        assert loaded == charset
-        save_alphabet(path, loaded)
-        assert path.read_bytes() == first
-
     def test_header_and_line_layout(self, tmp_path):
         vocab = build_vocabulary(["b a"], min_count=1)
         path = tmp_path / "vocab.txt"

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from a2w.alphabet import build_charset, save_alphabet
+from a2w.alphabet import build_charset
 from a2w.cli import cli_main
 from a2w.decoder import read_transcripts
 from test_config import TEXT_CASES
@@ -75,6 +75,21 @@ class TestSynth:
         assert (corpus_dir / "corpus.tsv").exists()
         assert list((corpus_dir / "features").glob("*.bin"))
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--noise", "nan"], "noise=nan"),
+            (["--noise", "-1"], "noise=-1.0"),
+            (["--oov-rate", "2", "--oov-pool", "3"], "oov_rate=2.0"),
+            (["--oov-rate", "0.5"], "oov_pool_size=0"),
+        ],
+        ids=["noise-nan", "noise-negative", "rate-above-1", "rate-without-pool"],
+    )
+    def test_spec_it_cannot_honour_exits_2_naming_the_field(self, tmp_path, capsys, flags, field):
+        assert run("synth", "--out", tmp_path / "c", "--seed", 1, "--count", 4, *flags) == 2
+        assert f"error: ValueError: {field}: must" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
 
 class TestTrainDecodeScore:
     def test_run_dir_layout(self, run_dir):
@@ -143,14 +158,6 @@ class TestTrainDecodeScore:
         message = f"{bad}: {len(lines)} labels in vocab.txt, but the checkpoint's output layer has {trained}"
         assert message in capsys.readouterr().err
 
-    def test_decode_checks_chars_against_the_checkpoint(self, sar_run, tmp_path, capsys):
-        corpus, out = sar_run
-        bad = tmp_path / "bad"
-        shutil.copytree(out, bad)
-        save_alphabet(bad / "chars.txt", build_charset("simple"))
-        assert run("decode", "--run", bad, "--corpus", corpus, "--out", tmp_path / "hyp.tsv") == 2
-        assert "labels in vocab.txt and chars.txt, but the checkpoint's output layer has" in capsys.readouterr().err
-
     def test_inspect_ckpt(self, run_dir, capsys):
         assert run("inspect-ckpt", run_dir / "epoch002.ckpt") == 0
         out = capsys.readouterr().out
@@ -171,7 +178,9 @@ class TestTrainDecodeScore:
             "--epochs", 1, "--batch_size", 8, "--heldout_fraction", 0.2,
             "--deltas", "false", "--stacking", "false", "--min_count", 1, "--seed", 5,
         ) == 0
-        assert (out / "chars.txt").exists()
+        # the charset comes from the checkpoint, so a chars.txt in the run directory is ignored
+        assert not (out / "chars.txt").exists()
+        (out / "chars.txt").write_text("not an alphabet\n")
         for mode in ("word", "chars", "switched"):
             hyp = tmp_path / f"hyp_{mode}.tsv"
             assert run("decode", "--run", out, "--corpus", corpus, "--out", hyp, "--mode", mode) == 0
@@ -182,21 +191,35 @@ class TestTrainDecodeScore:
 class TestReaderFaults:
     """Bad input files exit 2 with a message that names the file."""
 
-    def test_chars_file_as_vocab_is_named(self, run_dir, sar_run, corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line, fault",
+        [
+            (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+            (b'{"lr": 1}', "not a record with an integer epoch"),
+            (b'{"epoch": "1"}', "not a record with an integer epoch"),
+            (b"[1]", "not a record with an integer epoch"),
+            (b'{"epoch": 1, "x": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["not-json", "no-epoch", "string-epoch", "not-an-object", "not-utf8"],
+    )
+    def test_resume_over_malformed_records_names_the_line(self, run_dir, corpus_dir, tmp_path, capsys, line, fault):
         bad = tmp_path / "bad"
         shutil.copytree(run_dir, bad)
-        shutil.copy(sar_run[1] / "chars.txt", bad / "vocab.txt")
-        assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
-        message = f"{bad / 'vocab.txt'}: holds a character alphabet where a word alphabet belongs"
-        assert message in capsys.readouterr().err
+        records = bad / "train_run.jsonl"
+        first, *rest = records.read_bytes().splitlines(keepends=True)
+        records.write_bytes(first + line + b"\n" + b"".join(rest))
+        resume = ("--resume", bad / "epoch001.ckpt")
+        assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume) == 2
+        assert f"error: ValueError: {records}:2: {fault}" in capsys.readouterr().err
 
-    def test_vocab_file_as_chars_is_named(self, sar_run, tmp_path, capsys):
-        corpus, out = sar_run
+    def test_chars_file_as_vocab_is_named(self, run_dir, corpus_dir, tmp_path, capsys):
+        # a character-set file in vocab.txt's place
         bad = tmp_path / "bad"
-        shutil.copytree(out, bad)
-        shutil.copy(out / "vocab.txt", bad / "chars.txt")
-        assert run("decode", "--run", bad, "--corpus", corpus, "--out", tmp_path / "hyp.tsv") == 2
-        message = f"{bad / 'chars.txt'}: holds a word alphabet where a character alphabet belongs"
+        shutil.copytree(run_dir, bad)
+        symbols = [s.text for s in build_charset("simple").symbols]
+        (bad / "vocab.txt").write_text("\n".join(["#a2w-alphabet v1 chars-simple", *symbols]) + "\n")
+        assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
+        message = f"{bad / 'vocab.txt'}: unknown variant 'chars-simple'; an alphabet file holds words"
         assert message in capsys.readouterr().err
 
     def test_decode_epoch_picks_the_checkpoint(self, run_dir, corpus_dir, tmp_path, capsys):

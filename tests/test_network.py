@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -29,18 +30,25 @@ def tiny_model(seed=0, config=TINY):
     return init_model(config, np.random.default_rng(seed))
 
 
-def batch_loss(model, feats, lengths, targets, mask_seed=None):
-    """Summed CTC loss over the batch; train mode when mask_seed is given."""
-    rng = np.random.default_rng(mask_seed) if mask_seed is not None else None
-    lattices, cache = model_forward(
-        feats, lengths, model, train_mode=mask_seed is not None, rng=rng, want_cache=True
-    )
-    total, upstream = 0.0, []
-    for lat, y in zip(lattices, targets):
+def batch_loss(model, feats, lengths, targets, mask_seed=0):
+    """Summed CTC loss over the batch from a training forward with dropout
+    masks drawn from ``mask_seed``, and the cache with each utterance's
+    loss gradient in its slot."""
+    lattices, cache = model_forward(feats, lengths, model, rng=np.random.default_rng(mask_seed))
+    total = 0.0
+    for i, (lat, y) in enumerate(zip(lattices, targets)):
         result = ctc_loss(lat, y)
         total += result.log_loss
-        upstream.append(result.grad)
-    return total, upstream, cache
+        cache.slot(i)[...] = result.grad
+    return total, cache
+
+
+def train_forward(feats, lengths, model, upstream=None, seed=0):
+    """The cache of a training forward, with ``upstream[i]`` written into slot i."""
+    _, cache = model_forward(feats, lengths, model, rng=np.random.default_rng(seed))
+    for i, g in enumerate(upstream or ()):
+        cache.slot(i)[...] = g
+    return cache
 
 
 class TestInit:
@@ -137,13 +145,14 @@ class TestForward:
         # are alive, so a 6-layer stack peaks where a 2-layer one does
         feats = np.random.default_rng(1).normal(size=(8, 50, 16))
 
-        def peak(layers, want_cache):
+        def peak(layers, train):
             cfg = ModelConfig(input_dim=16, output_dim=5, num_layers=layers, hidden_per_direction=8,
                               projection_dim=0, dropout_rate=0.0)
             model = init_model(cfg, np.random.default_rng(0))
+            rng = np.random.default_rng(0) if train else None
             tracemalloc.start()
             try:
-                model_forward(feats, [50] * 8, model, want_cache=want_cache)
+                model_forward(feats, [50] * 8, model, rng=rng)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -184,8 +193,8 @@ class TestForward:
             mirrored.params[f"layers.0.bwd.{tensor}"] = model.params[f"layers.0.fwd.{tensor}"]
         rng = np.random.default_rng(8)
         feats = rng.normal(size=(1, 5, 3))
-        _, cache = model_forward(feats, [5], model, want_cache=True)
-        _, mirror_cache = model_forward(feats[:, ::-1], [5], mirrored, want_cache=True)
+        cache = train_forward(feats, [5], model)
+        mirror_cache = train_forward(feats[:, ::-1], [5], mirrored)
         top = cache.concat_top[0]
         mirror_top = mirror_cache.concat_top[0]
         h = cfg.hidden_per_direction
@@ -206,18 +215,19 @@ class TestDropout:
 
     def test_train_mode_expectation_preserved(self):
         # inverted dropout: the masked unit's mean over draws recovers its
-        # eval value; compare the dropped layer-1 input against the eval one
+        # eval value; compare the dropped layer-1 input against the undropped
+        # one, from a forward of the same parameters at rate 0
         cfg = ModelConfig(input_dim=4, output_dim=5, num_layers=2, hidden_per_direction=3,
                           projection_dim=0, dropout_rate=0.25)
         model = init_model(cfg, np.random.default_rng(3))
         feats = np.random.default_rng(4).normal(size=(1, 2, 4))
-        _, eval_cache = model_forward(feats, [2], model, want_cache=True)
-        undropped = eval_cache.directions[1].x[0]
+        undropped_model = Model(dataclasses.replace(cfg, dropout_rate=0.0), model.params)
+        undropped = train_forward(feats, [2], undropped_model).directions[1].x[0]
         rng = np.random.default_rng(99)
         draws = 10_000
         acc = np.zeros_like(undropped)
         for _ in range(draws):
-            _, cache = model_forward(feats, [2], model, train_mode=True, rng=rng, want_cache=True)
+            _, cache = model_forward(feats, [2], model, rng=rng)
             acc += cache.directions[1].x[0]
         mean = acc / draws
         scale = np.abs(undropped).max()
@@ -230,11 +240,11 @@ class TestDropout:
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(2, 4, 5))
         targets = [[1, 2], [3]]
-        loss_train, up_train, cache_train = batch_loss(model, feats, [4, 3], targets, mask_seed=5)
-        loss_eval, up_eval, cache_eval = batch_loss(model, feats, [4, 3], targets)
+        loss_train, cache_train = batch_loss(model, feats, [4, 3], targets, mask_seed=5)
+        loss_eval, cache_eval = batch_loss(model, feats, [4, 3], targets)
         assert loss_train == loss_eval
-        ga = model_backward(up_train, cache_train, model)
-        gb = model_backward(up_eval, cache_eval, model)
+        ga = model_backward(cache_train)
+        gb = model_backward(cache_eval)
         for name in ga:
             np.testing.assert_array_equal(ga[name], gb[name])
 
@@ -243,26 +253,24 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         model = tiny_model(1)
         feats = np.random.default_rng(0).normal(size=(2, 3, 5))
-        _, cache = model_forward(feats, [3, 2], model, want_cache=True)
-        upstream = [np.zeros((3, 6)), np.zeros((2, 6))]
-        grads = model_backward(upstream, cache, model)
+        cache = train_forward(feats, [3, 2], model, [np.zeros((3, 6)), np.zeros((2, 6))])
+        grads = model_backward(cache)
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
     def test_missing_cache_raises(self):
         model = tiny_model()
         with pytest.raises(NoForwardCache):
-            model_backward([np.zeros((1, 6))], None, model)
+            model_backward(None)
 
     def test_cache_backs_one_backward(self):
         # backward reuses the cache's buffers for its gradients
         model = tiny_model(1)
         feats = np.random.default_rng(0).normal(size=(2, 3, 5))
-        _, cache = model_forward(feats, [3, 2], model, want_cache=True)
-        upstream = [np.ones((3, 6)), np.ones((2, 6))]
-        model_backward(upstream, cache, model)
+        cache = train_forward(feats, [3, 2], model, [np.ones((3, 6)), np.ones((2, 6))])
+        model_backward(cache)
         with pytest.raises(NoForwardCache, match="already consumed"):
-            model_backward(upstream, cache, model)
+            model_backward(cache)
 
     def test_finite_difference_full_model(self):
         # acceptance runs the bigger sweep; keep a quick spot check here
@@ -275,11 +283,11 @@ class TestBackward:
         targets = [[1, 2], [3]]
 
         def loss_at(params):
-            total, _, _ = batch_loss(Model(cfg, params), feats, lengths, targets, mask_seed=77)
+            total, _ = batch_loss(Model(cfg, params), feats, lengths, targets, mask_seed=77)
             return total
 
-        _, upstream, cache = batch_loss(model, feats, lengths, targets, mask_seed=77)
-        grads = model_backward(upstream, cache, model)
+        _, cache = batch_loss(model, feats, lengths, targets, mask_seed=77)
+        grads = model_backward(cache)
         step = 1e-4
         worst = 0.0
         for name, param in model.params.items():
@@ -361,13 +369,14 @@ class TestFusedAgainstReference:
         upstream = [rng.normal(size=(n, out_dim)) for n in lengths]
         tol = 1e-12 if dtype == "float64" else 1e-5
 
-        lattices, cache = model_forward(feats, lengths, model, train_mode=True,
-                                        rng=np.random.default_rng(seed + 2), want_cache=True)
+        lattices, cache = model_forward(feats, lengths, model, rng=np.random.default_rng(seed + 2))
         ref_logits, state = reference_forward(feats, lengths, model, rng=np.random.default_rng(seed + 2))
         ref_lattices = [ref_logits[i, : lengths[i]].astype(np.float64) for i in range(batch)]
         assert _max_rel_err([lat.values for lat in lattices], ref_lattices) <= tol
 
-        grads = model_backward(upstream, cache, model)
+        for i, g in enumerate(upstream):
+            cache.slot(i)[...] = g
+        grads = model_backward(cache)
         dlogits = np.zeros((batch, t_max, out_dim), dtype=dtype)
         for i, g in enumerate(upstream):
             dlogits[i, : lengths[i]] = g
@@ -391,7 +400,7 @@ class TestFloat32:
 
         monkeypatch.setattr(network, "PosteriorLattice", recording_lattice)
         feats = np.random.default_rng(1).normal(size=(2, 4, 5))
-        _, cache = model_forward(feats, [4, 3], model, train_mode=True, rng=np.random.default_rng(2), want_cache=True)
+        _, cache = model_forward(feats, [4, 3], model, rng=np.random.default_rng(2))
         assert seen == [np.float32, np.float32]
         buffers = [cache.concat_top, cache.proj_h, cache.logits]
         for layer in cache.directions:
@@ -399,7 +408,9 @@ class TestFloat32:
         assert all(b.dtype == np.float32 for b in buffers)
         masks = [m for m in cache.dropout_masks if m is not None]
         assert len(masks) == 1 and all(m.dtype == np.bool_ for m in masks)
-        grads = model_backward([np.ones((4, 6)), np.ones((3, 6))], cache, model)
+        for i, g in enumerate([np.ones((4, 6)), np.ones((3, 6))]):
+            cache.slot(i)[...] = g
+        grads = model_backward(cache)
         assert all(g.dtype == np.float32 for g in grads.values())
 
     def test_float32_lattices_are_views_of_the_logits(self):
@@ -407,7 +418,7 @@ class TestFloat32:
                           projection_dim=3, dropout_rate=0.25, dtype="float32")
         model = init_model(cfg, np.random.default_rng(0))
         feats = np.random.default_rng(1).normal(size=(2, 4, 5))
-        lattices, cache = model_forward(feats, [4, 3], model, want_cache=True)
+        lattices, cache = model_forward(feats, [4, 3], model, rng=np.random.default_rng(2))
         for lattice in lattices:
             assert lattice.values.dtype == np.float32
             assert np.shares_memory(lattice.values, cache.logits)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,26 @@ class TestSynthCorpus:
         tokens = [w for u in utts for w in u.transcript]
         rate = sum(w not in main for w in tokens) / len(tokens)
         assert rate == pytest.approx(0.1, abs=0.02)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"vocab_size": 0}, "vocab_size=0: must be >= 1"),
+            ({"min_words": 3, "max_words": 2}, "max_words=2: must be >= 3"),
+            ({"oov_pool_size": -1}, "oov_pool_size=-1: must be >= 0"),
+            ({"noise": math.nan}, "noise=nan: must be finite and >= 0"),
+            ({"noise": math.inf}, "noise=inf: must be finite and >= 0"),
+            ({"noise": -1.0}, "noise=-1.0: must be finite and >= 0"),
+            ({"oov_rate": 2.0, "oov_pool_size": 3}, r"oov_rate=2.0: must lie in \[0, 1\]"),
+            ({"oov_rate": math.nan, "oov_pool_size": 3}, r"oov_rate=nan: must lie in \[0, 1\]"),
+            ({"oov_rate": 0.5}, "oov_pool_size=0: must be >= 1 when oov_rate > 0"),
+        ],
+        ids=["vocab", "words", "pool", "noise-nan", "noise-inf", "noise-negative", "rate-above-1", "rate-nan",
+             "rate-without-pool"],
+    )
+    def test_spec_it_cannot_honour_is_rejected_by_field(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SynthSpec(**fields)
 
     def test_no_adjacent_repeats(self):
         spec = SynthSpec(vocab_size=4, proto_seed=5)

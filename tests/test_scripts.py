@@ -35,6 +35,14 @@ def test_help(name):
     assert "usage:" in result.stdout
 
 
+def test_step_memory_runs_one_tiny_step():
+    result = run_script("step_memory.py", "--layers", "1", "--hidden", "4", "--projection", "0", "--vocab", "20",
+                        "--batch", "2", "--frames", "10", "--input-dim", "3")
+    assert result.returncode == 0, result.stderr
+    rows = [line.split()[0] for line in result.stdout.splitlines()[3:9]]
+    assert rows == ["forward", "ctc", "backward", "eval", "save", "load"], result.stdout
+
+
 def _digests(lines):
     """path -> sha256 of a sweep output's artifact lines."""
     return {path: sha for sha, path in (line.split("  ", 1) for line in lines if not line.startswith("#"))}
