@@ -322,13 +322,15 @@ def load_alphabet(path: str | Path) -> Vocabulary:
     variant, *extras = lines[0][len(ALPHABET_FILE_MAGIC):].split() or [""]
     if variant != "words":
         raise ValueError(f"{path}: unknown variant {variant!r}; an alphabet file holds words")
-    min_count = 1
+    fields: dict[str, str] = {}
     for extra in extras:
         key, _, value = extra.partition("=")
-        if key == "min_count":
-            if not value.isdecimal():
-                raise ValueError(f"{path}: header min_count {value!r} is not a count")
-            min_count = int(value)
+        if key in fields or key != "min_count":
+            raise ValueError(f"{path}: header field {key!r} is {'repeated' if key in fields else 'unknown'}")
+        fields[key] = value
+    min_count = fields.get("min_count", "1")
+    if not min_count.isdecimal():
+        raise ValueError(f"{path}: header min_count {min_count!r} is not a count")
     body = lines[1:]
     if not body or body[0] != UNK_WORD:
         raise ValueError(f"{path}: word file must place {UNK_WORD} at id 1")
@@ -339,4 +341,4 @@ def load_alphabet(path: str | Path) -> Vocabulary:
         if word in seen:
             raise ValueError(f"{path}:{lineno}: {word!r} is listed twice")
         seen.add(word)
-    return Vocabulary(words=tuple(body[1:]), min_count=min_count)
+    return Vocabulary(words=tuple(body[1:]), min_count=int(min_count))

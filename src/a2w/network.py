@@ -10,8 +10,9 @@ parameter count is exactly V*d + d*D.
 Gate order is input/forget/cell/output with sigmoid/sigmoid/tanh/sigmoid;
 the forget-gate bias starts at 1.0, all other biases at 0.
 
-Both directions of a layer run in one time loop. Their W, R and b are
-stacked on a leading axis of 2 and every buffer is time-major,
+Both directions of a layer run in one time loop, and a layer stores its W,
+R and b as the loop uses them: fwd and bwd stacked on axis 0 (index 0 and
+1; ``param_shapes`` spells the layout). Every buffer is time-major,
 2 x T x B x features, with the bwd direction stored in its own (reversed)
 time order, so step t is one slice for both. One row gather reverses a
 layer's input for the bwd direction; one GEMM per layer writes x @ W.T + b
@@ -117,29 +118,38 @@ class Model:
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _gate_bias(hidden: int, dtype) -> np.ndarray:
-    b = np.zeros(4 * hidden, dtype=dtype)
-    b[hidden : 2 * hidden] = 1.0  # forget gate opens at init
-    return b
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in the model's order: per layer W,
+    R and b with fwd (index 0) and bwd (index 1) stacked on axis 0, then
+    ``proj.W`` when there is a projection, then ``out.W``."""
+    hidden = config.hidden_per_direction
+    shapes: dict[str, tuple[int, ...]] = {}
+    for layer in range(config.num_layers):
+        shapes[f"layers.{layer}.W"] = (2, 4 * hidden, config.layer_input_dim(layer))
+        shapes[f"layers.{layer}.R"] = (2, 4 * hidden, hidden)
+        shapes[f"layers.{layer}.b"] = (2, 4 * hidden)
+    if config.projection_dim:
+        shapes["proj.W"] = (config.projection_dim, config.concat_dim)
+    shapes["out.W"] = (config.output_dim, config.projection_dim or config.concat_dim)
+    return shapes
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
+    """Fan-in uniform weights, drawn per layer as fwd W, fwd R, bwd W, bwd R,
+    then proj.W and out.W; the forget-gate biases are 1, the others 0."""
     dtype = np.dtype(config.dtype)
     hidden = config.hidden_per_direction
     gain = init_gain(config.init_scheme)
-    params: dict[str, np.ndarray] = {}
+    params = {name: np.zeros(shape, dtype=dtype) for name, shape in param_shapes(config).items()}
     for layer in range(config.num_layers):
-        in_dim = config.layer_input_dim(layer)
-        for direction in ("fwd", "bwd"):
-            prefix = f"layers.{layer}.{direction}"
-            params[f"{prefix}.W"] = (gain * init_uniform_fan_in((4 * hidden, in_dim), rng)).astype(dtype)
-            params[f"{prefix}.R"] = (gain * init_uniform_fan_in((4 * hidden, hidden), rng)).astype(dtype)
-            params[f"{prefix}.b"] = _gate_bias(hidden, dtype)
-    if config.projection_dim:
-        params["proj.W"] = init_uniform_fan_in((config.projection_dim, config.concat_dim), rng).astype(dtype)
-        params["out.W"] = init_uniform_fan_in((config.output_dim, config.projection_dim), rng).astype(dtype)
-    else:
-        params["out.W"] = init_uniform_fan_in((config.output_dim, config.concat_dim), rng).astype(dtype)
+        w, r = params[f"layers.{layer}.W"], params[f"layers.{layer}.R"]
+        for d in range(2):
+            w[d] = gain * init_uniform_fan_in(w.shape[1:], rng)
+            r[d] = gain * init_uniform_fan_in(r.shape[1:], rng)
+        params[f"layers.{layer}.b"][:, hidden : 2 * hidden] = 1.0  # forget gate opens at init
+    for name in ("proj.W", "out.W"):
+        if name in params:
+            params[name][...] = init_uniform_fan_in(params[name].shape, rng)
     return Model(config=config, params=params)
 
 
@@ -166,15 +176,6 @@ class _LayerCache:
     gates: np.ndarray  # 2 x T x B x 4H post-nonlinearity [i, f, g, o]
     c: np.ndarray      # 2 x (T+1) x B x H cell states after a zero slot 0
     h: np.ndarray      # 2 x (T+1) x B x H hidden states after a zero slot 0
-
-
-def _stacked(params: dict[str, np.ndarray], layer: int, tensor: str) -> np.ndarray:
-    """One layer's fwd and bwd ``tensor`` stacked on a new axis 0."""
-    fwd = params[f"layers.{layer}.fwd.{tensor}"]
-    out = np.empty((2, *fwd.shape), dtype=fwd.dtype)
-    out[0] = fwd
-    out[1] = params[f"layers.{layer}.bwd.{tensor}"]
-    return out
 
 
 def _blstm_forward(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray, want_cache: bool) -> _LayerCache:
@@ -387,9 +388,8 @@ def model_forward(
     params = model.params
     for layer in range(config.num_layers):
         _reverse_into(inputs[0], rows, inputs[1])
-        layer_cache = _blstm_forward(
-            inputs, _stacked(params, layer, "W"), _stacked(params, layer, "R"), _stacked(params, layer, "b"), train
-        )
+        prefix = f"layers.{layer}."
+        layer_cache = _blstm_forward(inputs, params[prefix + "W"], params[prefix + "R"], params[prefix + "b"], train)
         if train:
             directions.append(layer_cache)
         if layer == config.num_layers - 1:
@@ -481,14 +481,11 @@ def model_backward(cache: ForwardCache | None) -> dict[str, np.ndarray]:
         del dcurrent
         layer_cache = cache.directions[layer]
         cache.directions[layer] = None
-        grad_w, grad_r, grad_b, dx = _blstm_backward(
-            layer_cache, dh, _stacked(params, layer, "W"), _stacked(params, layer, "R"), want_dx=layer > 0
+        prefix = f"layers.{layer}."
+        grads[prefix + "W"], grads[prefix + "R"], grads[prefix + "b"], dx = _blstm_backward(
+            layer_cache, dh, params[prefix + "W"], params[prefix + "R"], want_dx=layer > 0
         )
         del layer_cache, dh
-        for d, direction in enumerate(("fwd", "bwd")):
-            grads[f"layers.{layer}.{direction}.W"] = grad_w[d]
-            grads[f"layers.{layer}.{direction}.R"] = grad_r[d]
-            grads[f"layers.{layer}.{direction}.b"] = grad_b[d]
         if dx is not None:
             dcurrent = dx[0]
             dcurrent += np.take(dx[1].reshape(-1, dx.shape[-1]), cache.rev_rows, axis=0).reshape(dcurrent.shape)

@@ -35,7 +35,7 @@ from .alphabet import (
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_items, config_to_items, save_config
 from .ctc import InfeasibleAlignment, ctc_loss, min_frames_for
-from .network import Model, ModelConfig, init_model, model_backward, model_forward, warm_start
+from .network import Model, ModelConfig, init_model, model_backward, model_forward, param_shapes, warm_start
 from .pipeline import (
     ASCENDING,
     CurriculumOrder,
@@ -118,7 +118,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str,
     if max_norm <= 0:
         return grads
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= max_norm:
+    if not total > max_norm:  # a NaN norm scales nothing, so the finite check names the tensor
         return grads
     scale = max_norm / total
     return {k: g * scale for k, g in grads.items()}
@@ -225,14 +225,35 @@ def build_model_config(cfg: TrainConfig, input_dim: int, output_dim: int) -> Mod
     )
 
 
-def model_from_checkpoint(ckpt: Checkpoint) -> tuple[TrainConfig, Model]:
-    """Inverse of ``make_checkpoint``: the run config and the model it snapshots."""
+def _check_fit(path: str | Path, ckpt: Checkpoint, config: ModelConfig, prefixes: tuple[str, ...]) -> None:
+    """Raise ValueError naming ``path`` and the first tensor, by name, under
+    ``prefixes`` that the checkpoint lacks, adds or shapes differently from
+    the model ``config`` describes."""
+    want = {prefix + name: shape for prefix in prefixes for name, shape in param_shapes(config).items()}
+    have = {name: tensor.shape for name, tensor in ckpt.tensors.items() if name.startswith(prefixes)}
+    for name in sorted(want.keys() | have.keys()):
+        if have.get(name) != want.get(name):
+            shapes = f"{have.get(name, 'absent')} in the checkpoint and {want.get(name, 'absent')} in the model"
+            raise ValueError(f"{path}: tensor {name} is {shapes}")
+
+
+def config_from_checkpoint(ckpt: Checkpoint) -> tuple[TrainConfig, ModelConfig]:
+    """The run config and the network shape a checkpoint's config records snapshot."""
     items = dict(ckpt.config)
     input_dim, output_dim = int(items.pop("input_dim")), int(items.pop("output_dim"))
     cfg = config_from_items(items)
+    return cfg, build_model_config(cfg, input_dim, output_dim)
+
+
+def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
+    """Inverse of saving ``make_checkpoint``: the run config and the model a
+    checkpoint file snapshots. Model tensors that do not fit the config
+    raise ValueError naming the file and the tensor."""
+    ckpt = load_checkpoint(path)
+    cfg, config = config_from_checkpoint(ckpt)
+    _check_fit(path, ckpt, config, ("model.",))
     dtype = np.dtype(cfg.dtype)
-    params = {k: v.astype(dtype) for k, v in ckpt.model_tensors().items()}
-    return cfg, Model(build_model_config(cfg, input_dim, output_dim), params)
+    return cfg, Model(config, {k: v.astype(dtype) for k, v in ckpt.model_tensors().items()})
 
 
 def _records_through(path: Path, last_epoch: int) -> list[str]:
@@ -355,15 +376,10 @@ def run_training(
     state, warm_report, start_epoch = None, None, 0
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        report = warm_start(model, ckpt.model_tensors())
-        if report.skipped:
-            raise ValueError(f"resume checkpoint does not match the model:\n{report}")
-        velocity = ckpt.velocity_tensors()
-        if velocity:
-            state = OptimizerState(
-                velocity={k: np.asarray(v, dtype=model.params[k].dtype) for k, v in velocity.items()},
-                rho=cfg.momentum,
-            )
+        _check_fit(resume_from, ckpt, model_config, ("model.", "opt.v."))
+        warm_start(model, ckpt.model_tensors())
+        velocity = {k: np.asarray(v, dtype=model.params[k].dtype) for k, v in ckpt.velocity_tensors().items()}
+        state = OptimizerState(velocity=velocity, rho=cfg.momentum)
         start_epoch = ckpt.epoch
     elif cfg.warm_ckpt:
         warm_report = warm_start(model, load_checkpoint(cfg.warm_ckpt).model_tensors())
@@ -390,7 +406,7 @@ def open_run(run_dir: str | Path, epoch: int | None = None) -> tuple[TrainConfig
     found = sorted(run_dir.glob(pattern))
     if not found:
         raise FileNotFoundError(f"{run_dir}: no checkpoint matches {pattern}")
-    cfg, model = model_from_checkpoint(load_checkpoint(found[-1]))
+    cfg, model = model_from_checkpoint(found[-1])
     space = _label_space(load_alphabet(run_dir / "vocab.txt"), cfg)
     if space.size != model.config.output_dim:
         files = f"vocab.txt and the {cfg.charset} charset" if space.joint else "vocab.txt"

@@ -336,18 +336,9 @@ def reference_forward(features, lengths, model, rng=None):
     directions, masks = [], []
     current = x
     for layer in range(config.num_layers):
-        fwd = _run_lstm(
-            current,
-            model.params[f"layers.{layer}.fwd.W"],
-            model.params[f"layers.{layer}.fwd.R"],
-            model.params[f"layers.{layer}.fwd.b"],
-        )
-        bwd = _run_lstm(
-            _gather_frames(current, rev_idx),
-            model.params[f"layers.{layer}.bwd.W"],
-            model.params[f"layers.{layer}.bwd.R"],
-            model.params[f"layers.{layer}.bwd.b"],
-        )
+        w, r, b = (model.params[f"layers.{layer}.{kind}"] for kind in "WRb")
+        fwd = _run_lstm(current, w[0], r[0], b[0])
+        bwd = _run_lstm(_gather_frames(current, rev_idx), w[1], r[1], b[1])
         directions.append((fwd, bwd))
         current = np.concatenate([fwd.h, _gather_frames(bwd.h, rev_idx)], axis=2)
         if layer < config.num_layers - 1:
@@ -391,13 +382,10 @@ def reference_backward(dlogits, state, model):
         fwd, bwd = state["directions"][layer]
         dh_fwd = dcurrent[:, :, :hidden]
         dh_bwd = _gather_frames(dcurrent[:, :, hidden:], rev_idx)
-        dx_f, gw, gr, gb = _lstm_backward(fwd, np.ascontiguousarray(dh_fwd), model.params[f"layers.{layer}.fwd.W"], model.params[f"layers.{layer}.fwd.R"])
-        grads[f"layers.{layer}.fwd.W"] = gw
-        grads[f"layers.{layer}.fwd.R"] = gr
-        grads[f"layers.{layer}.fwd.b"] = gb
-        dx_b, gw, gr, gb = _lstm_backward(bwd, np.ascontiguousarray(dh_bwd), model.params[f"layers.{layer}.bwd.W"], model.params[f"layers.{layer}.bwd.R"])
-        grads[f"layers.{layer}.bwd.W"] = gw
-        grads[f"layers.{layer}.bwd.R"] = gr
-        grads[f"layers.{layer}.bwd.b"] = gb
+        w, r = model.params[f"layers.{layer}.W"], model.params[f"layers.{layer}.R"]
+        dx_f, *grads_f = _lstm_backward(fwd, np.ascontiguousarray(dh_fwd), w[0], r[0])
+        dx_b, *grads_b = _lstm_backward(bwd, np.ascontiguousarray(dh_bwd), w[1], r[1])
+        for kind, g_f, g_b in zip("WRb", grads_f, grads_b):
+            grads[f"layers.{layer}.{kind}"] = np.stack([g_f, g_b])
         dcurrent = dx_f + _gather_frames(dx_b, rev_idx)
     return grads

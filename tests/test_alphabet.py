@@ -231,8 +231,11 @@ class TestSerialization:
         [
             ("#a2w-alphabet v1", r"vocab\.txt: unknown variant ''"),
             ("#a2w-alphabet v1 words min_count=x", r"vocab\.txt: header min_count 'x' is not a count"),
+            ("#a2w-alphabet v1 words mincount=3 junk", r"vocab\.txt: header field 'mincount' is unknown"),
+            ("#a2w-alphabet v1 words min_count=1 junk", r"vocab\.txt: header field 'junk' is unknown"),
+            ("#a2w-alphabet v1 words min_count=3 min_count=1", r"vocab\.txt: header field 'min_count' is repeated"),
         ],
-        ids=["bare-header", "bad-min-count"],
+        ids=["bare-header", "bad-min-count", "misspelt-field", "unknown-field", "repeated-field"],
     )
     def test_bad_header_names_path(self, tmp_path, header, message):
         path = tmp_path / "vocab.txt"

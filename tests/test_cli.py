@@ -1,9 +1,11 @@
 import filecmp
 import shutil
 
+import numpy as np
 import pytest
 
 from a2w.alphabet import build_charset
+from a2w.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from a2w.cli import cli_main
 from a2w.decoder import read_transcripts
 from test_config import TEXT_CASES
@@ -51,6 +53,13 @@ def sar_run(tmp_path_factory):
         "--deltas", "false", "--stacking", "false", "--seed", 5,
     ) == 0
     return corpus, out
+
+
+def per_direction_layout(tensors, config):
+    """Layer 0 in the layout checkpoints had before each layer's two directions were stacked."""
+    for prefix in ("model.layers.0.", "opt.v.layers.0."):
+        for kind in "WRb":
+            tensors[f"{prefix}fwd.{kind}"], tensors[f"{prefix}bwd.{kind}"] = tensors.pop(prefix + kind)
 
 
 def write_ref(corpus_dir, path):
@@ -211,6 +220,46 @@ class TestReaderFaults:
         resume = ("--resume", bad / "epoch001.ckpt")
         assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume) == 2
         assert f"error: ValueError: {records}:2: {fault}" in capsys.readouterr().err
+
+    # RUN_FLAGS: 4 input features, 1 layer, hidden 6, projection 4
+    @pytest.mark.parametrize(
+        "edit, commands, fault",
+        [
+            (lambda t, c: t.pop("model.layers.0.R"), ("decode", "resume"),
+             "tensor model.layers.0.R is absent in the checkpoint and (2, 24, 6) in the model"),
+            (lambda t, c: t.update({"model.layers.1.W": np.zeros((2, 24, 12))}), ("decode", "resume"),
+             "tensor model.layers.1.W is (2, 24, 12) in the checkpoint and absent in the model"),
+            (lambda t, c: t.update({"model.proj.W": t["model.proj.W"][:, :6]}), ("decode", "resume"),
+             "tensor model.proj.W is (4, 6) in the checkpoint and (4, 12) in the model"),
+            (lambda t, c: c.update(hidden="5"), ("decode",),
+             "tensor model.layers.0.R is (2, 24, 6) in the checkpoint and (2, 20, 5) in the model"),
+            (per_direction_layout, ("decode", "resume"),
+             "tensor model.layers.0.R is absent in the checkpoint and (2, 24, 6) in the model"),
+            (lambda t, c: t.update({"opt.v.layers.0.b": np.zeros(1)}), ("resume",),
+             "tensor opt.v.layers.0.b is (1,) in the checkpoint and (2, 24) in the model"),
+            (lambda t, c: t.pop("opt.v.layers.0.R"), ("resume",),
+             "tensor opt.v.layers.0.R is absent in the checkpoint and (2, 24, 6) in the model"),
+        ],
+        ids=["dropped-tensor", "extra-tensor", "misshapen-tensor", "hidden-record", "per-direction-names",
+             "misshapen-velocity", "dropped-velocity"],
+    )
+    def test_checkpoint_that_does_not_fit_is_named(self, run_dir, corpus_dir, tmp_path, capsys, edit, commands, fault):
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        for ckpt in (bad / "epoch001.ckpt", bad / "epoch002.ckpt"):
+            loaded = load_checkpoint(ckpt)
+            tensors, config = dict(loaded.tensors), dict(loaded.config)
+            edit(tensors, config)
+            save_checkpoint(Checkpoint(tensors=tensors, config=config, epoch=loaded.epoch), ckpt)
+        before = {p.name: p.read_bytes() for p in bad.iterdir()}
+        if "decode" in commands:
+            assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
+            assert f"error: ValueError: {bad / 'epoch002.ckpt'}: {fault}" in capsys.readouterr().err
+        if "resume" in commands:
+            resume = ("--resume", bad / "epoch001.ckpt")
+            assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume) == 2
+            assert f"error: ValueError: {bad / 'epoch001.ckpt'}: {fault}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in bad.iterdir()} == before
 
     def test_chars_file_as_vocab_is_named(self, run_dir, corpus_dir, tmp_path, capsys):
         # a character-set file in vocab.txt's place

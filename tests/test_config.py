@@ -9,7 +9,7 @@ from a2w.checkpoint import load_checkpoint, save_checkpoint
 from a2w.config import DEFAULTS, TrainConfig, check_value, config_from_items, load_config, save_config
 from a2w.network import Model
 from a2w.pipeline import ORDERS
-from a2w.trainer import OptimizerState, build_model_config, make_checkpoint, model_from_checkpoint
+from a2w.trainer import OptimizerState, build_model_config, config_from_checkpoint, make_checkpoint
 
 INIT_RULE = "uniform-fan-in or uniform-fan-in-gain:G with finite G > 0"
 
@@ -218,6 +218,6 @@ def test_every_accepted_config_round_trips(tmp_path, cfg):
     model = Model(build_model_config(cfg, input_dim=3, output_dim=5))
     ckpt_path = tmp_path / "epoch001.ckpt"
     save_checkpoint(make_checkpoint(model, OptimizerState(velocity={}), cfg, 1), ckpt_path)
-    back, back_model = model_from_checkpoint(load_checkpoint(ckpt_path))
+    back, back_config = config_from_checkpoint(load_checkpoint(ckpt_path))
     assert back == cfg
-    assert back_model.config == model.config
+    assert back_config == model.config

@@ -17,6 +17,7 @@ from a2w.network import (
     init_uniform_fan_in,
     model_backward,
     model_forward,
+    param_shapes,
     warm_start,
 )
 from oracles import reference_backward, reference_forward
@@ -73,10 +74,10 @@ class TestInit:
 
     def test_forget_gate_bias_is_one(self):
         model = tiny_model()
-        b = model.params["layers.0.fwd.b"]
+        b = model.params["layers.0.b"]
         h = TINY.hidden_per_direction
-        np.testing.assert_array_equal(b[h : 2 * h], 1.0)
-        np.testing.assert_array_equal(b[:h], 0.0)
+        np.testing.assert_array_equal(b[:, h : 2 * h], 1.0)
+        np.testing.assert_array_equal(b[:, :h], 0.0)
 
 
 class TestParameterAccounting:
@@ -91,6 +92,21 @@ class TestParameterAccounting:
         flat_params = init_model(flat, np.random.default_rng(0)).params
         assert sorted(n for n in flat_params if not n.startswith("layers.")) == ["out.W"]
         assert flat_params["out.W"].shape == (50, 16)
+
+    def test_param_shapes_closed_form(self):
+        # per layer W, R, b with fwd/bwd on axis 0; layer 0 reads 7 inputs, the others 2H = 10
+        cfg = ModelConfig(input_dim=7, output_dim=9, num_layers=2, hidden_per_direction=5, projection_dim=4)
+        assert param_shapes(cfg) == {
+            "layers.0.W": (2, 20, 7), "layers.0.R": (2, 20, 5), "layers.0.b": (2, 20),
+            "layers.1.W": (2, 20, 10), "layers.1.R": (2, 20, 5), "layers.1.b": (2, 20),
+            "proj.W": (4, 10), "out.W": (9, 4),
+        }
+        flat = dataclasses.replace(cfg, num_layers=1, projection_dim=0)
+        assert param_shapes(flat) == {"layers.0.W": (2, 20, 7), "layers.0.R": (2, 20, 5), "layers.0.b": (2, 20),
+                                      "out.W": (9, 10)}
+        model = init_model(cfg, np.random.default_rng(0))
+        assert {name: p.shape for name, p in model.params.items()} == param_shapes(cfg)
+        assert len(model.params) == 3 * cfg.num_layers + 2
 
     def test_total_count_matches_tensors(self):
         cfg = ModelConfig(input_dim=7, output_dim=9, num_layers=3, hidden_per_direction=5, projection_dim=4)
@@ -182,15 +198,14 @@ class TestForward:
         assert peak <= needed + cell // 2
 
     def test_bidirectionality_mirror(self):
-        # swap fwd/bwd parameters and reverse the input: hidden halves swap
-        # and the frame order reverses
+        # swap fwd/bwd parameters (reverse axis 0) and reverse the input:
+        # hidden halves swap and the frame order reverses
         cfg = ModelConfig(input_dim=3, output_dim=4, num_layers=1, hidden_per_direction=4,
                           projection_dim=0, dropout_rate=0.0)
         model = tiny_model(5, cfg)
         mirrored = Model(cfg, dict(model.params))
         for tensor in ("W", "R", "b"):
-            mirrored.params[f"layers.0.fwd.{tensor}"] = model.params[f"layers.0.bwd.{tensor}"]
-            mirrored.params[f"layers.0.bwd.{tensor}"] = model.params[f"layers.0.fwd.{tensor}"]
+            mirrored.params[f"layers.0.{tensor}"] = model.params[f"layers.0.{tensor}"][::-1].copy()
         rng = np.random.default_rng(8)
         feats = rng.normal(size=(1, 5, 3))
         cache = train_forward(feats, [5], model)
@@ -320,8 +335,8 @@ class TestWarmStart:
         report = warm_start(target, source.params)
         skipped_names = {name for name, _ in report.skipped}
         assert skipped_names == {"out.W"}
-        assert "layers.0.fwd.W" in report.copied
-        np.testing.assert_array_equal(target.params["layers.0.fwd.W"], source.params["layers.0.fwd.W"])
+        assert "layers.0.W" in report.copied
+        np.testing.assert_array_equal(target.params["layers.0.W"], source.params["layers.0.W"])
 
     def test_missing_tensors_reported(self):
         target = tiny_model(0)

@@ -132,6 +132,15 @@ class TestNesterovStep:
         with pytest.raises(DivergedGradient):
             nesterov_step(params, bad, state, lr=0.1)
 
+    def test_nonfinite_gradient_is_named_with_clipping_on(self):
+        # a NaN global norm must not spread to the finite tensors before the check
+        def bad(params):
+            return 0.0, clip_global_norm({"a": np.array([3.0]), "b": np.array([math.nan])}, 1.0)
+
+        params = {"a": np.array([1.0]), "b": np.array([1.0])}
+        with pytest.raises(DivergedGradient, match="non-finite gradient in b$"):
+            nesterov_step(params, bad, OptimizerState.zeros_like(params), lr=0.1)
+
     def test_small_step_does_not_increase_batch_loss(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
@@ -221,7 +230,7 @@ class TestTrainLoop:
         model = init_model(build_model_config(cfg, input_dim=4, output_dim=9), np.random.default_rng(0))
         path = tmp_path / "m.ckpt"
         save_checkpoint(make_checkpoint(model, OptimizerState.zeros_like(model.params), cfg, epoch=2), path)
-        back_cfg, back = model_from_checkpoint(load_checkpoint(path))
+        back_cfg, back = model_from_checkpoint(path)
         assert back_cfg == cfg
         assert back.config == model.config
         assert back.params.keys() == model.params.keys()
