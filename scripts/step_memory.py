@@ -18,7 +18,14 @@ from outside to mark the phases:
 For each phase it prints the traced bytes held when the phase starts and
 the peak reached during it, both above what was held before training
 began (corpus, model and optimizer state), and the peak above the
-phase's own start; the checkpoint file size is printed last.
+phase's own start; the checkpoint file size comes next. Last comes the
+corpus side: the raw features, the bytes a transformed copy of them
+would take, and the traced bytes that ``prepare_corpus`` and the batch
+list of ``sort_and_batch`` hold (the transforms run when a batch is
+read, so these hold no frames). With ``--front-end`` the raw features
+are ``input_dim / 6`` wide at twice the frames, and deltas plus stacking
+turn them into the network's ``T x input_dim`` input, as in the paper;
+without it the transform is the identity.
 """
 
 import argparse
@@ -32,18 +39,18 @@ import a2w.trainer as trainer
 from a2w.checkpoint import load_checkpoint
 from a2w.config import TrainConfig
 from a2w.network import init_model
-from a2w.pipeline import Utterance
+from a2w.pipeline import ASCENDING, Utterance, sort_and_batch
 
 MB = 1 << 20
 
 
-def synthetic_split(prefix, count, frames, input_dim, vocab, rng):
-    """``count`` utterances of ``frames`` frames, each with a random
-    transcript of frames // 4 word ids (always alignable)."""
+def synthetic_split(prefix, count, frames, dim, words, vocab, rng):
+    """``count`` utterances of ``frames`` x ``dim`` features, each with a
+    random transcript of ``words`` word ids."""
     utts = []
     for k in range(count):
-        words = tuple(str(w) for w in rng.integers(1, vocab, size=max(1, frames // 4)))
-        utts.append(Utterance(f"{prefix}{k}", rng.normal(size=(frames, input_dim)), words))
+        transcript = tuple(str(w) for w in rng.integers(1, vocab, size=words))
+        utts.append(Utterance(f"{prefix}{k}", rng.normal(size=(frames, dim)), transcript))
     return utts
 
 
@@ -98,13 +105,20 @@ def main():
     parser.add_argument("--input-dim", type=int, default=240)
     parser.add_argument("--dtype", default="float64", choices=("float64", "float32"))
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--front-end", action="store_true",
+                        help="raw features input_dim/6 wide at 2T frames, through deltas and stacking")
     args = parser.parse_args()
+    if args.front_end and args.input_dim % 6:
+        parser.error(f"--front-end needs an --input-dim divisible by 6, not {args.input_dim}")
 
     rng = np.random.default_rng(args.seed)
-    train_utts = synthetic_split("train", args.batch, args.frames, args.input_dim, args.vocab, rng)
-    held_utts = synthetic_split("held", args.batch, args.frames, args.input_dim, args.vocab, rng)
+    raw_frames, raw_dim = (2 * args.frames, args.input_dim // 6) if args.front_end else (args.frames, args.input_dim)
+    words = max(1, args.frames // 4)  # always alignable at T frames
+    raw_train = synthetic_split("train", args.batch, raw_frames, raw_dim, words, args.vocab, rng)
+    raw_held = synthetic_split("held", args.batch, raw_frames, raw_dim, words, args.vocab, rng)
     cfg = TrainConfig(layers=args.layers, hidden=args.hidden, projection=args.projection, dtype=args.dtype,
-                      epochs=1, batch_size=args.batch, grad_clip=2.0, seed=args.seed, deltas=False, stacking=False)
+                      epochs=1, batch_size=args.batch, grad_clip=2.0, seed=args.seed,
+                      deltas=args.front_end, stacking=args.front_end)
     model_config = trainer.build_model_config(cfg, args.input_dim, args.vocab)
     model = init_model(model_config, np.random.default_rng(args.seed))
     encode = lambda words: [int(w) for w in words]  # noqa: E731
@@ -122,6 +136,11 @@ def main():
     with tempfile.TemporaryDirectory() as work:
         tracemalloc.start()
         try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_utts, held_utts = trainer.prepare_corpus(raw_train, cfg), trainer.prepare_corpus(raw_held, cfg)
+            batches = sort_and_batch(train_utts, ASCENDING, args.batch, encode)
+            corpus_held = tracemalloc.get_traced_memory()[0] - start
+            del batches
             meter.base = tracemalloc.get_traced_memory()[0]
             run = trainer.train(model, train_utts, held_utts, cfg, work, encode, state=state)
             ckpt_path = run.checkpoint_paths[-1]
@@ -135,6 +154,10 @@ def main():
         start, peak, rise = meter.rows[name]
         print(f"{name:10s} {start / MB:10.1f} {peak / MB:10.1f} {rise / MB:14.1f}")
     print(f"checkpoint file: {file_mb:.1f} MB")
+    raw_mb = sum(u.features.nbytes for u in raw_train) / MB
+    transformed_mb = sum(u.features.nbytes for u in train_utts) / MB
+    print(f"corpus: raw {raw_mb:.2f} MB, transformed {transformed_mb:.2f} MB if copied; "
+          f"prepared corpus and batch list hold {corpus_held / MB:.3f} MB")
 
 
 if __name__ == "__main__":

@@ -44,26 +44,33 @@ class Utterance:
 
 @dataclass(frozen=True)
 class Batch:
-    """A run of utterances, padded to a ``B x T_max x F`` tensor on access.
+    """A run of utterances, read and padded to a ``B x T_max x F`` tensor on
+    access.
 
-    The batch keeps references to its utterances' ``T_i x F`` arrays, so a
+    The batch keeps references to its utterances, not to frame arrays, so a
     list of batches costs almost nothing beyond the corpus it was built
-    from. Each read of ``features`` builds a fresh zero-padded copy; the
-    counting properties read only ``lengths``.
+    from. Each read of ``features`` reads each utterance's ``features`` once
+    (running a prepared utterance's transforms) and pads them into a fresh
+    copy; the counting properties read only ``lengths``.
     """
 
-    frames: tuple[np.ndarray, ...]  # B arrays, T_i x F
+    utts: tuple[Utterance, ...]     # or prepared utterances, which read like one
     lengths: np.ndarray             # B
     targets: tuple[tuple[int, ...], ...]
-    ids: tuple[str, ...]
 
     @property
     def features(self) -> np.ndarray:
-        """The zero-padded ``B x T_max x F`` float64 tensor."""
-        padded = np.zeros((self.size, self.max_frames, self.frames[0].shape[1]))
-        for row, f in zip(padded, self.frames):
+        """The zero-padded ``B x T_max x F`` float64 tensor, built from
+        features read (and transformed) now."""
+        frames = [u.features for u in self.utts]
+        padded = np.zeros((self.size, self.max_frames, frames[0].shape[1]))
+        for row, f in zip(padded, frames):
             row[: f.shape[0]] = f
         return padded
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(u.id for u in self.utts)
 
     @property
     def size(self) -> int:
@@ -156,7 +163,8 @@ def sort_and_batch(
 
     The batch sequence preserves the curriculum order; the final batch may
     be smaller. ``encode`` maps a transcript to its target label sequence.
-    Padding waits until a batch's ``features`` are read.
+    Reading, transforming and padding wait until a batch's ``features``
+    are read.
     """
     arranged = order.arrange(utts)
     batches = []
@@ -164,10 +172,9 @@ def sort_and_batch(
         chunk = arranged[start : start + batch_size]
         batches.append(
             Batch(
-                frames=tuple(u.features for u in chunk),
+                utts=tuple(chunk),
                 lengths=np.array([u.num_frames for u in chunk], dtype=np.int64),
                 targets=tuple(tuple(int(l) for l in encode(u.transcript)) for u in chunk),
-                ids=tuple(u.id for u in chunk),
             )
         )
     return batches

@@ -80,6 +80,9 @@ def lr_at(epoch: int, sched: LrSchedule) -> float:
 class OptimizerState:
     velocity: dict[str, np.ndarray]
     rho: float = 0.9
+    # the buffers each step's lookahead point is built in; grad_fn may read
+    # them only until it returns
+    lookahead: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def zeros_like(cls, params: dict[str, np.ndarray], rho: float = 0.9):
@@ -95,33 +98,46 @@ def nesterov_step(
     state: OptimizerState,
     lr: float,
 ) -> tuple[dict[str, np.ndarray], OptimizerState, float]:
-    """One momentum update, in place; returns (params, state, loss at the
+    """One momentum update, in place on the parameters, the velocity and the
+    gradients ``grad_fn`` returns; returns (params, state, loss at the
     evaluation point)."""
     rho = state.rho
-    lookahead = {name: params[name] + rho * state.velocity[name] for name in params}
-    loss, grads = grad_fn(lookahead)
+    if state.lookahead.keys() != params.keys():
+        state.lookahead = {name: np.empty_like(p) for name, p in params.items()}
+    for name, buf in state.lookahead.items():
+        np.multiply(state.velocity[name], rho, out=buf)
+        buf += params[name]
+    loss, grads = grad_fn(state.lookahead)
     _check_finite(grads)
-    for name in params:
-        state.velocity[name] = rho * state.velocity[name] + lr * grads[name]
-        params[name] -= state.velocity[name]
+    for name, p in params.items():
+        v, g = state.velocity[name], grads[name]
+        v *= rho
+        g *= lr
+        v += g
+        p -= v
     return params, state, loss
 
 
 def _check_finite(grads: dict[str, np.ndarray]) -> None:
+    if math.isfinite(sum(float(np.sum(g)) for g in grads.values())):
+        return
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergedGradient(f"non-finite gradient in {name}")
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients down so their joint L2 norm is at most max_norm."""
+    """Scale all gradients down, in place, so their joint L2 norm is at most
+    max_norm; returns ``grads``."""
     if max_norm <= 0:
         return grads
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if not total > max_norm:  # a NaN norm scales nothing, so the finite check names the tensor
         return grads
     scale = max_norm / total
-    return {k: g * scale for k, g in grads.items()}
+    for g in grads.values():
+        g *= scale
+    return grads
 
 
 @dataclass(frozen=True)
@@ -156,8 +172,41 @@ def transform_features(features: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return out
 
 
-def prepare_corpus(utts: Sequence[Utterance], cfg: TrainConfig) -> list[Utterance]:
-    return [Utterance(u.id, transform_features(u.features, cfg), u.transcript) for u in utts]
+@dataclass(frozen=True, eq=False)
+class PreparedUtterance:
+    """An utterance seen through a run config's feature transforms. It holds
+    no transformed copy: each read of ``features`` transforms the source's,
+    and a result that is not finite raises ValueError naming the utterance.
+    """
+
+    source: Utterance | PreparedUtterance
+    cfg: TrainConfig
+
+    @property
+    def id(self) -> str:
+        return self.source.id
+
+    @property
+    def transcript(self) -> tuple[str, ...]:
+        return self.source.transcript
+
+    @property
+    def num_frames(self) -> int:
+        n = self.source.num_frames
+        return (n + 1) // 2 if self.cfg.stacking else n
+
+    @property
+    def features(self) -> np.ndarray:
+        f = transform_features(self.source.features, self.cfg)
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"{self.id}: features must be finite")
+        return f
+
+
+def prepare_corpus(utts: Sequence[Utterance], cfg: TrainConfig) -> list[PreparedUtterance]:
+    """The utterances as the run config's model reads them; the transforms
+    run when a batch's ``features`` are read."""
+    return [PreparedUtterance(u, cfg) for u in utts]
 
 
 @dataclass(frozen=True)
@@ -247,9 +296,13 @@ def config_from_checkpoint(ckpt: Checkpoint) -> tuple[TrainConfig, ModelConfig]:
 
 def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
     """Inverse of saving ``make_checkpoint``: the run config and the model a
-    checkpoint file snapshots. Model tensors that do not fit the config
-    raise ValueError naming the file and the tensor."""
+    checkpoint file snapshots. A missing ``input_dim`` or ``output_dim``
+    record, or model tensors that do not fit the config, raise ValueError
+    naming the file and the record or tensor."""
     ckpt = load_checkpoint(path)
+    for key in ("input_dim", "output_dim"):
+        if key not in ckpt.config:
+            raise ValueError(f"{path}: the checkpoint has no {key} config record")
     cfg, config = config_from_checkpoint(ckpt)
     _check_fit(path, ckpt, config, ("model.",))
     dtype = np.dtype(cfg.dtype)
@@ -370,8 +423,10 @@ def run_training(
     check_feasible(train_utts, space.encode)
     check_feasible(heldout_utts, space.encode)
 
-    # every check that can reject the recipe runs before the first file is written
-    model_config = build_model_config(cfg, train_utts[0].features.shape[1], space.size)
+    # every check that can reject the recipe runs before the first file is written;
+    # reading each utterance once rejects a transform that is not finite, by id
+    input_dims = [u.features.shape[1] for u in (*train_utts, *heldout_utts)]
+    model_config = build_model_config(cfg, input_dims[0], space.size)
     model = init_model(model_config, np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x1417))))
     state, warm_report, start_epoch = None, None, 0
     if resume_from is not None:

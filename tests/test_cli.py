@@ -261,6 +261,18 @@ class TestReaderFaults:
             assert f"error: ValueError: {bad / 'epoch001.ckpt'}: {fault}" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in bad.iterdir()} == before
 
+    @pytest.mark.parametrize("record", ["input_dim", "output_dim"])
+    def test_checkpoint_without_dim_record_is_named(self, run_dir, corpus_dir, tmp_path, capsys, record):
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        ckpt = bad / "epoch002.ckpt"
+        loaded = load_checkpoint(ckpt)
+        config = {k: v for k, v in loaded.config.items() if k != record}
+        save_checkpoint(Checkpoint(tensors=dict(loaded.tensors), config=config, epoch=loaded.epoch), ckpt)
+        assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
+        assert f"error: ValueError: {ckpt}: the checkpoint has no {record} config record" in capsys.readouterr().err
+        assert not (tmp_path / "hyp.tsv").exists()
+
     def test_chars_file_as_vocab_is_named(self, run_dir, corpus_dir, tmp_path, capsys):
         # a character-set file in vocab.txt's place
         bad = tmp_path / "bad"

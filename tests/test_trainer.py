@@ -9,7 +9,7 @@ from a2w.checkpoint import load_checkpoint, save_checkpoint
 from a2w.config import TrainConfig
 from a2w.ctc import InfeasibleAlignment
 from a2w.network import init_model
-from a2w.pipeline import SynthSpec, Utterance, synth_corpus
+from a2w.pipeline import ASCENDING, SynthSpec, Utterance, random_order, sort_and_batch, synth_corpus
 from a2w.trainer import (
     DivergedGradient,
     LrSchedule,
@@ -25,6 +25,7 @@ from a2w.trainer import (
     prepare_corpus,
     run_training,
     train,
+    transform_features,
 )
 
 TOY = dict(layers=1, hidden=6, projection=4, dropout=0.1, epochs=3, batch_size=8,
@@ -153,6 +154,80 @@ class TestNesterovStep:
             assert after <= before
 
 
+def out_of_place_nesterov_step(params, grad_fn, state, lr):
+    """The update as it was written before it ran in place: the reference
+    the in-place step must equal bit for bit."""
+    rho = state.rho
+    lookahead = {name: params[name] + rho * state.velocity[name] for name in params}
+    loss, grads = grad_fn(lookahead)
+    for name in params:
+        state.velocity[name] = rho * state.velocity[name] + lr * grads[name]
+        params[name] = params[name] - state.velocity[name]
+    return loss
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("clip", [0.0, 0.5])
+    def test_bitwise_equal_to_the_out_of_place_update(self, dtype, clip):
+        rng = np.random.default_rng(5)
+        shapes = {"a": (3, 4), "b": (2, 5, 3), "c": (7,)}
+        start = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+
+        def grad_fn(point):
+            # a gradient that depends on the point, as a real one does
+            grads = {k: np.sin(v) * 3 + v * v for k, v in point.items()}
+            return float(sum(np.sum(g) for g in grads.values())), clip_global_norm(grads, clip)
+
+        params = {k: v.copy() for k, v in start.items()}
+        state = OptimizerState.zeros_like(params, rho=0.9)
+        ref_params = {k: v.copy() for k, v in start.items()}
+        ref_state = OptimizerState.zeros_like(ref_params, rho=0.9)
+        for step in range(20):
+            lr = 0.05 / (1 + step)
+            _, _, loss = nesterov_step(params, grad_fn, state, lr)
+            assert loss == out_of_place_nesterov_step(ref_params, grad_fn, ref_state, lr)
+        for name in shapes:
+            assert params[name].dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(params[name], ref_params[name])
+            np.testing.assert_array_equal(state.velocity[name], ref_state.velocity[name])
+
+    def test_lookahead_buffers_persist_and_alias_nothing_the_caller_holds(self):
+        params = {"a": np.ones(3), "b": np.ones((2, 2))}
+        state = OptimizerState.zeros_like(params)
+        points = []
+
+        def grad_fn(point):
+            points.append({k: v for k, v in point.items()})
+            return 0.0, {k: np.ones_like(v) for k, v in point.items()}
+
+        nesterov_step(params, grad_fn, state, lr=0.1)
+        nesterov_step(params, grad_fn, state, lr=0.1)
+        for name in params:
+            assert points[0][name] is points[1][name] is state.lookahead[name]
+            for other in (params[name], state.velocity[name]):
+                assert not np.shares_memory(state.lookahead[name], other)
+
+    def test_clip_scales_in_place_as_a_product_would(self):
+        rng = np.random.default_rng(6)
+        grads = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)}
+        total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        want = {k: g * (0.5 / total) for k, g in grads.items()}
+        arrays = dict(grads)
+        assert clip_global_norm(grads, 0.5) is grads
+        for name, g in grads.items():
+            assert g is arrays[name]
+            np.testing.assert_array_equal(g, want[name])
+
+    def test_finite_gradients_whose_sum_overflows_pass(self):
+        def huge(params):
+            return 0.0, {"a": np.array([1e308]), "b": np.array([1e308])}
+
+        params = {"a": np.array([0.0]), "b": np.array([0.0])}
+        nesterov_step(params, huge, OptimizerState.zeros_like(params), lr=1e-300)
+        assert np.all(np.isfinite(params["a"])) and np.all(np.isfinite(params["b"]))
+
+
 def test_clip_global_norm():
     grads = {"a": np.array([3.0, 4.0])}
     clipped = clip_global_norm(grads, 1.0)
@@ -238,6 +313,30 @@ class TestTrainLoop:
             assert back.params[name].dtype == value.dtype
             np.testing.assert_array_equal(back.params[name], value)
 
+    def test_resume_steps_the_loaded_velocity_in_place(self, tmp_path):
+        # checkpoint tensors are views of the buffer the file was read into;
+        # they are writable, so a resume's in-place update of the velocity
+        # is the update the out-of-place code made
+        train_utts, held = toy_corpora()
+        run_training(TrainConfig(**{**TOY, "epochs": 1}), train_utts, held, tmp_path)
+        ckpt = load_checkpoint(tmp_path / "epoch001.ckpt")
+        velocity = ckpt.velocity_tensors()
+        assert velocity and all(v.flags.writeable for v in velocity.values())
+        params = {k: v.copy() for k, v in ckpt.model_tensors().items()}
+        ref_params = {k: v.copy() for k, v in params.items()}
+        ref_state = OptimizerState({k: v.copy() for k, v in velocity.items()})
+        state = OptimizerState(velocity)
+
+        def grad_fn(point):
+            return 0.0, {k: np.cos(v) for k, v in point.items()}
+
+        nesterov_step(params, grad_fn, state, lr=0.01)
+        out_of_place_nesterov_step(ref_params, grad_fn, ref_state, lr=0.01)
+        for name, v in velocity.items():
+            assert state.velocity[name] is v
+            np.testing.assert_array_equal(v, ref_state.velocity[name])
+            np.testing.assert_array_equal(params[name], ref_params[name])
+
     def test_infeasible_utterance_reported_by_id(self):
         train_utts, _ = toy_corpora()
         cfg = TrainConfig(**{**TOY, "stacking": True})  # halve frames twice over
@@ -302,6 +401,84 @@ class TestTrainLoop:
             run_training(TrainConfig(**TOY), train_utts, [], tmp_path)
         with pytest.raises(ValueError):
             run_training(TrainConfig(**TOY), [], held, tmp_path)
+
+
+def eager_copy(utts, cfg, times=1):
+    """The prepared corpus as it used to be built: transformed up front."""
+    for _ in range(times):
+        utts = [Utterance(u.id, transform_features(u.features, cfg), u.transcript) for u in utts]
+    return utts
+
+
+def encode_words(words):
+    return [1 + len(w) % 5 for w in words]
+
+
+class TestPreparedCorpus:
+    @pytest.mark.parametrize("times", [1, 2])
+    @pytest.mark.parametrize("frames", [7, 8])
+    @pytest.mark.parametrize("deltas, stacking", [(False, False), (True, False), (False, True), (True, True)])
+    def test_reads_equal_the_eager_transform(self, deltas, stacking, frames, times):
+        rng = np.random.default_rng(frames)
+        utts = [Utterance(f"u{k}", rng.normal(size=(frames + k, 3)), ("W", str(k))) for k in range(3)]
+        cfg = TrainConfig(**{**TOY, "deltas": deltas, "stacking": stacking})
+        prepared = utts
+        for _ in range(times):
+            prepared = prepare_corpus(prepared, cfg)
+        for got, want in zip(prepared, eager_copy(utts, cfg, times), strict=True):
+            assert (got.id, got.transcript) == (want.id, want.transcript)
+            features = got.features
+            assert np.array_equal(features, want.features)
+            assert got.num_frames == features.shape[0] == want.num_frames
+
+    def test_batch_features_equal_padding_of_the_eager_copy(self):
+        rng = np.random.default_rng(8)
+        utts = [Utterance(f"u{k:02d}", rng.normal(size=(n, 4)), ("W",) * (1 + k % 3))
+                for k, n in enumerate(rng.integers(5, 30, size=11))]
+        cfg = TrainConfig(**{**TOY, "deltas": True, "stacking": True})
+        for order in (ASCENDING, random_order(3)):
+            lazy = sort_and_batch(prepare_corpus(utts, cfg), order, 4, encode_words)
+            eager = sort_and_batch(eager_copy(utts, cfg), order, 4, encode_words)
+            assert len(lazy) == len(eager) == 3
+            for got, want in zip(lazy, eager):
+                assert (got.ids, got.targets) == (want.ids, want.targets)
+                np.testing.assert_array_equal(got.lengths, want.lengths)
+                assert np.array_equal(got.features, want.features)
+
+    def test_prepared_corpus_and_batches_hold_no_transformed_copy(self):
+        rng = np.random.default_rng(9)
+        utts = [Utterance(f"u{k:03d}", rng.normal(size=(n, 40)), ("W",))
+                for k, n in enumerate(rng.integers(50, 150, size=200))]
+        cfg = TrainConfig(**{**TOY, "deltas": True, "stacking": True})
+        # the 40 -> 240 front end: 3x the raw bytes, about 18 MB here
+        transformed_bytes = sum(8 * 240 * ((u.num_frames + 1) // 2) for u in utts)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prepared = prepare_corpus(utts, cfg)
+            batches = sort_and_batch(prepared, random_order(1), 16, encode_words)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * transformed_bytes
+        assert batches[0].features.shape[2] == 240
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_transform_that_is_not_finite_is_named(self, tmp_path):
+        # raw values this large are finite, but their delta differences overflow
+        train_utts, held = toy_corpora()
+        source = train_utts[5]
+        frames = source.features.copy()
+        frames[0], frames[1] = 1e308, -1e308
+        train_utts[5] = bad = Utterance(source.id, frames, source.transcript)
+        cfg = TrainConfig(**{**TOY, "deltas": True})
+        message = f"^{bad.id}: features must be finite$"
+        with pytest.raises(ValueError, match=message):
+            run_training(cfg, train_utts, held, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        batch = sort_and_batch(prepare_corpus([bad], cfg), ASCENDING, 1, encode_words)[0]
+        with pytest.raises(ValueError, match=message):
+            batch.features
 
 
 class TestOpenRun:
