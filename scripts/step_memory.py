@@ -18,14 +18,14 @@ from outside to mark the phases:
 For each phase it prints the traced bytes held when the phase starts and
 the peak reached during it, both above what was held before training
 began (corpus, model and optimizer state), and the peak above the
-phase's own start; the checkpoint file size comes next. Last comes the
-corpus side: the raw features, the bytes a transformed copy of them
-would take, and the traced bytes that ``prepare_corpus`` and the batch
-list of ``sort_and_batch`` hold (the transforms run when a batch is
-read, so these hold no frames). With ``--front-end`` the raw features
-are ``input_dim / 6`` wide at twice the frames, and deltas plus stacking
-turn them into the network's ``T x input_dim`` input, as in the paper;
-without it the transform is the identity.
+phase's own start; the checkpoint file size comes next.
+
+The raw features are ``input_dim / 6`` wide at twice the frames, and the
+paper's front end (deltas, then stacking) turns them into the network's
+``T x input_dim`` input. Last comes the corpus side: the raw features,
+the bytes a transformed copy of them would take, and the traced bytes
+that ``prepare_corpus`` and the batch list of ``sort_and_batch`` hold
+(the transforms run when a batch is read, so these hold no frames).
 """
 
 import argparse
@@ -102,23 +102,19 @@ def main():
     parser.add_argument("--vocab", type=int, default=960, help="output labels, blank included")
     parser.add_argument("--batch", type=int, default=16)
     parser.add_argument("--frames", type=int, default=100)
-    parser.add_argument("--input-dim", type=int, default=240)
+    parser.add_argument("--input-dim", type=int, default=240, help="network input, 6x the raw feature width")
     parser.add_argument("--dtype", default="float64", choices=("float64", "float32"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--front-end", action="store_true",
-                        help="raw features input_dim/6 wide at 2T frames, through deltas and stacking")
     args = parser.parse_args()
-    if args.front_end and args.input_dim % 6:
-        parser.error(f"--front-end needs an --input-dim divisible by 6, not {args.input_dim}")
+    if args.input_dim % 6:
+        parser.error(f"--input-dim must be divisible by 6, not {args.input_dim}")
 
     rng = np.random.default_rng(args.seed)
-    raw_frames, raw_dim = (2 * args.frames, args.input_dim // 6) if args.front_end else (args.frames, args.input_dim)
     words = max(1, args.frames // 4)  # always alignable at T frames
-    raw_train = synthetic_split("train", args.batch, raw_frames, raw_dim, words, args.vocab, rng)
-    raw_held = synthetic_split("held", args.batch, raw_frames, raw_dim, words, args.vocab, rng)
+    raw_train = synthetic_split("train", args.batch, 2 * args.frames, args.input_dim // 6, words, args.vocab, rng)
+    raw_held = synthetic_split("held", args.batch, 2 * args.frames, args.input_dim // 6, words, args.vocab, rng)
     cfg = TrainConfig(layers=args.layers, hidden=args.hidden, projection=args.projection, dtype=args.dtype,
-                      epochs=1, batch_size=args.batch, grad_clip=2.0, seed=args.seed,
-                      deltas=args.front_end, stacking=args.front_end)
+                      epochs=1, batch_size=args.batch, grad_clip=2.0, seed=args.seed, deltas=True, stacking=True)
     model_config = trainer.build_model_config(cfg, args.input_dim, args.vocab)
     model = init_model(model_config, np.random.default_rng(args.seed))
     encode = lambda words: [int(w) for w in words]  # noqa: E731

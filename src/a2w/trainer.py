@@ -425,8 +425,11 @@ def run_training(
 
     # every check that can reject the recipe runs before the first file is written;
     # reading each utterance once rejects a transform that is not finite, by id
-    input_dims = [u.features.shape[1] for u in (*train_utts, *heldout_utts)]
-    model_config = build_model_config(cfg, input_dims[0], space.size)
+    input_dim = train_utts[0].features.shape[1]
+    for u in (*train_utts, *heldout_utts):
+        if (width := u.features.shape[1]) != input_dim:
+            raise ValueError(f"{u.id}: features are {width} wide, not {input_dim}")
+    model_config = build_model_config(cfg, input_dim, space.size)
     model = init_model(model_config, np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x1417))))
     state, warm_report, start_epoch = None, None, 0
     if resume_from is not None:

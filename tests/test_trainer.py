@@ -480,6 +480,17 @@ class TestPreparedCorpus:
         with pytest.raises(ValueError, match=message):
             batch.features
 
+    @pytest.mark.parametrize("split", ["train", "heldout"])
+    def test_utterance_of_another_width_is_named(self, tmp_path, split):
+        train_utts, held = toy_corpora()
+        utts = train_utts if split == "train" else held
+        source = utts[-1]
+        width = source.features.shape[1]
+        utts[-1] = Utterance(source.id, source.features[:, :-1], source.transcript)
+        with pytest.raises(ValueError, match=f"^{source.id}: features are {width - 1} wide, not {width}$"):
+            run_training(TrainConfig(**TOY), train_utts, held, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
 
 class TestOpenRun:
     @pytest.mark.parametrize("targets", ["word", "sar"])
