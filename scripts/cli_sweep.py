@@ -98,7 +98,7 @@ def sweep(out: Path) -> None:
         "f32": [decoded / "f32.tsv"],
         "sar_positional_switched": [decoded / "sar_positional_switched.tsv"],
         "sar_positional_switched_strip": [decoded / "sar_positional_switched.sar", "--strip-sar"],
-        "sar_simple_chars_strip": [decoded / "sar_simple_chars.sar", "--strip-sar", "--charset", "simple"],
+        "sar_simple_chars_strip": [decoded / "sar_simple_chars.sar", "--strip-sar"],
     }
     for name, args in scores.items():
         (out / f"score_{name}.txt").write_text(a2w("score", ref, *args), encoding="utf-8")

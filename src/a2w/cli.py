@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .ablation import VARIANTS, default_aliases, run_ablation
-from .alphabet import CHARSETS, build_charset
+from .alphabet import build_positional_charset
 from .checkpoint import load_checkpoint
 from .config import DEFAULTS, RULES, TrainConfig, config_from_items, load_config
 from .decoder import DECODE_MODES, decode_utterances, read_sar_file, read_transcripts, write_sar_file, write_transcripts
@@ -96,7 +96,7 @@ def _cmd_decode(args) -> int:
 def _cmd_score(args) -> int:
     refs = read_transcripts(args.ref)
     if args.strip_sar:
-        hyps = {utt_id: hyp.words for utt_id, hyp in read_sar_file(args.hyp, build_charset(args.charset)).items()}
+        hyps = {utt_id: hyp.words for utt_id, hyp in read_sar_file(args.hyp, build_positional_charset()).items()}
     else:
         hyps = read_transcripts(args.hyp)
     if refs.keys() != hyps.keys():
@@ -168,7 +168,6 @@ def build_parser() -> _Parser:
     p.add_argument("ref")
     p.add_argument("hyp")
     p.add_argument("--strip-sar", action="store_true", help="parse the hypothesis file as SAR annotations")
-    p.add_argument("--charset", choices=CHARSETS, default="positional")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("ablate", help="train and score one model per recipe variant")

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .alphabet import BEGIN, BLANK_ID, BOTH, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, decode_words, unspell
 from .ctc import PROBABILITIES, PosteriorLattice
 from .network import Model, model_forward
-from .pipeline import ASCENDING, Utterance, sort_and_batch
+from .pipeline import ASCENDING, Utterance, read_table, sort_and_batch, write_table
 
 TAG_FROM_WORD = "from-word"
 TAG_FROM_CHARS = "from-characters"
@@ -231,43 +231,18 @@ def decode_utterances(
     return [(u.id, *by_id[u.id]) for u in utts]
 
 
-def _write_lines(path: str | Path, rows: Sequence[tuple[str, str]]) -> None:
-    lines = [f"{utt_id}\t{text}" for utt_id, text in rows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def _read_lines(path: str | Path, parse: Callable[[str], object]) -> dict:
-    """Inverse of ``_write_lines``, applying ``parse`` to each line's text. A
-    malformed line raises a ValueError that names the path and the line."""
-    out, first = {}, {}
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
-        try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            utt_id, tab, rest = line.partition("\t")
-            if not tab:
-                raise ValueError(f"expected id<TAB>text, got {line!r}")
-            if first.setdefault(utt_id, lineno) != lineno:
-                raise ValueError(f"id {utt_id!r} repeats line {first[utt_id]}")
-            out[utt_id] = parse(rest)
-        except ValueError as exc:  # UnicodeDecodeError is one too
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
-
-
 def write_transcripts(path: str | Path, rows: Sequence[tuple[str, Sequence[str]]]) -> None:
-    _write_lines(path, [(utt_id, " ".join(words)) for utt_id, words in rows])
+    write_table(path, [(utt_id, " ".join(words)) for utt_id, words in rows])
 
 
 def read_transcripts(path: str | Path) -> dict[str, list[str]]:
-    return _read_lines(path, lambda text: text.upper().split())
+    return read_table(path, lambda utt_id, text: text.upper().split())
 
 
 def write_sar_file(path: str | Path, rows: Sequence[tuple[str, SarHypothesis]]) -> None:
-    _write_lines(path, [(utt_id, render_hypothesis(hyp)) for utt_id, hyp in rows])
+    write_table(path, [(utt_id, render_hypothesis(hyp)) for utt_id, hyp in rows])
 
 
 def read_sar_file(path: str | Path, charset: CharSet) -> dict[str, SarHypothesis]:
-    """Inverse of ``write_sar_file``; needs the charset the decode spelled in."""
-    return _read_lines(path, lambda text: parse_hypothesis(text, charset))
+    """Inverse of ``write_sar_file``; the positional charset reads either charset's spellings."""
+    return read_table(path, lambda utt_id, text: parse_hypothesis(text, charset))

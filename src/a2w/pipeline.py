@@ -1,4 +1,5 @@
-"""Feature transforms, curriculum batching, and the synthetic desk corpus.
+"""Feature transforms, curriculum batching, the synthetic desk corpus, and
+the ``id<TAB>text`` table files that corpora and decodes are kept in.
 
 The feature chain mirrors a standard acoustic front end: append first and
 second order regression coefficients, then stack adjacent frame pairs at
@@ -280,48 +281,77 @@ def split_by_id_hash(utts: Sequence[Utterance], heldout_fraction: float) -> tupl
 _FEATURE_HEADER = struct.Struct("<ii")
 
 
+def _check_rows(rows: Sequence[tuple[str, str]]) -> None:
+    for utt_id, text in rows:
+        if any(c in utt_id for c in "\t\n\r") or any(c in text for c in "\n\r"):
+            raise ValueError(f"id {utt_id!r}: a table id may hold no tab or line break, and its text no line break")
+
+
+def write_table(path: str | Path, rows: Sequence[tuple[str, str]]) -> None:
+    """Write one ``id<TAB>text`` line per row. A row that ``read_table``
+    could not read back is rejected by id before the file is written."""
+    _check_rows(rows)
+    Path(path).write_text("".join(f"{utt_id}\t{text}\n" for utt_id, text in rows), encoding="utf-8")
+
+
+def read_table(path: str | Path, parse: Callable[[str, str], object]) -> dict:
+    r"""Inverse of ``write_table``: ``{id: parse(id, text)}`` in file order.
+    Lines split only at \n, \r\n and \r, each decoded on its own; a fault
+    (a ValueError from ``parse`` too) is raised naming the path and line."""
+    out, first = {}, {}
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line = raw.decode("utf-8")
+            utt_id, tab, text = line.partition("\t")
+            if not tab:
+                if line.strip():
+                    raise ValueError(f"expected id<TAB>text, got {line!r}")
+                continue
+            if first.setdefault(utt_id, lineno) != lineno:
+                raise ValueError(f"id {utt_id!r} repeats line {first[utt_id]}")
+            out[utt_id] = parse(utt_id, text)
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
 def save_corpus(utts: Sequence[Utterance], directory: str | Path) -> None:
-    """Write corpus.tsv plus one little-endian float32 feature file per utterance."""
+    """Write corpus.tsv plus one little-endian float32 feature file per
+    utterance; an id that would not read back is rejected before any write."""
     directory = Path(directory)
-    (directory / "features").mkdir(parents=True, exist_ok=True)
-    lines = []
+    rels = [f"features/{u.id}.bin" for u in utts]
+    rows = [(u.id, f"{' '.join(u.transcript)}\t{rel}") for u, rel in zip(utts, rels)]
+    _check_rows(rows)
     for u in utts:
-        rel = f"features/{u.id}.bin"
+        if "/" in u.id:
+            raise ValueError(f"id {u.id!r}: a corpus id names its feature file, so it may hold no '/'")
+    (directory / "features").mkdir(parents=True, exist_ok=True)
+    for u, rel in zip(utts, rels):
         t, f = u.features.shape
-        payload = _FEATURE_HEADER.pack(t, f) + u.features.astype("<f4").tobytes()
-        (directory / rel).write_bytes(payload)
-        lines.append(f"{u.id}\t{' '.join(u.transcript)}\t{rel}")
-    (directory / "corpus.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (directory / rel).write_bytes(_FEATURE_HEADER.pack(t, f) + u.features.astype("<f4").tobytes())
+    write_table(directory / "corpus.tsv", rows)
 
 
 def load_corpus(directory: str | Path) -> list[Utterance]:
+    """Inverse of ``save_corpus``; a fault names corpus.tsv and its line."""
     directory = Path(directory)
-    tsv = directory / "corpus.tsv"
-    try:
-        text = tsv.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{tsv}: {exc}") from None
-    utts = []
-    first: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(f"{tsv}:{lineno}: expected id, transcript and feature path separated by tabs")
-        utt_id, transcript, rel = fields
-        if first.setdefault(utt_id, lineno) != lineno:
-            raise ValueError(f"{tsv}:{lineno}: id {utt_id!r} repeats line {first[utt_id]}")
+
+    def parse(utt_id: str, text: str) -> Utterance:
+        fields = text.split("\t")
+        if len(fields) != 2:
+            raise ValueError("expected id, transcript and feature path separated by tabs")
+        transcript, rel = fields
         path = directory / rel
         try:
             raw = path.read_bytes()
         except OSError as exc:
-            raise ValueError(f"{tsv}:{lineno}: feature path {rel!r}: {exc.strerror}") from None
+            raise ValueError(f"feature path {rel!r}: {exc.strerror}") from None
         t, f = _FEATURE_HEADER.unpack_from(raw) if len(raw) >= _FEATURE_HEADER.size else (0, 0)
         if t < 1 or f < 1 or len(raw) != _FEATURE_HEADER.size + 4 * t * f:
             raise ValueError(f"{path}: {len(raw)} bytes do not hold the {t}x{f} float32 features its header declares")
         feats = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size).reshape(t, f)
         if not np.all(np.isfinite(feats)):
             raise ValueError(f"{path}: features of {utt_id!r} are not all finite")
-        utts.append(Utterance(id=utt_id, features=feats.astype(np.float64), transcript=tuple(tokenize(transcript))))
-    return utts
+        return Utterance(id=utt_id, features=feats.astype(np.float64), transcript=tuple(tokenize(transcript)))
+
+    return list(read_table(directory / "corpus.tsv", parse).values())

@@ -54,26 +54,19 @@ class DivergedGradient(RuntimeError):
     """Raised when a gradient stops being finite; the run aborts."""
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Constant for ``flat_epochs`` epochs, then one sqrt(1/2) decay per epoch."""
-
-    base_lr: float = 0.01
-    flat_epochs: int = 10
-
-
-def lr_at(epoch: int, sched: LrSchedule) -> float:
-    """Learning rate for a 1-based epoch index.
+def lr_at(epoch: int, cfg: TrainConfig) -> float:
+    """Learning rate for a 1-based epoch index: ``cfg.lr`` for
+    ``cfg.flat_epochs`` epochs, then one sqrt(1/2) decay per epoch.
 
     The decayed value is computed as 2**(-n/2), which equals sqrt(1/2)**n but
     is exact for even n (halving every second epoch introduces no drift).
     """
     if epoch < 1:
         raise ValueError("epochs are 1-based")
-    n = epoch - sched.flat_epochs
+    n = epoch - cfg.flat_epochs
     if n <= 0:
-        return sched.base_lr
-    return sched.base_lr * 2.0 ** (-n / 2.0)
+        return cfg.lr
+    return cfg.lr * 2.0 ** (-n / 2.0)
 
 
 @dataclass
@@ -155,7 +148,6 @@ class EpochRecord:
 
 @dataclass
 class TrainRun:
-    config: TrainConfig
     records: list[EpochRecord] = field(default_factory=list)
     checkpoint_paths: list[str] = field(default_factory=list)
 
@@ -353,14 +345,13 @@ def train(
     kept = _records_through(records_path, start_epoch)
     if state is None:
         state = OptimizerState.zeros_like(model.params, rho=cfg.momentum)
-    sched = LrSchedule(base_lr=cfg.lr, flat_epochs=cfg.flat_epochs)
-    run = TrainRun(config=cfg)
+    run = TrainRun()
     n_train = len(train_utts)
     with records_path.open("w", encoding="utf-8") as records_file:
         records_file.writelines(kept)
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
             started = time.perf_counter()
-            lr = lr_at(epoch, sched)
+            lr = lr_at(epoch, cfg)
             order = CurriculumOrder(cfg.order, derive_seed(cfg.seed, epoch, 0xF00D))
             batches = sort_and_batch(train_utts, order, cfg.batch_size, encode)
             loss_sum = 0.0

@@ -47,7 +47,7 @@ from a2w.pipeline import (
     synth_corpus,
 )
 from a2w.scoring import corpus_wer, wer
-from a2w.trainer import LrSchedule, OptimizerState, lr_at, nesterov_step, prepare_corpus, run_training
+from a2w.trainer import OptimizerState, lr_at, nesterov_step, prepare_corpus, run_training
 from oracles import brute_force_min_edits, ctc_brute_force, ctc_grad_check
 
 
@@ -188,7 +188,7 @@ def test_criterion_4_nesterov_exactness():
 
 def test_criterion_5_lr_schedule():
     base = 0.01
-    sched = LrSchedule(base_lr=base, flat_epochs=10)
+    cfg = TrainConfig(lr=base, flat_epochs=10)
     expected = {
         1: base,
         10: base,
@@ -197,7 +197,7 @@ def test_criterion_5_lr_schedule():
         20: base * 0.5**5,
     }
     for epoch, value in expected.items():
-        got = lr_at(epoch, sched)
+        got = lr_at(epoch, cfg)
         assert abs(got - value) / value <= 1e-15, (epoch, got, value)
     report(5, "epochs {1,10,11,12,20} exact within 1e-15 relative")
 

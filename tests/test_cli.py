@@ -99,6 +99,12 @@ class TestSynth:
         assert f"error: ValueError: {field}: must" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("prefix", ["a\tb", "a/b"], ids=["tab", "slash"])
+    def test_prefix_it_cannot_read_back_exits_2_naming_the_id(self, tmp_path, capsys, prefix):
+        assert run("synth", "--out", tmp_path / "c", "--seed", 1, "--count", 4, "--prefix", prefix) == 2
+        assert f"error: ValueError: id {prefix + '00000'!r}: " in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
 
 class TestTrainDecodeScore:
     def test_run_dir_layout(self, run_dir):
@@ -456,7 +462,7 @@ class TestExitCodes:
         tsv = corpus / "corpus.tsv"
         tsv.write_bytes(b"\xff" + tsv.read_bytes())
         assert run("train", "--corpus", corpus, "--out", tmp_path / "r") == 2
-        assert f"{tsv}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert f"{tsv}:1: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_bad_config_value_is_runtime_failure(self, tmp_path, corpus_dir):
         # an unparseable value surfaces when the config is resolved

@@ -10,8 +10,10 @@ from a2w.alphabet import (
     JointAlphabet,
     build_positional_charset,
     build_sar_targets,
+    build_simple_charset,
     build_vocabulary,
     spell_word,
+    UNK_WORD,
 )
 from a2w.ctc import PROBABILITIES, PosteriorLattice, expand_target
 from a2w.pipeline import Utterance
@@ -307,6 +309,17 @@ class TestTranscriptFiles:
             with pytest.raises(ValueError) as err:
                 read(path)
             assert str(err.value).startswith(f"{path}{message}")
+
+    def test_simple_charset_renderings_read_alike_under_either_charset(self, tmp_path):
+        simple = build_simple_charset()
+        spelled = [SarWord(word=w.upper(), spelling=tuple(w), tag=tag) for w, tag in
+                   (("the", TAG_FROM_WORD), ("z-o.o", TAG_FROM_CHARS), ("c'at", TAG_INCOMPLETE))]
+        spelled.append(SarWord(word=UNK_WORD, spelling=(), tag=TAG_INCOMPLETE))
+        rows = [(f"u{i}", SarHypothesis(entries=tuple(spelled[i:] + spelled[:i]))) for i in range(len(spelled))]
+        path = tmp_path / "hyp.sar"
+        write_sar_file(path, rows)
+        assert read_sar_file(path, simple) == dict(rows)
+        assert read_sar_file(path, build_positional_charset()) == dict(rows)
 
     def test_unreadable_sar_token_names_path_and_line(self, tmp_path, joint):
         path = tmp_path / "hyp.sar"

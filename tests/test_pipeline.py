@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,13 +16,18 @@ from a2w.pipeline import (
     compute_deltas,
     load_corpus,
     random_order,
+    read_table,
     save_corpus,
     sort_and_batch,
     split_by_id_hash,
     stack_decimate,
     synth_corpus,
     synth_vocabulary,
+    write_table,
 )
+
+# line breaks of str.splitlines that an id table does not split at
+UNICODE_BREAKS = "\x0b\x0c\x1c\x85\u2028\u2029"
 
 
 def make_utts(lengths, feat_dim=2):
@@ -294,19 +300,37 @@ class TestCorpusIo:
         with pytest.raises(ValueError, match=victim.name):
             load_corpus(tmp_path)
 
+    def test_ids_holding_unicode_line_breaks_round_trip(self, tmp_path):
+        utts = [
+            Utterance(id=f"u{c}v", features=np.full((2, 3), i), transcript=("A",)) for i, c in enumerate(UNICODE_BREAKS)
+        ]
+        save_corpus(utts, tmp_path)
+        loaded = load_corpus(tmp_path)
+        assert [u.id for u in loaded] == [u.id for u in utts]
+        for a, b in zip(utts, loaded):
+            np.testing.assert_array_equal(a.features, b.features)
+
+    @pytest.mark.parametrize("utt_id", ["a\tb", "a\nb", "a\rb", "a/b"], ids=["tab", "lf", "cr", "slash"])
+    def test_id_it_cannot_read_back_is_named_before_any_file(self, tmp_path, utt_id):
+        utts = [Utterance(id="ok", features=np.zeros((2, 3)), transcript=("A",))]
+        utts.append(Utterance(id=utt_id, features=np.zeros((2, 3)), transcript=("B",)))
+        with pytest.raises(ValueError, match=f"^id {re.escape(repr(utt_id))}: "):
+            save_corpus(utts, tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
     def test_short_corpus_line_named(self, tmp_path):
         save_corpus(synth_corpus(SynthSpec(vocab_size=4, proto_seed=2), 3, seed=5), tmp_path)
         tsv = tmp_path / "corpus.tsv"
         lines = tsv.read_text().splitlines()
         tsv.write_text("\n".join([lines[0], "utt9 A B"] + lines[1:]) + "\n")
-        with pytest.raises(ValueError, match=r"corpus\.tsv:2: expected id, transcript and feature path"):
+        with pytest.raises(ValueError, match=r"corpus\.tsv:2: expected id<TAB>text, got 'utt9 A B'"):
             load_corpus(tmp_path)
 
     def test_non_utf8_corpus_line_named(self, tmp_path):
         save_corpus(synth_corpus(SynthSpec(vocab_size=4, proto_seed=2), 3, seed=5), tmp_path)
         tsv = tmp_path / "corpus.tsv"
         tsv.write_bytes(tsv.read_bytes().replace(b"\t", b"\t\xff", 1))
-        with pytest.raises(ValueError, match=r"corpus\.tsv: 'utf-8' codec can't decode byte 0xff"):
+        with pytest.raises(ValueError, match=r"corpus\.tsv:1: 'utf-8' codec can't decode byte 0xff"):
             load_corpus(tmp_path)
 
     def test_repeated_id_names_both_lines(self, tmp_path):
@@ -340,7 +364,8 @@ class TestCorpusIo:
         victim.write_bytes(bytes(raw))
         with pytest.raises(ValueError) as err:
             load_corpus(tmp_path)
-        assert str(err.value) == f"{victim}: features of 'utt00001' are not all finite"
+        message = f"{tmp_path / 'corpus.tsv'}:2: {victim}: features of 'utt00001' are not all finite"
+        assert str(err.value) == message
 
     def test_split_is_stable_partition(self):
         utts = make_utts([3] * 40)
@@ -350,6 +375,27 @@ class TestCorpusIo:
         assert [u.id for u in heldout] == [u.id for u in heldout2]
         assert len(train) + len(heldout) == len(utts)
         assert heldout  # 40 ids at 25% should catch some
+
+
+class TestIdTable:
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(b"a\tX Y\r\nb\t\r\n\r\nc\tZ\r\n")
+        assert read_table(path, lambda utt_id, text: text) == {"a": "X Y", "b": "", "c": "Z"}
+
+    def test_every_row_it_writes_reads_back(self, tmp_path):
+        rows = [(f"u{c}", f"x{c}y") for c in UNICODE_BREAKS] + [("", "A"), ("\x1c", ""), (" ", " ")]
+        write_table(tmp_path / "t.tsv", rows)
+        assert read_table(tmp_path / "t.tsv", lambda utt_id, text: text) == dict(rows)
+
+    @pytest.mark.parametrize(
+        "row", [("a\tb", "X"), ("a\nb", "X"), ("a\rb", "X"), ("a", "X\nY"), ("a", "X\rY")],
+        ids=["id-tab", "id-lf", "id-cr", "text-lf", "text-cr"],
+    )
+    def test_row_it_cannot_read_back_is_named_before_writing(self, tmp_path, row):
+        with pytest.raises(ValueError, match=f"^id {re.escape(repr(row[0]))}: "):
+            write_table(tmp_path / "t.tsv", [("ok", "X"), row])
+        assert not (tmp_path / "t.tsv").exists()
 
 
 class TestCurriculumOrder:

@@ -12,7 +12,6 @@ from a2w.network import init_model
 from a2w.pipeline import ASCENDING, SynthSpec, Utterance, random_order, sort_and_batch, synth_corpus
 from a2w.trainer import (
     DivergedGradient,
-    LrSchedule,
     OptimizerState,
     build_model_config,
     check_feasible,
@@ -39,26 +38,26 @@ def toy_corpora():
 
 class TestLrSchedule:
     def test_flat_then_decay(self):
-        sched = LrSchedule(base_lr=0.01, flat_epochs=10)
-        assert lr_at(5, sched) == 0.01
-        assert lr_at(10, sched) == 0.01
-        assert lr_at(11, sched) == pytest.approx(0.01 * math.sqrt(0.5), rel=1e-15)
-        assert lr_at(12, sched) == pytest.approx(0.005, rel=1e-15)
-        assert lr_at(20, sched) == pytest.approx(0.01 * 0.5**5, rel=1e-15)
+        cfg = TrainConfig(lr=0.01, flat_epochs=10)
+        assert lr_at(5, cfg) == 0.01
+        assert lr_at(10, cfg) == 0.01
+        assert lr_at(11, cfg) == pytest.approx(0.01 * math.sqrt(0.5), rel=1e-15)
+        assert lr_at(12, cfg) == pytest.approx(0.005, rel=1e-15)
+        assert lr_at(20, cfg) == pytest.approx(0.01 * 0.5**5, rel=1e-15)
 
     def test_non_increasing(self):
-        sched = LrSchedule(base_lr=0.02, flat_epochs=4)
-        rates = [lr_at(e, sched) for e in range(1, 40)]
+        cfg = TrainConfig(lr=0.02, flat_epochs=4)
+        rates = [lr_at(e, cfg) for e in range(1, 40)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_even_offsets_are_exact_halvings(self):
-        sched = LrSchedule(base_lr=0.01, flat_epochs=10)
+        cfg = TrainConfig(lr=0.01, flat_epochs=10)
         for k in range(0, 12):
-            assert lr_at(10 + 2 * k, sched) == 0.01 * 0.5**k
+            assert lr_at(10 + 2 * k, cfg) == 0.01 * 0.5**k
 
     def test_epochs_one_based(self):
         with pytest.raises(ValueError):
-            lr_at(0, LrSchedule())
+            lr_at(0, TrainConfig())
 
 
 def quadratic_grad_fn(params):
