@@ -107,7 +107,7 @@ def main():
     target = build_sar_targets(with_oov, joint)
     lattice = one_hot_lattice(list(target.labels), joint.size)
     print(f"\ndecodes of a perfect lattice for {' '.join(with_oov)!r}:")
-    print(f"  word:     {' '.join(sar_decode_word(lattice, joint))}")
+    print(f"  word:     {' '.join(sar_decode_word(lattice, joint.vocab))}")
     print(f"  chars:    {' '.join(sar_decode_chars(lattice, joint).words)}")
     switched = sar_decode_switched(lattice, joint)
     print(f"  switched: {' '.join(switched.words)}")

@@ -3,7 +3,8 @@
 Every label space reserves id 0 for the CTC blank. Word spaces put the UNK
 tag at id 1 and retained words (sorted) from id 2. The joint alphabet keeps
 word ids unchanged and appends character ids after them, so the two ranges
-are contiguous and disjoint.
+are contiguous and disjoint, and in either space the non-blank ids below
+the vocabulary size are exactly the words.
 """
 
 from __future__ import annotations
@@ -93,11 +94,6 @@ def build_vocabulary(corpus: Iterable[str], min_count: int) -> Vocabulary:
 def encode_words(transcript: Sequence[str], vocab: Vocabulary) -> list[int]:
     """Map each word to its label id, falling back to UNK. Length preserved."""
     return [vocab.id_of(w) for w in transcript]
-
-
-def decode_words(labels: Sequence[int], vocab: Vocabulary) -> list[str]:
-    """Inverse of encode_words; blank ids are skipped."""
-    return [vocab.word_of(i) for i in labels if i != BLANK_ID]
 
 
 @dataclass(frozen=True)
@@ -245,19 +241,11 @@ class JointAlphabet:
     def size(self) -> int:
         return 1 + self.num_words + len(self.charset)
 
-    @property
-    def word_range(self) -> range:
-        return range(1, 1 + self.num_words)
-
-    @property
-    def char_range(self) -> range:
-        return range(1 + self.num_words, self.size)
-
     def is_word_id(self, label_id: int) -> bool:
-        return label_id in self.word_range
+        return 1 <= label_id <= self.num_words
 
     def is_char_id(self, label_id: int) -> bool:
-        return label_id in self.char_range
+        return self.num_words < label_id < self.size
 
     def word_id(self, word: str) -> int:
         return self.vocab.id_of(word)

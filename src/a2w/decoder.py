@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .alphabet import BEGIN, BLANK_ID, BOTH, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, decode_words, unspell
+from .alphabet import BEGIN, BLANK_ID, BOTH, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, tokenize, unspell
 from .ctc import PROBABILITIES, PosteriorLattice
 from .network import Model, model_forward
 from .pipeline import ASCENDING, Utterance, read_table, sort_and_batch, write_table
@@ -30,26 +30,16 @@ TAG_FROM_CHARS = "from-characters"
 TAG_INCOMPLETE = "incomplete"
 
 
-def frame_argmax(lattice: PosteriorLattice) -> np.ndarray:
-    """Per-frame winning label id; ties resolve to the lowest label id."""
-    return lattice.values.argmax(axis=1)
-
-
-def collapse_labels(labels: Sequence[int]) -> list[int]:
-    """Remove adjacent repeats, then blanks."""
+def greedy_collapse(lattice: PosteriorLattice) -> list[int]:
+    """Peak-picking decode: the per-frame argmax (ties go to the lowest id),
+    adjacent repeats collapsed, then blanks dropped."""
     out: list[int] = []
     prev = None
-    for label in labels:
-        label = int(label)
+    for label in lattice.values.argmax(axis=1).tolist():
         if label != prev and label != BLANK_ID:
             out.append(label)
         prev = label
     return out
-
-
-def greedy_collapse(lattice: PosteriorLattice) -> list[int]:
-    """Peak-picking decode: argmax path, repeats collapsed, blanks dropped."""
-    return collapse_labels(frame_argmax(lattice))
 
 
 def one_hot_lattice(labels: Sequence[int], num_labels: int) -> PosteriorLattice:
@@ -89,9 +79,16 @@ class SarHypothesis:
         return [e.word for e in self.entries]
 
 
-def sar_decode_word(lattice: PosteriorLattice, joint: JointAlphabet) -> list[str]:
-    """Keep only the word track; UNK stays as the literal tag."""
-    return [joint.vocab.word_of(l) for l in greedy_collapse(lattice) if joint.is_word_id(l)]
+def sar_decode_word(lattice: PosteriorLattice, vocab: Vocabulary) -> list[str]:
+    """The word track of a word or joint lattice: its labels below
+    ``vocab.size``, the words in either space. UNK stays as the literal tag."""
+    return [vocab.word_of(l) for l in greedy_collapse(lattice) if l < vocab.size]
+
+
+def _spelled(joint: JointAlphabet, labels: Sequence[int], tag: str) -> SarWord:
+    """The word that ``labels`` (character ids) spell, with their symbol texts."""
+    spelling = tuple(joint.char_symbol(l).text for l in labels)
+    return SarWord(word=joint.unspell(labels).upper(), spelling=spelling, tag=tag)
 
 
 def sar_decode_chars(lattice: PosteriorLattice, joint: JointAlphabet) -> SarHypothesis:
@@ -111,13 +108,7 @@ def sar_decode_chars(lattice: PosteriorLattice, joint: JointAlphabet) -> SarHypo
         first = joint.char_symbol(segment[0]).position
         last = joint.char_symbol(segment[-1]).position
         complete = first in (BEGIN, BOTH) and last in (END, BOTH)
-        entries.append(
-            SarWord(
-                word=joint.unspell(segment).upper(),
-                spelling=tuple(joint.char_symbol(l).text for l in segment),
-                tag=TAG_FROM_CHARS if complete else TAG_INCOMPLETE,
-            )
-        )
+        entries.append(_spelled(joint, segment, TAG_FROM_CHARS if complete else TAG_INCOMPLETE))
     return SarHypothesis(entries=tuple(entries))
 
 
@@ -137,13 +128,13 @@ def sar_decode_switched(lattice: PosteriorLattice, joint: JointAlphabet) -> SarH
             continue
         if not joint.is_word_id(label):
             continue
-        spelling = tuple(joint.char_symbol(l).text for l in buffer)
         if label == joint.vocab.unk_id:
             if buffer:
-                entries.append(SarWord(word=joint.unspell(buffer).upper(), spelling=spelling, tag=TAG_FROM_CHARS))
+                entries.append(_spelled(joint, buffer, TAG_FROM_CHARS))
             else:
                 entries.append(SarWord(word=UNK_WORD, spelling=(), tag=TAG_INCOMPLETE))
         else:
+            spelling = tuple(joint.char_symbol(l).text for l in buffer)
             entries.append(SarWord(word=joint.vocab.word_of(label), spelling=spelling, tag=TAG_FROM_WORD))
         buffer = []
     return SarHypothesis(entries=tuple(entries))
@@ -194,16 +185,8 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
     return SarHypothesis(entries=tuple(entries))
 
 
-def _annotated(hyp: SarHypothesis) -> tuple[list[str], SarHypothesis]:
-    return hyp.words, hyp
-
-
-# spell-and-recognize decode mode -> (lattice, joint) -> (words, annotation or None)
-DECODE_MODES = {
-    "word": lambda lattice, joint: (sar_decode_word(lattice, joint), None),
-    "chars": lambda lattice, joint: _annotated(sar_decode_chars(lattice, joint)),
-    "switched": lambda lattice, joint: _annotated(sar_decode_switched(lattice, joint)),
-}
+# decode mode -> its annotated spell-and-recognize decode, or None for the word track
+DECODE_MODES = {"word": None, "chars": sar_decode_chars, "switched": sar_decode_switched}
 
 
 def decode_utterances(
@@ -216,18 +199,22 @@ def decode_utterances(
 ) -> list[tuple[str, list[str], SarHypothesis | None]]:
     """Greedy-decode a prepared corpus; returns (id, words, annotation) rows
     in corpus order. ``mode`` must be a ``DECODE_MODES`` key; plain word
-    models decode words whatever it is."""
+    models decode words whatever it is. The label space (``joint`` if
+    given, else ``vocab``) must have the model's output size, and a joint
+    model's word track reads ``joint.vocab``."""
     if mode not in DECODE_MODES:
         raise ValueError(f"unknown decode mode {mode!r}; choose from {', '.join(DECODE_MODES)}")
-    decode = DECODE_MODES[mode]
+    annotate, size = None, vocab.size
+    if joint is not None:
+        vocab, annotate, size = joint.vocab, DECODE_MODES[mode], joint.size
+    if size != model.config.output_dim:
+        raise ValueError(f"the label space has {size} labels but the model outputs {model.config.output_dim}")
     by_id = {}
     for batch in sort_and_batch(utts, ASCENDING, batch_size, lambda words: ()):
         lattices, _ = model_forward(batch.features, batch.lengths, model)
         for utt_id, lattice in zip(batch.ids, lattices):
-            if joint is None:
-                by_id[utt_id] = (decode_words(greedy_collapse(lattice), vocab), None)
-            else:
-                by_id[utt_id] = decode(lattice, joint)
+            hyp = annotate(lattice, joint) if annotate else None
+            by_id[utt_id] = (hyp.words if hyp else sar_decode_word(lattice, vocab), hyp)
     return [(u.id, *by_id[u.id]) for u in utts]
 
 
@@ -236,7 +223,7 @@ def write_transcripts(path: str | Path, rows: Sequence[tuple[str, Sequence[str]]
 
 
 def read_transcripts(path: str | Path) -> dict[str, list[str]]:
-    return read_table(path, lambda utt_id, text: text.upper().split())
+    return read_table(path, lambda utt_id, text: tokenize(text))
 
 
 def write_sar_file(path: str | Path, rows: Sequence[tuple[str, SarHypothesis]]) -> None:

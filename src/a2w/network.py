@@ -134,6 +134,11 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _head(config: ModelConfig) -> tuple[str, ...]:
+    """The output matrices, in the order they map the top layer's output to logits."""
+    return ("proj.W", "out.W") if config.projection_dim else ("out.W",)
+
+
 def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
     """Fan-in uniform weights, drawn per layer as fwd W, fwd R, bwd W, bwd R,
     then proj.W and out.W; the forget-gate biases are 1, the others 0."""
@@ -147,9 +152,8 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
             w[d] = gain * init_uniform_fan_in(w.shape[1:], rng)
             r[d] = gain * init_uniform_fan_in(r.shape[1:], rng)
         params[f"layers.{layer}.b"][:, hidden : 2 * hidden] = 1.0  # forget gate opens at init
-    for name in ("proj.W", "out.W"):
-        if name in params:
-            params[name][...] = init_uniform_fan_in(params[name].shape, rng)
+    for name in _head(config):
+        params[name][...] = init_uniform_fan_in(params[name].shape, rng)
     return Model(config=config, params=params)
 
 
@@ -332,8 +336,7 @@ class ForwardCache:
     rev_rows: np.ndarray                    # _reversal_rows of the batch
     directions: list[_LayerCache]
     dropout_masks: list[np.ndarray | None]  # B x T x 2H bool keep masks
-    concat_top: np.ndarray                  # B x T x 2H view of the top layer's output
-    proj_h: np.ndarray | None               # T x B x d
+    head_inputs: list[np.ndarray]           # T x B x in_dim input of each _head matrix, in order
     logits: np.ndarray                      # T x B x V; the lattices are views of it
 
     def slot(self, i: int) -> np.ndarray:
@@ -408,12 +411,10 @@ def model_forward(
             inputs[0] *= keep_scale
         masks.append(keep)
 
-    proj_h = None
-    if config.projection_dim:
-        proj_h = top @ params["proj.W"].T
-        logits = proj_h @ params["out.W"].T
-    else:
-        logits = top @ params["out.W"].T
+    head_inputs, logits = [], top
+    for name in _head(config):
+        head_inputs.append(logits)
+        logits = logits @ params[name].T
 
     lattices = [PosteriorLattice(logits[: lengths[i], i], LOGITS) for i in range(batch)]
     if not train:
@@ -424,8 +425,7 @@ def model_forward(
         rev_rows=rows,
         directions=directions,
         dropout_masks=masks,
-        concat_top=top.swapaxes(0, 1),
-        proj_h=proj_h,
+        head_inputs=head_inputs,
         logits=logits,
     )
     return lattices, cache
@@ -443,32 +443,25 @@ def model_backward(cache: ForwardCache | None) -> dict[str, np.ndarray]:
     """
     if cache is None:
         raise NoForwardCache("model_backward needs the cache of a model_forward given an rng")
-    if cache.concat_top is None:
+    if cache.head_inputs is None:
         raise NoForwardCache("this forward cache was already consumed by model_backward")
     params = cache.model.params
     config = cache.model.config
     dtype = np.dtype(config.dtype)
     batch = len(cache.lengths)
-    top = cache.concat_top.swapaxes(0, 1)
-    v = config.output_dim
-    dlogits = cache.logits
+    dcurrent, inputs = cache.logits, cache.head_inputs
+    cache.head_inputs = cache.logits = None
     for i, n in enumerate(cache.lengths):
-        dlogits[n:, i] = 0.0
-    t_max = dlogits.shape[0]
+        dcurrent[n:, i] = 0.0
+    t_max = dcurrent.shape[0]
 
     grads: dict[str, np.ndarray] = {}
     hidden = config.hidden_per_direction
-    if config.projection_dim:
-        grads["out.W"] = dlogits.reshape(-1, v).T @ cache.proj_h.reshape(-1, config.projection_dim)
-        dproj = dlogits @ params["out.W"]
-        grads["proj.W"] = dproj.reshape(-1, config.projection_dim).T @ top.reshape(-1, config.concat_dim)
-        dcurrent = dproj @ params["proj.W"]
-        del dproj
-    else:
-        grads["out.W"] = dlogits.reshape(-1, v).T @ top.reshape(-1, config.concat_dim)
-        dcurrent = dlogits @ params["out.W"]
-    del dlogits, top
-    cache.concat_top = cache.proj_h = cache.logits = None
+    for name in reversed(_head(config)):
+        w, x = params[name], inputs.pop()
+        grads[name] = dcurrent.reshape(-1, w.shape[0]).T @ x.reshape(-1, w.shape[1])
+        dcurrent = dcurrent @ w
+    del x
 
     keep_scale = _dropout_scale(config)
     for layer in range(config.num_layers - 1, -1, -1):

@@ -27,11 +27,12 @@ _DELTA_NORM = 2.0 * sum(n * n for n in range(1, DELTA_WINDOW + 1))
 @dataclass(frozen=True)
 class Utterance:
     id: str
-    features: np.ndarray  # T x F
+    features: np.ndarray  # T x F, float32 kept as given, anything else as float64
     transcript: tuple[str, ...]
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
+        f = np.asarray(self.features)
+        f = f if f.dtype == np.float32 else f.astype(np.float64, copy=False)
         object.__setattr__(self, "features", f)
         if f.ndim != 2 or f.shape[0] < 1:
             raise ValueError(f"{self.id}: features must be T x F with T >= 1")
@@ -317,14 +318,18 @@ def read_table(path: str | Path, parse: Callable[[str, str], object]) -> dict:
 
 def save_corpus(utts: Sequence[Utterance], directory: str | Path) -> None:
     """Write corpus.tsv plus one little-endian float32 feature file per
-    utterance; an id that would not read back is rejected before any write."""
+    utterance; an id or a transcript word that would not read back is
+    rejected before any write."""
     directory = Path(directory)
-    rels = [f"features/{u.id}.bin" for u in utts]
-    rows = [(u.id, f"{' '.join(u.transcript)}\t{rel}") for u, rel in zip(utts, rels)]
-    _check_rows(rows)
     for u in utts:
         if "/" in u.id:
             raise ValueError(f"id {u.id!r}: a corpus id names its feature file, so it may hold no '/'")
+        for word in u.transcript:
+            if word.split() != [word]:
+                raise ValueError(f"id {u.id!r}: transcript word {word!r} is empty or holds whitespace")
+    rels = [f"features/{u.id}.bin" for u in utts]
+    rows = [(u.id, f"{' '.join(u.transcript)}\t{rel}") for u, rel in zip(utts, rels)]
+    _check_rows(rows)
     (directory / "features").mkdir(parents=True, exist_ok=True)
     for u, rel in zip(utts, rels):
         t, f = u.features.shape
@@ -352,6 +357,6 @@ def load_corpus(directory: str | Path) -> list[Utterance]:
         feats = np.frombuffer(raw, dtype="<f4", offset=_FEATURE_HEADER.size).reshape(t, f)
         if not np.all(np.isfinite(feats)):
             raise ValueError(f"{path}: features of {utt_id!r} are not all finite")
-        return Utterance(id=utt_id, features=feats.astype(np.float64), transcript=tuple(tokenize(transcript)))
+        return Utterance(id=utt_id, features=feats, transcript=tuple(tokenize(transcript)))
 
     return list(read_table(directory / "corpus.tsv", parse).values())

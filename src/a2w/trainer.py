@@ -244,8 +244,9 @@ def evaluate_loss(model: Model, utts: Sequence[Utterance], encode, batch_size: i
 
 
 def make_checkpoint(model: Model, state: OptimizerState, cfg: TrainConfig, epoch: int) -> Checkpoint:
-    tensors = {f"model.{k}": np.asarray(v, dtype=np.float64) for k, v in model.params.items()}
-    tensors.update({f"opt.v.{k}": np.asarray(v, dtype=np.float64) for k, v in state.velocity.items()})
+    # save_checkpoint writes every tensor as <f8, so a float32 model's arrays go in as they are
+    tensors = {f"model.{k}": v for k, v in model.params.items()}
+    tensors.update({f"opt.v.{k}": v for k, v in state.velocity.items()})
     snapshot = config_to_items(cfg)
     snapshot["input_dim"] = str(model.config.input_dim)
     snapshot["output_dim"] = str(model.config.output_dim)

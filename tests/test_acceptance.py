@@ -296,14 +296,14 @@ def test_criterion_9_sar_round_trip():
 
     for word in in_vocab:
         lattice = one_hot_lattice(list(build_sar_targets([word], joint).labels), joint.size)
-        assert sar_decode_word(lattice, joint) == [word]
+        assert sar_decode_word(lattice, joint.vocab) == [word]
         chars = sar_decode_chars(lattice, joint)
         assert chars.words == [word]
         expected_spelling = tuple(
             joint.charset.symbol_of(i).text for i in spell_word(word, joint.charset)
         )
         assert chars.entries[0].spelling == expected_spelling
-        assert sar_decode_switched(lattice, joint).words == sar_decode_word(lattice, joint)
+        assert sar_decode_switched(lattice, joint).words == sar_decode_word(lattice, joint.vocab)
 
     # transcripts mixing vocabulary words with injected OOVs
     oov_checked = 0
@@ -318,7 +318,7 @@ def test_criterion_9_sar_round_trip():
                 transcript.append(in_vocab[int(rng.integers(len(in_vocab)))])
                 has_oov.append(False)
         lattice = one_hot_lattice(list(build_sar_targets(transcript, joint).labels), joint.size)
-        word_decode = sar_decode_word(lattice, joint)
+        word_decode = sar_decode_word(lattice, joint.vocab)
         switched = sar_decode_switched(lattice, joint)
         assert word_decode == [UNK_WORD if oov else w for w, oov in zip(transcript, has_oov)]
         assert switched.words == transcript  # spelling fallback recovers OOVs

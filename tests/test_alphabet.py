@@ -17,7 +17,6 @@ from a2w.alphabet import (
     build_sar_targets,
     build_simple_charset,
     build_vocabulary,
-    decode_words,
     encode_words,
     load_alphabet,
     save_alphabet,
@@ -25,7 +24,7 @@ from a2w.alphabet import (
     tokenize,
     unspell,
 )
-from a2w.decoder import TAG_FROM_WORD, one_hot_lattice, sar_decode_switched
+from a2w.decoder import TAG_FROM_WORD, one_hot_lattice, sar_decode_switched, sar_decode_word
 
 def spelled(joint, entry):
     """The base characters an annotated word's spelling stands for."""
@@ -84,7 +83,8 @@ class TestVocabulary:
     @given(words_strategy)
     def test_encode_decode_round_trip(self, transcript):
         vocab = build_vocabulary([" ".join(transcript)], min_count=1)
-        assert decode_words(encode_words(transcript, vocab), vocab) == transcript
+        lattice = one_hot_lattice(encode_words(transcript, vocab), vocab.size)
+        assert sar_decode_word(lattice, vocab) == transcript
 
     @given(words_strategy, st.integers(1, 4))
     def test_monotone_in_min_count(self, transcript, min_count):
@@ -154,8 +154,11 @@ def joint():
 class TestJointAlphabet:
 
     def test_ranges_partition_label_space(self, joint):
-        ids = sorted([BLANK_ID] + list(joint.word_range) + list(joint.char_range))
-        assert ids == list(range(joint.size))
+        words = [i for i in range(joint.size + 1) if joint.is_word_id(i)]
+        chars = [i for i in range(joint.size + 1) if joint.is_char_id(i)]
+        assert not set(words) & set(chars)
+        assert sorted([BLANK_ID] + words + chars) == list(range(joint.size))
+        assert words == list(range(1, joint.vocab.size))
 
     def test_size_accounting(self, joint):
         assert joint.size == 1 + (len(joint.vocab.words) + 1) + len(joint.charset)

@@ -16,6 +16,7 @@ from a2w.alphabet import (
     UNK_WORD,
 )
 from a2w.ctc import PROBABILITIES, PosteriorLattice, expand_target
+from a2w.network import ModelConfig, init_model
 from a2w.pipeline import Utterance
 from a2w.decoder import (
     TAG_FROM_CHARS,
@@ -23,9 +24,7 @@ from a2w.decoder import (
     TAG_INCOMPLETE,
     SarHypothesis,
     SarWord,
-    collapse_labels,
     decode_utterances,
-    frame_argmax,
     greedy_collapse,
     one_hot_lattice,
     parse_hypothesis,
@@ -50,6 +49,11 @@ def joint():
     )
 
 
+def path_lattice(path, num_labels):
+    """A probability lattice whose per-frame argmax is exactly ``path``."""
+    return PosteriorLattice(np.eye(num_labels)[path], PROBABILITIES)
+
+
 def lattice_for(labels, joint):
     return one_hot_lattice(labels, joint.size)
 
@@ -60,15 +64,18 @@ def char_ids(joint, *symbols):
 
 class TestGreedyCollapse:
     def test_blank_and_repeat_removal(self):
-        assert collapse_labels([0, 1, 1, 0, 2]) == [1, 2]
+        assert greedy_collapse(path_lattice([0, 1, 1, 0, 2], 3)) == [1, 2]
 
     def test_blank_separates_genuine_repeat(self):
-        assert collapse_labels([1, 0, 1]) == [1, 1]
+        assert greedy_collapse(path_lattice([1, 0, 1], 2)) == [1, 1]
 
     def test_ties_break_to_lowest_id(self):
-        values = np.array([[0.5, 0.5], [0.2, 0.8]])
-        labels = frame_argmax(PosteriorLattice(values, PROBABILITIES))
-        assert list(labels) == [0, 1]
+        # frame 0 ties 1 and 2: the tie goes to 1, so frame 1's 2 is no repeat
+        values = np.array([[0.1, 0.45, 0.45], [0.1, 0.1, 0.8]])
+        assert greedy_collapse(PosteriorLattice(values, PROBABILITIES)) == [1, 2]
+        # a tie with the blank goes to the blank, which splits the 1s
+        values = np.array([[0.1, 0.9], [0.5, 0.5], [0.1, 0.9]])
+        assert greedy_collapse(PosteriorLattice(values, PROBABILITIES)) == [1, 1]
 
     def test_collapse_matches_reference_and_never_has_blanks(self):
         # adjacent equal labels may survive when a blank separated them in
@@ -80,7 +87,7 @@ class TestGreedyCollapse:
             lat = PosteriorLattice(rng.dirichlet(np.ones(4), size=6), PROBABILITIES)
             out = greedy_collapse(lat)
             assert 0 not in out
-            path = [int(v) for v in frame_argmax(lat)]
+            path = [int(v) for v in lat.values.argmax(axis=1)]
             reference = [k for k, _ in groupby(path) if k != 0]
             assert out == reference
 
@@ -102,15 +109,15 @@ class TestGreedyCollapse:
 class TestWordDecode:
     def test_word_track_only(self, joint):
         labels = char_ids(joint, "b-t", "h", "e-e") + [joint.word_id("THE")]
-        assert sar_decode_word(lattice_for(labels, joint), joint) == ["THE"]
+        assert sar_decode_word(lattice_for(labels, joint), joint.vocab) == ["THE"]
 
     def test_all_blank(self, joint):
         lat = PosteriorLattice(np.eye(1, joint.size), PROBABILITIES)
-        assert sar_decode_word(lat, joint) == []
+        assert sar_decode_word(lat, joint.vocab) == []
 
     def test_unk_is_literal(self, joint):
         labels = char_ids(joint, "b-z", "o", "e-o") + [joint.vocab.unk_id]
-        assert sar_decode_word(lattice_for(labels, joint), joint) == ["UNK"]
+        assert sar_decode_word(lattice_for(labels, joint), joint.vocab) == ["UNK"]
 
 
 class TestCharsDecode:
@@ -191,14 +198,14 @@ class TestSwitchedDecode:
             transcript = [words[i] for i in rng.integers(0, len(words), size=4)]
             labels = list(build_sar_targets(transcript, joint).labels)
             lat = lattice_for(labels, joint)
-            assert sar_decode_switched(lat, joint).words == sar_decode_word(lat, joint)
+            assert sar_decode_switched(lat, joint).words == sar_decode_word(lat, joint.vocab)
 
 
 class TestPerfectLatticeRoundTrip:
     def test_all_three_decodes(self, joint):
         transcript = ["THE", "CAT", "IS", "BLACK"]
         lat = lattice_for(list(build_sar_targets(transcript, joint).labels), joint)
-        assert sar_decode_word(lat, joint) == transcript
+        assert sar_decode_word(lat, joint.vocab) == transcript
         chars = sar_decode_chars(lat, joint)
         assert chars.words == transcript
         assert [e.spelling for e in chars.entries] == [
@@ -216,6 +223,54 @@ def test_unknown_mode_is_rejected_before_any_forward(joint, monkeypatch):
     for corpus in (utts, []):
         with pytest.raises(ValueError, match="unknown decode mode 'spelled'; choose from word, chars, switched"):
             decode_utterances(None, corpus, joint.vocab, joint=joint, mode="spelled")
+
+
+def tiny_model(output_dim, seed=0):
+    config = ModelConfig(input_dim=3, output_dim=output_dim, num_layers=1, hidden_per_direction=4, projection_dim=0)
+    return init_model(config, np.random.default_rng(seed))
+
+
+def random_utts(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [Utterance(id=f"u{i}", features=rng.normal(size=(int(rng.integers(2, 9)), 3)), transcript=("THE",))
+            for i in range(n)]
+
+
+class TestDecodeUtterances:
+    def test_word_model_decodes_words_in_every_mode(self, joint):
+        vocab = joint.vocab
+        model, utts = tiny_model(vocab.size), random_utts(12)
+        rows = decode_utterances(model, utts, vocab, mode="word", batch_size=5)
+        assert [r[0] for r in rows] == [u.id for u in utts]
+        assert all(hyp is None for _, _, hyp in rows)
+        assert any(words for _, words, _ in rows)
+        for mode in ("chars", "switched"):
+            assert decode_utterances(model, utts, vocab, mode=mode, batch_size=5) == rows
+
+    def test_joint_model_rows_match_the_lattice_decodes(self, joint):
+        model, utts = tiny_model(joint.size, seed=1), random_utts(6, seed=1)
+        lattices = {}
+        for utt in utts:
+            lats, _ = a2w.decoder.model_forward(utt.features[None], [utt.num_frames], model)
+            lattices[utt.id] = lats[0]
+        # batches of one run the same forward as above
+        rows = decode_utterances(model, utts, joint.vocab, joint=joint, mode="word", batch_size=1)
+        assert rows == [(u.id, sar_decode_word(lattices[u.id], joint.vocab), None) for u in utts]
+        for mode, decode in (("chars", sar_decode_chars), ("switched", sar_decode_switched)):
+            rows = decode_utterances(model, utts, joint.vocab, joint=joint, mode=mode, batch_size=1)
+            assert rows == [(u.id, decode(lattices[u.id], joint).words, decode(lattices[u.id], joint)) for u in utts]
+
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["too-few-labels", "too-many-labels"])
+    def test_label_space_size_must_match_the_model(self, joint, offset):
+        utts = random_utts(2)
+        model = tiny_model(joint.vocab.size + offset)
+        message = f"the label space has {joint.vocab.size} labels but the model outputs {joint.vocab.size + offset}"
+        with pytest.raises(ValueError, match=message):
+            decode_utterances(model, utts, joint.vocab)
+        model = tiny_model(joint.size + offset)
+        message = f"the label space has {joint.size} labels but the model outputs {joint.size + offset}"
+        with pytest.raises(ValueError, match=message):
+            decode_utterances(model, utts, joint.vocab, joint=joint, mode="switched")
 
 
 class TestRendering:

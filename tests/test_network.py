@@ -210,8 +210,8 @@ class TestForward:
         feats = rng.normal(size=(1, 5, 3))
         cache = train_forward(feats, [5], model)
         mirror_cache = train_forward(feats[:, ::-1], [5], mirrored)
-        top = cache.concat_top[0]
-        mirror_top = mirror_cache.concat_top[0]
+        top = cache.head_inputs[0][:, 0]
+        mirror_top = mirror_cache.head_inputs[0][:, 0]
         h = cfg.hidden_per_direction
         swapped = np.concatenate([mirror_top[:, h:], mirror_top[:, :h]], axis=1)
         np.testing.assert_allclose(swapped[::-1], top, atol=1e-12)
@@ -417,7 +417,7 @@ class TestFloat32:
         feats = np.random.default_rng(1).normal(size=(2, 4, 5))
         _, cache = model_forward(feats, [4, 3], model, rng=np.random.default_rng(2))
         assert seen == [np.float32, np.float32]
-        buffers = [cache.concat_top, cache.proj_h, cache.logits]
+        buffers = [*cache.head_inputs, cache.logits]
         for layer in cache.directions:
             buffers += [layer.x, layer.gates, layer.c, layer.h]
         assert all(b.dtype == np.float32 for b in buffers)

@@ -318,6 +318,25 @@ class TestCorpusIo:
             save_corpus(utts, tmp_path / "c")
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("word", ["A\tB", "A B", "A\x0bB", "A\nB", "", " A"], ids=["tab", "space", "vt", "lf", "empty", "leading-space"])
+    def test_transcript_word_it_cannot_read_back_is_named_before_any_file(self, tmp_path, word):
+        utts = [Utterance(id="ok", features=np.zeros((2, 3)), transcript=("A",))]
+        utts.append(Utterance(id="u", features=np.zeros((2, 3)), transcript=("B", word)))
+        with pytest.raises(ValueError, match=f"^id 'u': transcript word {re.escape(repr(word))} is empty or holds whitespace"):
+            save_corpus(utts, tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+    def test_lower_case_words_read_back_upper_case(self, tmp_path):
+        save_corpus([Utterance(id="u", features=np.zeros((2, 3)), transcript=("the", "Cat"))], tmp_path)
+        assert load_corpus(tmp_path)[0].transcript == ("THE", "CAT")
+
+    def test_features_are_held_as_read(self, tmp_path):
+        utts = synth_corpus(SynthSpec(vocab_size=4, feature_dim=3, proto_seed=2), 4, seed=5)
+        save_corpus(utts, tmp_path)
+        for a, b in zip(utts, load_corpus(tmp_path)):
+            assert b.features.dtype == np.float32
+            np.testing.assert_array_equal(b.features, a.features.astype(np.float32))
+
     def test_short_corpus_line_named(self, tmp_path):
         save_corpus(synth_corpus(SynthSpec(vocab_size=4, proto_seed=2), 3, seed=5), tmp_path)
         tsv = tmp_path / "corpus.tsv"
@@ -415,3 +434,10 @@ def test_utterance_validation():
         Utterance(id="bad", features=np.zeros((0, 3)), transcript=())
     with pytest.raises(ValueError):
         Utterance(id="bad", features=np.array([[np.nan]]), transcript=())
+
+
+def test_utterance_keeps_float32_and_makes_anything_else_float64():
+    f32 = np.ones((2, 3), dtype=np.float32)
+    assert Utterance(id="a", features=f32, transcript=()).features is f32
+    for given in (np.ones((2, 3), dtype=np.float16), np.ones((2, 3), dtype=np.int64), [[1, 2, 3]]):
+        assert Utterance(id="a", features=given, transcript=()).features.dtype == np.float64
