@@ -41,10 +41,9 @@ def label_text(joint, label):
 
 def trained_model_demo():
     from a2w.config import TrainConfig
-    from a2w.decoder import decode_utterances
     from a2w.pipeline import SynthSpec, synth_corpus
     from a2w.scoring import corpus_wer
-    from a2w.trainer import prepare_corpus, run_training
+    from a2w.trainer import run_training
 
     # rare pool words appear in training too, but below the vocabulary
     # threshold: their word labels collapse to UNK while their spellings
@@ -62,19 +61,16 @@ def trained_model_demo():
                       init="uniform-fan-in-gain:2")
     print("\ntraining a small joint word+character model (600 utterances)...")
     with tempfile.TemporaryDirectory() as work:
-        artifacts = run_training(cfg, train_utts, heldout, work)
-        print(f"  heldout loss {artifacts.run.records[0].heldout_loss:.2f} -> "
-              f"{artifacts.run.records[-1].heldout_loss:.2f} over {cfg.epochs} epochs")
-        prepared = prepare_corpus(heldout, cfg)
+        run, trained = run_training(cfg, train_utts, heldout, work)
+        print(f"  heldout loss {run.records[0].heldout_loss:.2f} -> "
+              f"{run.records[-1].heldout_loss:.2f} over {cfg.epochs} epochs")
         refs = {u.id: list(u.transcript) for u in heldout}
         decodes = {}
         for mode in ("word", "chars", "switched"):
-            rows = decode_utterances(artifacts.model, prepared, artifacts.label_space.vocab,
-                                     joint=artifacts.label_space.joint, mode=mode, batch_size=16)
-            decodes[mode] = rows
+            rows = decodes[mode] = trained.decode(heldout, mode)
             report = corpus_wer(refs, {utt_id: words for utt_id, words, _ in rows})
             print(f"  {mode:<8} decode: {report}")
-        vocab = artifacts.label_space.vocab
+        vocab = trained.space.vocab
         shown = 0
         for (utt_id, word_words, _), (_, _, switched_hyp) in zip(decodes["word"], decodes["switched"]):
             if "UNK" in word_words and shown < 3:

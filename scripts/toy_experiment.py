@@ -14,10 +14,10 @@ import time
 from pathlib import Path
 
 from a2w.config import TrainConfig
-from a2w.decoder import decode_utterances, write_transcripts
+from a2w.decoder import write_transcripts
 from a2w.pipeline import SynthSpec, synth_corpus, save_corpus
 from a2w.scoring import corpus_wer
-from a2w.trainer import prepare_corpus, run_training
+from a2w.trainer import run_training
 
 
 def main():
@@ -42,14 +42,13 @@ def main():
                       batch_size=4, seed=args.seed, min_count=1,
                       init="uniform-fan-in-gain:3")
     started = time.perf_counter()
-    artifacts = run_training(cfg, train_utts, heldout, work / "run")
-    for record in artifacts.run.records:
+    run, trained = run_training(cfg, train_utts, heldout, work / "run")
+    for record in run.records:
         print(f"epoch {record.epoch:2d}  lr {record.lr:.5f}  "
               f"train {record.train_loss:7.3f}  heldout {record.heldout_loss:7.3f}")
     print(f"trained in {time.perf_counter() - started:.0f}s")
 
-    prepared = prepare_corpus(heldout, cfg)
-    rows = decode_utterances(artifacts.model, prepared, artifacts.label_space.vocab, batch_size=16)
+    rows = trained.decode(heldout)
     write_transcripts(work / "heldout-hyp.tsv", [(utt_id, words) for utt_id, words, _ in rows])
     refs = {u.id: list(u.transcript) for u in heldout}
     print(corpus_wer(refs, {utt_id: words for utt_id, words, _ in rows}))

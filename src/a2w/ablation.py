@@ -18,10 +18,9 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .config import TrainConfig
-from .decoder import decode_utterances
 from .pipeline import Utterance
 from .scoring import corpus_wer
-from .trainer import prepare_corpus, run_training
+from .trainer import run_training
 
 
 def _with(**edit) -> Callable[[TrainConfig], TrainConfig]:
@@ -136,20 +135,10 @@ def run_ablation(
             try:
                 cfg = variant_config(alias, base, seed)
                 run_dir = out_dir / alias / f"seed{seed}"
-                artifacts = run_training(cfg, train_utts, heldout_utts, run_dir)
-                prepared = prepare_corpus(heldout_utts, cfg)
-                rows = decode_utterances(
-                    artifacts.model,
-                    prepared,
-                    artifacts.label_space.vocab,
-                    joint=artifacts.label_space.joint,
-                    mode="word",
-                    batch_size=cfg.batch_size,
-                )
-                report = corpus_wer(refs, {utt_id: words for utt_id, words, _ in rows})
-                cell.wer = report.wer
-                cell.final_heldout = artifacts.run.records[-1].heldout_loss
-                cell.best_epoch = artifacts.run.best_heldout_epoch()
+                run, trained = run_training(cfg, train_utts, heldout_utts, run_dir)
+                cell.wer = corpus_wer(refs, {utt_id: words for utt_id, words, _ in trained.decode(heldout_utts)}).wer
+                cell.final_heldout = run.records[-1].heldout_loss
+                cell.best_epoch = run.best_heldout_epoch()
             except Exception as exc:  # keep sweeping, report per cell
                 cell.error = f"{type(exc).__name__}: {exc}"
             cells.append(cell)

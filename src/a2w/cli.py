@@ -14,10 +14,10 @@ from .ablation import VARIANTS, default_aliases, run_ablation
 from .alphabet import build_positional_charset
 from .checkpoint import load_checkpoint
 from .config import DEFAULTS, RULES, TrainConfig, config_from_items, load_config
-from .decoder import DECODE_MODES, decode_utterances, read_sar_file, read_transcripts, write_sar_file, write_transcripts
+from .decoder import DECODE_MODES, read_sar_file, read_transcripts, write_sar_file, write_transcripts
 from .pipeline import SynthSpec, load_corpus, save_corpus, split_by_id_hash, synth_corpus
 from .scoring import corpus_wer
-from .trainer import open_run, prepare_corpus, run_training
+from .trainer import open_run, run_training
 
 
 class _UsageError(Exception):
@@ -68,24 +68,24 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     train_utts, heldout = _load_train_heldout(args, cfg)
-    artifacts = run_training(cfg, train_utts, heldout, args.out, resume_from=args.resume)
-    last = artifacts.run.records[-1]
+    run, _ = run_training(cfg, train_utts, heldout, args.out, resume_from=args.resume)
+    last = run.records[-1]
     print(
-        f"trained {len(artifacts.run.records)} epochs: train_loss={last.train_loss:.4f} "
-        f"heldout_loss={last.heldout_loss:.4f} (best epoch {artifacts.run.best_heldout_epoch()})"
+        f"trained {len(run.records)} epochs: train_loss={last.train_loss:.4f} "
+        f"heldout_loss={last.heldout_loss:.4f} (best epoch {run.best_heldout_epoch()})"
     )
     print(f"checkpoints and records in {args.out}")
     return 0
 
 
 def _cmd_decode(args) -> int:
-    cfg, model, space = open_run(args.run, args.epoch)
-    utts = prepare_corpus(load_corpus(args.corpus), cfg)
-    rows = decode_utterances(model, utts, space.vocab, joint=space.joint, mode=args.mode, batch_size=cfg.batch_size)
+    sar_path = Path(args.out).with_suffix(".sar")
+    if DECODE_MODES[args.mode] and sar_path == Path(args.out):
+        raise _UsageError(f"--mode {args.mode} writes its annotations to {sar_path}, so --out must not end in .sar")
+    rows = open_run(args.run, args.epoch).decode(load_corpus(args.corpus), args.mode)
     write_transcripts(args.out, [(utt_id, words) for utt_id, words, _ in rows])
     annotated = [(utt_id, hyp) for utt_id, _, hyp in rows if hyp is not None]
     if annotated:
-        sar_path = Path(args.out).with_suffix(".sar")
         write_sar_file(sar_path, annotated)
         print(f"wrote {len(rows)} hypotheses to {args.out} (annotations in {sar_path})")
     else:

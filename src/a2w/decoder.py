@@ -23,7 +23,7 @@ import numpy as np
 from .alphabet import BEGIN, BLANK_ID, BOTH, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, tokenize, unspell
 from .ctc import PROBABILITIES, PosteriorLattice
 from .network import Model, model_forward
-from .pipeline import ASCENDING, Utterance, read_table, sort_and_batch, write_table
+from .pipeline import ASCENDING, Utterance, check_width, read_table, sort_and_batch, write_table
 
 TAG_FROM_WORD = "from-word"
 TAG_FROM_CHARS = "from-characters"
@@ -201,7 +201,9 @@ def decode_utterances(
     in corpus order. ``mode`` must be a ``DECODE_MODES`` key; plain word
     models decode words whatever it is. The label space (``joint`` if
     given, else ``vocab``) must have the model's output size, and a joint
-    model's word track reads ``joint.vocab``."""
+    model's word track reads ``joint.vocab``. A batch whose features are
+    not the model's input width raises ValueError naming its first
+    utterance."""
     if mode not in DECODE_MODES:
         raise ValueError(f"unknown decode mode {mode!r}; choose from {', '.join(DECODE_MODES)}")
     annotate, size = None, vocab.size
@@ -211,7 +213,9 @@ def decode_utterances(
         raise ValueError(f"the label space has {size} labels but the model outputs {model.config.output_dim}")
     by_id = {}
     for batch in sort_and_batch(utts, ASCENDING, batch_size, lambda words: ()):
-        lattices, _ = model_forward(batch.features, batch.lengths, model)
+        features = batch.features
+        check_width(batch.ids[0], features.shape[2], model.config.input_dim)
+        lattices, _ = model_forward(features, batch.lengths, model)
         for utt_id, lattice in zip(batch.ids, lattices):
             hyp = annotate(lattice, joint) if annotate else None
             by_id[utt_id] = (hyp.words if hyp else sar_decode_word(lattice, vocab), hyp)

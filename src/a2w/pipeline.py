@@ -44,6 +44,12 @@ class Utterance:
         return self.features.shape[0]
 
 
+def check_width(utt_id: str, width: int, expected: int) -> None:
+    """Raise ValueError naming the utterance whose features are not ``expected`` wide."""
+    if width != expected:
+        raise ValueError(f"{utt_id}: features are {width} wide, not {expected}")
+
+
 @dataclass(frozen=True)
 class Batch:
     """A run of utterances, read and padded to a ``B x T_max x F`` tensor on
@@ -66,7 +72,8 @@ class Batch:
         features read (and transformed) now."""
         frames = [u.features for u in self.utts]
         padded = np.zeros((self.size, self.max_frames, frames[0].shape[1]))
-        for row, f in zip(padded, frames):
+        for u, row, f in zip(self.utts, padded, frames):
+            check_width(u.id, f.shape[1], padded.shape[2])
             row[: f.shape[0]] = f
         return padded
 

@@ -7,6 +7,13 @@ The velocity update evaluates the gradient at the displaced point
     v_n     = rho * v_{n-1} + lr * grad(theta_{n-1} + rho * v_{n-1})
     theta_n = theta_{n-1} - v_n
 
+Since ``theta -= v``, the point ``theta + rho * v`` lies behind ``theta``,
+not ahead of it: Nesterov momentum as Sutskever et al. (2013) define it
+takes the gradient at ``theta - rho * v`` in this sign convention.
+Acceptance criterion 4 pins the arithmetic above: two steps on
+``theta**2 / 2`` from 1 at lr 0.1 and rho 0.9 reach 0.711, where the
+other sign reaches 0.729.
+
 With ``rho = 0`` the same arithmetic is bitwise plain SGD:
 ``theta + 0 * v == theta`` and ``0 * v + lr * g == lr * g``.
 """
@@ -35,11 +42,13 @@ from .alphabet import (
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_items, config_to_items, save_config
 from .ctc import InfeasibleAlignment, ctc_loss, min_frames_for
+from .decoder import SarHypothesis, decode_utterances
 from .network import Model, ModelConfig, init_model, model_backward, model_forward, param_shapes, warm_start
 from .pipeline import (
     ASCENDING,
     CurriculumOrder,
     Utterance,
+    check_width,
     compute_deltas,
     sort_and_batch,
     stack_decimate,
@@ -214,6 +223,20 @@ class LabelSpace:
         return self.joint.size if self.joint else self.vocab.size
 
 
+@dataclass(frozen=True)
+class TrainedModel:
+    """A model with the run config and label space that reading raw utterances through it takes."""
+
+    cfg: TrainConfig
+    model: Model
+    space: LabelSpace
+
+    def decode(self, utts: Sequence[Utterance], mode="word") -> list[tuple[str, list[str], SarHypothesis | None]]:
+        """``decode_utterances`` rows of raw utterances, read through the run's transforms and batch size."""
+        prepared, space, batch_size = prepare_corpus(utts, self.cfg), self.space, self.cfg.batch_size
+        return decode_utterances(self.model, prepared, space.vocab, joint=space.joint, mode=mode, batch_size=batch_size)
+
+
 def _label_space(vocab: Vocabulary, cfg: TrainConfig) -> LabelSpace:
     """Word targets, or spell-and-recognize targets over the config's charset."""
     if cfg.targets != "sar":
@@ -287,6 +310,12 @@ def config_from_checkpoint(ckpt: Checkpoint) -> tuple[TrainConfig, ModelConfig]:
     return cfg, build_model_config(cfg, input_dim, output_dim)
 
 
+def _load_model(path: str | Path, ckpt: Checkpoint, config: ModelConfig, prefixes: tuple[str, ...]) -> Model:
+    """The model ``config`` describes, holding the checkpoint's tensors if ``_check_fit`` passes."""
+    _check_fit(path, ckpt, config, prefixes)
+    return Model(config, {name: ckpt.tensors["model." + name].astype(config.dtype) for name in param_shapes(config)})
+
+
 def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
     """Inverse of saving ``make_checkpoint``: the run config and the model a
     checkpoint file snapshots. A missing ``input_dim`` or ``output_dim``
@@ -297,9 +326,7 @@ def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
         if key not in ckpt.config:
             raise ValueError(f"{path}: the checkpoint has no {key} config record")
     cfg, config = config_from_checkpoint(ckpt)
-    _check_fit(path, ckpt, config, ("model.",))
-    dtype = np.dtype(cfg.dtype)
-    return cfg, Model(config, {k: v.astype(dtype) for k, v in ckpt.model_tensors().items()})
+    return cfg, _load_model(path, ckpt, config, ("model.",))
 
 
 def _records_through(path: Path, last_epoch: int) -> list[str]:
@@ -390,23 +417,16 @@ def train(
     return run
 
 
-@dataclass
-class TrainArtifacts:
-    run: TrainRun
-    model: Model
-    label_space: LabelSpace
-
-
 def run_training(
     cfg: TrainConfig,
     raw_train: Sequence[Utterance],
     raw_heldout: Sequence[Utterance],
     out_dir: str | Path,
     resume_from: str | Path | None = None,
-) -> TrainArtifacts:
-    """End-to-end orchestration: transforms, alphabets, init/warm-start/resume,
-    then the epoch loop. Writes alphabets and the resolved config beside the
-    checkpoints so that decoding needs only the run directory."""
+) -> tuple[TrainRun, TrainedModel]:
+    """Transforms, alphabets, init/warm-start/resume, then the epoch loop;
+    returns the records and the trained model. Writes alphabets and the
+    resolved config beside the checkpoints, so decoding needs only the run directory."""
     if not raw_train or not raw_heldout:
         raise ValueError("both the training and heldout splits must be non-empty")
     train_utts = prepare_corpus(raw_train, cfg)
@@ -419,20 +439,19 @@ def run_training(
     # reading each utterance once rejects a transform that is not finite, by id
     input_dim = train_utts[0].features.shape[1]
     for u in (*train_utts, *heldout_utts):
-        if (width := u.features.shape[1]) != input_dim:
-            raise ValueError(f"{u.id}: features are {width} wide, not {input_dim}")
+        check_width(u.id, u.features.shape[1], input_dim)
     model_config = build_model_config(cfg, input_dim, space.size)
-    model = init_model(model_config, np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x1417))))
     state, warm_report, start_epoch = None, None, 0
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        _check_fit(resume_from, ckpt, model_config, ("model.", "opt.v."))
-        warm_start(model, ckpt.model_tensors())
-        velocity = {k: np.asarray(v, dtype=model.params[k].dtype) for k, v in ckpt.velocity_tensors().items()}
+        model = _load_model(resume_from, ckpt, model_config, ("model.", "opt.v."))
+        velocity = {k: np.asarray(v, dtype=model_config.dtype) for k, v in ckpt.velocity_tensors().items()}
         state = OptimizerState(velocity=velocity, rho=cfg.momentum)
         start_epoch = ckpt.epoch
-    elif cfg.warm_ckpt:
-        warm_report = warm_start(model, load_checkpoint(cfg.warm_ckpt).model_tensors())
+    else:
+        model = init_model(model_config, np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x1417))))
+        if cfg.warm_ckpt:
+            warm_report = warm_start(model, load_checkpoint(cfg.warm_ckpt).model_tensors())
     if start_epoch >= cfg.epochs:
         at = f"{resume_from} is at epoch {start_epoch}, so " if resume_from is not None else ""
         raise ValueError(f"{at}epochs={cfg.epochs} leaves no epoch to run")
@@ -445,15 +464,15 @@ def run_training(
         (out_dir / "warm_start.txt").write_text(str(warm_report) + "\n", encoding="utf-8")
 
     run = train(model, train_utts, heldout_utts, cfg, out_dir, space.encode, state=state, start_epoch=start_epoch)
-    return TrainArtifacts(run=run, model=model, label_space=space)
+    return run, TrainedModel(cfg, model, space)
 
 
-def open_run(run_dir: str | Path, epoch: int | None = None) -> tuple[TrainConfig, Model, LabelSpace]:
-    """Inverse of ``run_training``'s directory: the run config, the model of
-    one checkpoint (the latest when ``epoch`` is None) and its label space."""
+def open_run(run_dir: str | Path, epoch: int | None = None) -> TrainedModel:
+    """Inverse of ``run_training``'s directory: the trained model of one
+    checkpoint, the latest by epoch number when ``epoch`` is None."""
     run_dir = Path(run_dir)
     pattern = "epoch*.ckpt" if epoch is None else CHECKPOINT_NAME.format(epoch)
-    found = sorted(run_dir.glob(pattern))
+    found = sorted(run_dir.glob(pattern), key=lambda p: (len(p.name), p.name))  # epoch999 before epoch1000
     if not found:
         raise FileNotFoundError(f"{run_dir}: no checkpoint matches {pattern}")
     cfg, model = model_from_checkpoint(found[-1])
@@ -463,4 +482,4 @@ def open_run(run_dir: str | Path, epoch: int | None = None) -> tuple[TrainConfig
         raise ValueError(
             f"{run_dir}: {space.size} labels in {files}, but the checkpoint's output layer has {model.config.output_dim}"
         )
-    return cfg, model, space
+    return TrainedModel(cfg, model, space)

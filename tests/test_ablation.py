@@ -73,13 +73,13 @@ class TestRunAblation:
         assert cell.spec_name == "full"
         assert (tmp_path / "ab" / "full" / "seed55" / "train_run.jsonl").exists()
         cfg = variant_config("full", base, 55)
-        artifacts = run_training(cfg, train_utts, held, tmp_path / "direct")
+        run, trained = run_training(cfg, train_utts, held, tmp_path / "direct")
         prepared = prepare_corpus(held, cfg)
-        rows = decode_utterances(artifacts.model, prepared, artifacts.label_space.vocab, batch_size=8)
+        rows = decode_utterances(trained.model, prepared, trained.space.vocab, batch_size=8)
         refs = {u.id: list(u.transcript) for u in held}
         direct_wer = corpus_wer(refs, {i: w for i, w, _ in rows}).wer
         assert cell.wer == pytest.approx(direct_wer, abs=1e-12)
-        assert cell.final_heldout == pytest.approx(artifacts.run.records[-1].heldout_loss, abs=1e-12)
+        assert cell.final_heldout == pytest.approx(run.records[-1].heldout_loss, abs=1e-12)
 
     def test_duplicate_specs_rejected_before_training(self, corpora, tmp_path):
         train_utts, held = corpora

@@ -69,11 +69,11 @@ E2E_CONFIG = dict(
 )
 
 
-def heldout_wer(artifacts, heldout, cfg):
+def heldout_wer(trained, heldout, cfg):
     prepared = prepare_corpus(heldout, cfg)
     rows = decode_utterances(
-        artifacts.model, prepared, artifacts.label_space.vocab,
-        joint=artifacts.label_space.joint, mode="word", batch_size=16,
+        trained.model, prepared, trained.space.vocab,
+        joint=trained.space.joint, mode="word", batch_size=16,
     )
     refs = {u.id: list(u.transcript) for u in heldout}
     return corpus_wer(refs, {utt_id: words for utt_id, words, _ in rows})
@@ -207,13 +207,13 @@ def test_criterion_6_toy_end_to_end(tmp_path):
     heldout = synth_corpus(E2E_SPEC, 200, seed=22, id_prefix="held")
     cfg = TrainConfig(**E2E_CONFIG)
     started = time.perf_counter()
-    artifacts = run_training(cfg, train_utts, heldout, tmp_path / "e2e")
+    run, trained = run_training(cfg, train_utts, heldout, tmp_path / "e2e")
     elapsed = time.perf_counter() - started
-    result = heldout_wer(artifacts, heldout, cfg)
+    result = heldout_wer(trained, heldout, cfg)
     assert result.wer <= 2.0, str(result)
-    assert len(artifacts.run.records) <= 30
+    assert len(run.records) <= 30
     assert elapsed <= 600.0
-    report(6, f"heldout {result}, {len(artifacts.run.records)} epochs, {elapsed:.0f}s")
+    report(6, f"heldout {result}, {len(run.records)} epochs, {elapsed:.0f}s")
 
 
 def test_criterion_7_curriculum_trend(tmp_path):
@@ -250,8 +250,8 @@ def test_criterion_7_curriculum_trend(tmp_path):
                               flat_epochs=10, lr=0.02, grad_clip=2.0, batch_size=8,
                               seed=seed, min_count=1, order=order,
                               init="uniform-fan-in-gain:2")
-            artifacts = run_training(cfg, train_utts, heldout, tmp_path / f"{order}-{seed}")
-            wers.append(heldout_wer(artifacts, heldout, cfg).wer)
+            _, trained = run_training(cfg, train_utts, heldout, tmp_path / f"{order}-{seed}")
+            wers.append(heldout_wer(trained, heldout, cfg).wer)
         means[order] = sum(wers) / len(wers)
     if means["ascending"] <= means["descending"]:
         report(7, f"waste inequality on 100 sets; mean WER asc {means['ascending']:.2f}% <= desc {means['descending']:.2f}%")
@@ -274,8 +274,8 @@ def test_criterion_8_dropout_overfit_signature(tmp_path):
         cfg = TrainConfig(layers=2, hidden=24, projection=16, dropout=dropout, epochs=22,
                           flat_epochs=22, lr=0.02, grad_clip=2.0, batch_size=8, seed=9,
                           min_count=1, init="uniform-fan-in-gain:2")
-        artifacts = run_training(cfg, train_utts, heldout, tmp_path / f"do{dropout}")
-        losses = [r.heldout_loss for r in artifacts.run.records]
+        run, _ = run_training(cfg, train_utts, heldout, tmp_path / f"do{dropout}")
+        losses = [r.heldout_loss for r in run.records]
         gaps[dropout] = losses[-1] / min(losses)
     assert gaps[0.0] >= 1.01, gaps
     assert gaps[0.25] < gaps[0.0], gaps
@@ -347,8 +347,8 @@ def test_criterion_11_checkpoint_determinism(tmp_path):
     toy = dict(layers=1, hidden=6, projection=4, dropout=0.1, batch_size=8,
                lr=0.005, seed=77, min_count=1, deltas=False, stacking=False)
 
-    full = run_training(TrainConfig(**toy, epochs=5), train_utts, heldout, tmp_path / "full")
-    ckpt_path = full.run.checkpoint_paths[-1]
+    full, _ = run_training(TrainConfig(**toy, epochs=5), train_utts, heldout, tmp_path / "full")
+    ckpt_path = full.checkpoint_paths[-1]
     reloaded = load_checkpoint(ckpt_path)
     resaved = tmp_path / "resaved.ckpt"
     save_checkpoint(reloaded, resaved)
@@ -357,10 +357,10 @@ def test_criterion_11_checkpoint_determinism(tmp_path):
     assert pathlib.Path(ckpt_path).read_bytes() == resaved.read_bytes()
 
     run_training(TrainConfig(**toy, epochs=3), train_utts, heldout, tmp_path / "split")
-    resumed = run_training(
+    resumed, _ = run_training(
         TrainConfig(**toy, epochs=5), train_utts, heldout, tmp_path / "split",
         resume_from=tmp_path / "split" / "epoch003.ckpt",
     )
-    tail = [r.deterministic_fields() for r in resumed.run.records]
-    assert tail == [r.deterministic_fields() for r in full.run.records[3:]]
+    tail = [r.deterministic_fields() for r in resumed.records]
+    assert tail == [r.deterministic_fields() for r in full.records[3:]]
     report(11, "save/load/save byte-identical; 5 epochs == 3 + 2 resumed")

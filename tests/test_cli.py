@@ -8,6 +8,7 @@ from a2w.alphabet import build_charset
 from a2w.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from a2w.cli import cli_main
 from a2w.decoder import read_transcripts
+from a2w.pipeline import Utterance, load_corpus, save_corpus
 from test_config import TEXT_CASES
 
 
@@ -296,6 +297,26 @@ class TestReaderFaults:
         assert read_transcripts(first).keys() == read_transcripts(latest).keys()
         assert run("decode", "--run", run_dir, "--corpus", corpus_dir, "--out", tmp_path / "x", "--epoch", 9) == 2
         assert f"{run_dir}: no checkpoint matches epoch009.ckpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("widen", ["last", "all"])
+    def test_corpus_of_another_width_exits_2_naming_the_utterance(self, run_dir, corpus_dir, tmp_path, capsys, widen):
+        utts = sorted(load_corpus(corpus_dir), key=lambda u: (u.num_frames, u.id))
+        # the longest utterance shares a batch with shorter ones; widened alone, its batch rejects it
+        odd = utts[-1:] if widen == "last" else utts
+        wide = {u.id for u in odd}
+        save_corpus([Utterance(u.id, np.hstack([u.features] * (1 + (u.id in wide))), u.transcript) for u in utts],
+                    tmp_path / "corpus")
+        hyp = tmp_path / "hyp.tsv"
+        assert run("decode", "--run", run_dir, "--corpus", tmp_path / "corpus", "--out", hyp) == 2
+        assert f"error: ValueError: {odd[0].id}: features are 8 wide, not 4\n" in capsys.readouterr().err
+        assert not hyp.exists() and not hyp.with_suffix(".sar").exists()
+
+    def test_annotated_decode_into_a_sar_file_is_rejected(self, sar_run, tmp_path, capsys):
+        corpus, out = sar_run
+        hyp = tmp_path / "out.sar"
+        assert run("decode", "--run", out, "--corpus", corpus, "--out", hyp, "--mode", "switched") == 1
+        assert f"--mode switched writes its annotations to {hyp}" in capsys.readouterr().err
+        assert not hyp.exists()
 
     def test_missing_tab_in_both_files_exits_2(self, tmp_path, capsys):
         # with a space where the tab belongs, "b THE DOG" once read as an id with no words

@@ -150,6 +150,13 @@ class TestSortAndBatch:
                 )
                 np.testing.assert_allclose(batch.features[i, batch.lengths[i] :], 0.0)
 
+    def test_utterance_wider_than_the_first_in_its_batch_is_named(self):
+        utts = make_utts([2, 3, 4], feat_dim=6)
+        utts[2] = Utterance(id=utts[2].id, features=np.zeros((4, 8)), transcript=("W",))
+        batch = sort_and_batch(utts, ASCENDING, 3, encode_len)[0]
+        with pytest.raises(ValueError, match=f"^{utts[2].id}: features are 8 wide, not 6$"):
+            batch.features
+
     def test_batches_pad_on_access_and_retain_no_copy(self):
         rng = np.random.default_rng(4)
         utts = make_utts(rng.integers(50, 150, size=200), feat_dim=40)  # about 6 MB of features

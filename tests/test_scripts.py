@@ -35,6 +35,16 @@ def test_help(name):
     assert "usage:" in result.stdout
 
 
+def test_toy_experiment_runs_end_to_end(tmp_path):
+    result = run_script("toy_experiment.py", "--work", str(tmp_path), "--epochs", "1", "--train-count", "40",
+                        "--heldout-count", "8")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("epoch  1  lr 0.03000"), result.stdout
+    assert lines[-1].startswith("WER ") and lines[-1].endswith("N=29)"), result.stdout
+    assert len((tmp_path / "heldout-hyp.tsv").read_text().splitlines()) == 8
+
+
 def test_step_memory_runs_one_tiny_step():
     result = run_script("step_memory.py", "--layers", "1", "--hidden", "4", "--projection", "0", "--vocab", "20",
                         "--batch", "2", "--frames", "10", "--input-dim", "6")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from a2w.checkpoint import load_checkpoint, save_checkpoint
 from a2w.config import TrainConfig
 from a2w.ctc import InfeasibleAlignment
+from a2w.decoder import decode_utterances
 from a2w.network import init_model
 from a2w.pipeline import ASCENDING, SynthSpec, Utterance, random_order, sort_and_batch, synth_corpus
 from a2w.trainer import (
@@ -241,8 +243,7 @@ class TestTrainLoop:
     def test_records_and_checkpoints(self, tmp_path):
         train_utts, held = toy_corpora()
         cfg = TrainConfig(**TOY)
-        artifacts = run_training(cfg, train_utts, held, tmp_path)
-        run = artifacts.run
+        run, _ = run_training(cfg, train_utts, held, tmp_path)
         assert [r.epoch for r in run.records] == [1, 2, 3]
         assert len(run.checkpoint_paths) == 3
         lines = (tmp_path / "train_run.jsonl").read_text().splitlines()
@@ -256,47 +257,48 @@ class TestTrainLoop:
         train_utts, held = toy_corpora()
         runs = []
         for name in ("a", "b"):
-            artifacts = run_training(TrainConfig(**TOY), train_utts, held, tmp_path / name)
-            runs.append([r.deterministic_fields() for r in artifacts.run.records])
+            run, _ = run_training(TrainConfig(**TOY), train_utts, held, tmp_path / name)
+            runs.append([r.deterministic_fields() for r in run.records])
         assert runs[0] == runs[1]
 
     def test_resume_equivalence(self, tmp_path):
         train_utts, held = toy_corpora()
-        full_cfg = TrainConfig(**{**TOY, "epochs": 5})
-        full = run_training(full_cfg, train_utts, held, tmp_path / "full")
+        for dtype in ("float64", "float32"):
+            full_cfg = TrainConfig(**{**TOY, "epochs": 5, "dtype": dtype})
+            full, _ = run_training(full_cfg, train_utts, held, tmp_path / dtype / "full")
 
-        short_cfg = TrainConfig(**{**TOY, "epochs": 3})
-        run_training(short_cfg, train_utts, held, tmp_path / "resumed")
-        resumed = run_training(
-            full_cfg, train_utts, held, tmp_path / "resumed",
-            resume_from=tmp_path / "resumed" / "epoch003.ckpt",
-        )
-        tail = [r.deterministic_fields() for r in resumed.run.records]
-        assert tail == [r.deterministic_fields() for r in full.run.records[3:]]
-        # the records file accumulated all five epochs
-        lines = (tmp_path / "resumed" / "train_run.jsonl").read_text().splitlines()
-        assert [json.loads(l)["epoch"] for l in lines] == [1, 2, 3, 4, 5]
+            short_cfg = TrainConfig(**{**TOY, "epochs": 3, "dtype": dtype})
+            run_training(short_cfg, train_utts, held, tmp_path / dtype / "resumed")
+            resumed, _ = run_training(
+                full_cfg, train_utts, held, tmp_path / dtype / "resumed",
+                resume_from=tmp_path / dtype / "resumed" / "epoch003.ckpt",
+            )
+            tail = [r.deterministic_fields() for r in resumed.records]
+            assert tail == [r.deterministic_fields() for r in full.records[3:]], dtype
+            # the records file accumulated all five epochs
+            lines = (tmp_path / dtype / "resumed" / "train_run.jsonl").read_text().splitlines()
+            assert [json.loads(l)["epoch"] for l in lines] == [1, 2, 3, 4, 5]
 
     def test_resume_from_earlier_epoch_keeps_one_record_per_epoch(self, tmp_path):
         train_utts, held = toy_corpora()
         cfg = TrainConfig(**{**TOY, "epochs": 4})
-        first = run_training(cfg, train_utts, held, tmp_path)
+        first, _ = run_training(cfg, train_utts, held, tmp_path)
         before = (tmp_path / "train_run.jsonl").read_text().splitlines()
-        resumed = run_training(cfg, train_utts, held, tmp_path, resume_from=tmp_path / "epoch002.ckpt")
+        resumed, _ = run_training(cfg, train_utts, held, tmp_path, resume_from=tmp_path / "epoch002.ckpt")
         after = (tmp_path / "train_run.jsonl").read_text().splitlines()
         assert [json.loads(l)["epoch"] for l in after] == [1, 2, 3, 4]
         assert after[:2] == before[:2]
-        tail = [r.deterministic_fields() for r in resumed.run.records]
-        assert tail == [r.deterministic_fields() for r in first.run.records[2:]]
+        tail = [r.deterministic_fields() for r in resumed.records]
+        assert tail == [r.deterministic_fields() for r in first.records[2:]]
 
     def test_checkpoint_contains_velocity_and_config(self, tmp_path):
         train_utts, held = toy_corpora()
-        artifacts = run_training(TrainConfig(**TOY), train_utts, held, tmp_path)
-        ckpt = load_checkpoint(artifacts.run.checkpoint_paths[-1])
+        run, trained = run_training(TrainConfig(**TOY), train_utts, held, tmp_path)
+        ckpt = load_checkpoint(run.checkpoint_paths[-1])
         assert ckpt.epoch == 3
         assert any(k.startswith("opt.v.") for k in ckpt.tensors)
         assert ckpt.config["order"] == "ascending"
-        assert int(ckpt.config["output_dim"]) == artifacts.model.config.output_dim
+        assert int(ckpt.config["output_dim"]) == trained.model.config.output_dim
 
     def test_model_from_checkpoint_inverts_make_checkpoint(self, tmp_path):
         cfg = TrainConfig(**{**TOY, "dtype": "float32", "order": "random", "targets": "sar",
@@ -376,23 +378,23 @@ class TestTrainLoop:
 
     def test_warm_start_from_checkpoint(self, tmp_path):
         train_utts, held = toy_corpora()
-        first = run_training(TrainConfig(**TOY), train_utts, held, tmp_path / "src")
-        warm_cfg = TrainConfig(**{**TOY, "warm_ckpt": first.run.checkpoint_paths[-1], "seed": 88})
-        warm = run_training(warm_cfg, train_utts, held, tmp_path / "warm")
-        cold = run_training(TrainConfig(**{**TOY, "seed": 88}), train_utts, held, tmp_path / "cold")
+        first, _ = run_training(TrainConfig(**TOY), train_utts, held, tmp_path / "src")
+        warm_cfg = TrainConfig(**{**TOY, "warm_ckpt": first.checkpoint_paths[-1], "seed": 88})
+        warm, _ = run_training(warm_cfg, train_utts, held, tmp_path / "warm")
+        cold, _ = run_training(TrainConfig(**{**TOY, "seed": 88}), train_utts, held, tmp_path / "cold")
         assert (tmp_path / "warm" / "warm_start.txt").exists()
 
         # warm start reaches the cold run's best training loss in fewer epochs
-        target = min(r.train_loss for r in cold.run.records)
+        target = min(r.train_loss for r in cold.records)
 
         def epochs_to(run):
-            for record in run.run.records:
+            for record in run.records:
                 if record.train_loss <= target:
                     return record.epoch
-            return len(run.run.records) + 1
+            return len(run.records) + 1
 
         assert epochs_to(warm) < epochs_to(cold)
-        assert warm.run.records[0].train_loss < cold.run.records[0].train_loss
+        assert warm.records[0].train_loss < cold.records[0].train_loss
 
     def test_empty_split_rejected(self, tmp_path):
         train_utts, held = toy_corpora()
@@ -498,18 +500,33 @@ class TestOpenRun:
                          proto_seed=1)
         train_utts, held = synth_corpus(spec, 12, seed=2), synth_corpus(spec, 4, seed=3, id_prefix="held")
         cfg = TrainConfig(**{**TOY, "epochs": 2, "targets": targets})
-        artifacts = run_training(cfg, train_utts, held, tmp_path)
-        back_cfg, model, space = open_run(tmp_path)
-        assert back_cfg == cfg
-        assert model.config == artifacts.model.config
-        for name, value in artifacts.model.params.items():
+        _, trained = run_training(cfg, train_utts, held, tmp_path)
+        reopened = open_run(tmp_path)
+        model, space = reopened.model, reopened.space
+        assert reopened.cfg == cfg
+        assert model.config == trained.model.config
+        for name, value in trained.model.params.items():
             np.testing.assert_array_equal(model.params[name], value)
-        assert (space.vocab, space.joint) == (artifacts.label_space.vocab, artifacts.label_space.joint)
-        assert list(space.encode(held[0].transcript)) == list(artifacts.label_space.encode(held[0].transcript))
-        _, first, _ = open_run(tmp_path, epoch=1)
+        assert (space.vocab, space.joint) == (trained.space.vocab, trained.space.joint)
+        assert list(space.encode(held[0].transcript)) == list(trained.space.encode(held[0].transcript))
+        first = open_run(tmp_path, epoch=1).model
         expected = load_checkpoint(tmp_path / "epoch001.ckpt").model_tensors()
         for name, value in expected.items():
             np.testing.assert_array_equal(first.params[name], value)
+
+    def test_latest_checkpoint_is_the_highest_epoch_number(self, tmp_path):
+        train_utts, held = toy_corpora()
+        run_training(TrainConfig(**{**TOY, "epochs": 2}), train_utts, held, tmp_path)
+        for epoch, source in ((999, "epoch001.ckpt"), (1000, "epoch002.ckpt")):
+            ckpt = load_checkpoint(tmp_path / source)
+            save_checkpoint(dataclasses.replace(ckpt, epoch=epoch), tmp_path / f"epoch{epoch}.ckpt")
+            (tmp_path / source).unlink()
+        latest = load_checkpoint(tmp_path / "epoch1000.ckpt").model_tensors()
+        assert any(not np.array_equal(v, load_checkpoint(tmp_path / "epoch999.ckpt").tensors["model." + k])
+                   for k, v in latest.items())
+        model = open_run(tmp_path).model
+        for name, value in latest.items():
+            np.testing.assert_array_equal(model.params[name], value)
 
     def test_missing_checkpoint_names_the_run(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=f"{tmp_path}: no checkpoint matches epoch\\*\\.ckpt"):
@@ -518,6 +535,26 @@ class TestOpenRun:
         run_training(TrainConfig(**{**TOY, "epochs": 1}), train_utts, held, tmp_path)
         with pytest.raises(FileNotFoundError, match=f"{tmp_path}: no checkpoint matches epoch004\\.ckpt"):
             open_run(tmp_path, epoch=4)
+
+
+@pytest.mark.parametrize("targets", ["word", "sar"])
+def test_trained_model_decode_is_the_prepared_corpus_recipe(tmp_path, targets):
+    """``TrainedModel.decode`` of a raw corpus gives the rows of the recipe it
+    replaces, for the handle ``run_training`` returns and the one ``open_run``
+    reopens, in every mode."""
+    spec = SynthSpec(vocab_size=4, feature_dim=4, min_words=1, max_words=2, min_frames=12, max_frames=16,
+                     proto_seed=1)
+    train_utts, held = synth_corpus(spec, 12, seed=2), synth_corpus(spec, 7, seed=3, id_prefix="held")
+    # deltas and stacking on, and a batch size that splits the heldout split unevenly
+    cfg = TrainConfig(**{**TOY, "epochs": 2, "targets": targets, "batch_size": 3, "deltas": True, "stacking": True})
+    _, trained = run_training(cfg, train_utts, held, tmp_path)
+    for handle in (trained, open_run(tmp_path)):
+        for mode in ("word", "chars", "switched"):
+            space = handle.space
+            want = decode_utterances(handle.model, prepare_corpus(held, handle.cfg), space.vocab, joint=space.joint,
+                                     mode=mode, batch_size=handle.cfg.batch_size)
+            assert handle.decode(held, mode) == want
+            assert (want[0][2] is None) == (targets == "word" or mode == "word")
 
 
 def test_step_holds_at_most_one_logits_sized_array_above_the_forward_cache(tmp_path, monkeypatch):
