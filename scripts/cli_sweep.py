@@ -12,6 +12,9 @@ The sweep drives only the command line (in-process, through
   dropout, and a 2+1-epoch resume;
 * positional and simple spell-and-recognize runs, each decoded in word,
   chars and switched mode;
+* a spell-and-recognize run warm-started from the ascending run's last
+  checkpoint, whose ``warm_start.txt`` names a copied, a misshapen and an
+  extra tensor;
 * ``a2w score``, with and without ``--strip-sar``.
 
 It prints three ``# <name> <version>`` header lines (python, numpy and
@@ -35,6 +38,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -82,6 +86,13 @@ def sweep(out: Path) -> None:
         "--resume", out / "resume" / "epoch002.ckpt")
     for charset in ("positional", "simple"):
         a2w("train", "--corpus", corpus, "--out", out / f"sar_{charset}", *TINY, *SAR, "--charset", charset)
+    cwd = Path.cwd()
+    os.chdir(out)  # the config records warm_ckpt, so it is relative to --out
+    try:
+        a2w("train", "--corpus", corpus, "--out", out / "warm", *TINY, *SAR, "--epochs", 2,
+            "--warm_ckpt", "asc/epoch012.ckpt")
+    finally:
+        os.chdir(cwd)
 
     decoded = out / "decoded"
     decoded.mkdir()
@@ -122,7 +133,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="new directory for the sweep's files")
     args = parser.parse_args()
-    out = Path(args.out)
+    out = Path(args.out).resolve()  # the warm run changes directory
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")
     out.mkdir(parents=True, exist_ok=True)

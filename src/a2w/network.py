@@ -89,9 +89,9 @@ def init_gain(scheme: str) -> float:
     "uniform-fan-in" keeps the plain 1/sqrt(fan-in) range everywhere.
     "uniform-fan-in-gain:G" widens the LSTM W/R ranges by G; a cold
     stack loses roughly half its activation scale per layer at G=1,
-    so deep desk-scale models that start from scratch (instead of a
-    warm checkpoint) need G around 3 to keep signal flowing. Any other
-    string, or a G that is not finite and positive, raises ValueError.
+    so deep desk-scale models that start cold need G around 3 to keep
+    signal flowing. Any other string, or a G that is not finite and
+    positive, raises ValueError.
     """
     if scheme == "uniform-fan-in":
         return 1.0
@@ -483,36 +483,3 @@ def model_backward(cache: ForwardCache | None) -> dict[str, np.ndarray]:
             dcurrent = dx[0]
             dcurrent += np.take(dx[1].reshape(-1, dx.shape[-1]), cache.rev_rows, axis=0).reshape(dcurrent.shape)
     return grads
-
-
-@dataclass(frozen=True)
-class WarmStartReport:
-    copied: tuple[str, ...]
-    skipped: tuple[tuple[str, str], ...]  # (name, reason)
-
-    def __str__(self) -> str:
-        lines = [f"copied {len(self.copied)} tensors, skipped {len(self.skipped)}"]
-        lines.extend(f"  = {name}" for name in self.copied)
-        lines.extend(f"  ! {name}: {reason}" for name, reason in self.skipped)
-        return "\n".join(lines)
-
-
-def warm_start(model: Model, source_tensors: dict[str, np.ndarray]) -> WarmStartReport:
-    """Copy every tensor whose name and shape match; report the rest.
-
-    ``source_tensors`` uses the model's own parameter names (a checkpoint's
-    ``model.`` prefix already stripped). An output layer with a different
-    vocabulary size is skipped naturally by the shape rule.
-    """
-    copied, skipped = [], []
-    for name, param in model.params.items():
-        if name not in source_tensors:
-            skipped.append((name, "missing from source"))
-            continue
-        src = source_tensors[name]
-        if tuple(src.shape) != tuple(param.shape):
-            skipped.append((name, f"shape {tuple(src.shape)} != {tuple(param.shape)}"))
-            continue
-        model.params[name] = np.asarray(src, dtype=param.dtype).copy()
-        copied.append(name)
-    return WarmStartReport(copied=tuple(copied), skipped=tuple(skipped))

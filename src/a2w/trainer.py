@@ -43,7 +43,7 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_items, config_to_items, save_config
 from .ctc import InfeasibleAlignment, ctc_loss, min_frames_for
 from .decoder import SarHypothesis, decode_utterances
-from .network import Model, ModelConfig, init_model, model_backward, model_forward, param_shapes, warm_start
+from .network import Model, ModelConfig, init_model, model_backward, model_forward, param_shapes
 from .pipeline import (
     ASCENDING,
     CurriculumOrder,
@@ -251,8 +251,14 @@ def build_label_space(train_utts: Sequence[Utterance], cfg: TrainConfig) -> Labe
 
 
 def check_feasible(utts: Sequence[Utterance], encode) -> None:
+    """Raise, naming the utterance, when a transcript cannot be encoded (the
+    encoder's ValueError type) or its target needs more frames than it has."""
     for u in utts:
-        needed = min_frames_for(encode(u.transcript))
+        try:
+            target = encode(u.transcript)
+        except ValueError as exc:
+            raise type(exc)(f"utterance {u.id}: {exc}") from None
+        needed = min_frames_for(target)
         if u.num_frames < needed:
             raise InfeasibleAlignment(f"utterance {u.id}: {u.num_frames} frames < {needed} required for its target")
 
@@ -290,16 +296,28 @@ def build_model_config(cfg: TrainConfig, input_dim: int, output_dim: int) -> Mod
     )
 
 
-def _check_fit(path: str | Path, ckpt: Checkpoint, config: ModelConfig, prefixes: tuple[str, ...]) -> None:
-    """Raise ValueError naming ``path`` and the first tensor, by name, under
-    ``prefixes`` that the checkpoint lacks, adds or shapes differently from
-    the model ``config`` describes."""
-    want = {prefix + name: shape for prefix in prefixes for name, shape in param_shapes(config).items()}
-    have = {name: tensor.shape for name, tensor in ckpt.tensors.items() if name.startswith(prefixes)}
+def _match(ckpt: Checkpoint, config: ModelConfig, prefix: str) -> tuple[dict[str, np.ndarray], list[str]]:
+    """The checkpoint's tensors under ``prefix`` that fit the model ``config``
+    describes, by parameter name and cast to its dtype, and one line for each
+    tensor, in name order, that the checkpoint lacks, adds or shapes differently."""
+    want = param_shapes(config)
+    have = {name.removeprefix(prefix): tensor for name, tensor in ckpt.tensors.items() if name.startswith(prefix)}
+    fits, misfits = {}, []
     for name in sorted(want.keys() | have.keys()):
-        if have.get(name) != want.get(name):
-            shapes = f"{have.get(name, 'absent')} in the checkpoint and {want.get(name, 'absent')} in the model"
-            raise ValueError(f"{path}: tensor {name} is {shapes}")
+        found, wanted = have[name].shape if name in have else "absent", want.get(name, "absent")
+        if found == wanted:
+            fits[name] = have[name].astype(config.dtype)
+        else:
+            misfits.append(f"tensor {prefix}{name} is {found} in the checkpoint and {wanted} in the model")
+    return fits, misfits
+
+
+def _load(path: str | Path, ckpt: Checkpoint, config: ModelConfig, prefix: str) -> dict[str, np.ndarray]:
+    """The tensors ``_match`` fits; a misfit raises ValueError naming ``path`` and the first one."""
+    fits, misfits = _match(ckpt, config, prefix)
+    if misfits:
+        raise ValueError(f"{path}: {misfits[0]}")
+    return fits
 
 
 def config_from_checkpoint(ckpt: Checkpoint) -> tuple[TrainConfig, ModelConfig]:
@@ -308,12 +326,6 @@ def config_from_checkpoint(ckpt: Checkpoint) -> tuple[TrainConfig, ModelConfig]:
     input_dim, output_dim = int(items.pop("input_dim")), int(items.pop("output_dim"))
     cfg = config_from_items(items)
     return cfg, build_model_config(cfg, input_dim, output_dim)
-
-
-def _load_model(path: str | Path, ckpt: Checkpoint, config: ModelConfig, prefixes: tuple[str, ...]) -> Model:
-    """The model ``config`` describes, holding the checkpoint's tensors if ``_check_fit`` passes."""
-    _check_fit(path, ckpt, config, prefixes)
-    return Model(config, {name: ckpt.tensors["model." + name].astype(config.dtype) for name in param_shapes(config)})
 
 
 def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
@@ -326,7 +338,7 @@ def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
         if key not in ckpt.config:
             raise ValueError(f"{path}: the checkpoint has no {key} config record")
     cfg, config = config_from_checkpoint(ckpt)
-    return cfg, _load_model(path, ckpt, config, ("model.",))
+    return cfg, Model(config, _load(path, ckpt, config, "model."))
 
 
 def _records_through(path: Path, last_epoch: int) -> list[str]:
@@ -444,14 +456,19 @@ def run_training(
     state, warm_report, start_epoch = None, None, 0
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        model = _load_model(resume_from, ckpt, model_config, ("model.", "opt.v."))
-        velocity = {k: np.asarray(v, dtype=model_config.dtype) for k, v in ckpt.velocity_tensors().items()}
-        state = OptimizerState(velocity=velocity, rho=cfg.momentum)
+        model = Model(model_config, _load(resume_from, ckpt, model_config, "model."))
+        state = OptimizerState(velocity=_load(resume_from, ckpt, model_config, "opt.v."), rho=cfg.momentum)
         start_epoch = ckpt.epoch
+        del ckpt  # the model and velocity are copies, so the file buffer can go
     else:
         model = init_model(model_config, np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x1417))))
         if cfg.warm_ckpt:
-            warm_report = warm_start(model, load_checkpoint(cfg.warm_ckpt).model_tensors())
+            fits, misfits = _match(load_checkpoint(cfg.warm_ckpt), model_config, "model.")
+            if not fits:
+                raise ValueError(f"{cfg.warm_ckpt}: no tensor fits the model; {misfits[0]}")
+            model.params.update(fits)
+            warm_report = [f"copied {len(fits)} tensors, skipped {len(misfits)}"]
+            warm_report += [f"  = {name}" for name in fits] + [f"  ! {misfit}" for misfit in misfits]
     if start_epoch >= cfg.epochs:
         at = f"{resume_from} is at epoch {start_epoch}, so " if resume_from is not None else ""
         raise ValueError(f"{at}epochs={cfg.epochs} leaves no epoch to run")
@@ -461,7 +478,7 @@ def run_training(
     save_config(cfg, out_dir / "config.txt")
     save_alphabet(out_dir / "vocab.txt", space.vocab)
     if warm_report is not None:
-        (out_dir / "warm_start.txt").write_text(str(warm_report) + "\n", encoding="utf-8")
+        (out_dir / "warm_start.txt").write_text("\n".join(warm_report) + "\n", encoding="utf-8")
 
     run = train(model, train_utts, heldout_utts, cfg, out_dir, space.encode, state=state, start_epoch=start_epoch)
     return run, TrainedModel(cfg, model, space)

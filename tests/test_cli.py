@@ -40,6 +40,12 @@ def run_dir(tmp_path_factory, corpus_dir):
     return out
 
 
+SAR_FLAGS = (
+    "--targets", "sar", "--layers", 1, "--hidden", 4, "--projection", 0, "--epochs", 1, "--batch_size", 8,
+    "--heldout_fraction", 0.2, "--deltas", "false", "--stacking", "false", "--seed", 5,
+)
+
+
 @pytest.fixture(scope="module")
 def sar_run(tmp_path_factory):
     """(corpus, run directory) of a one-epoch spell-and-recognize run."""
@@ -48,11 +54,7 @@ def sar_run(tmp_path_factory):
         "synth", "--out", corpus, "--seed", 11, "--count", 12, "--vocab-size", 4, "--feature-dim", 4,
         "--min-words", 1, "--max-words", 2, "--min-frames", 12, "--max-frames", 16,
     ) == 0
-    assert run(
-        "train", "--corpus", corpus, "--out", out, "--targets", "sar", "--layers", 1, "--hidden", 4,
-        "--projection", 0, "--epochs", 1, "--batch_size", 8, "--heldout_fraction", 0.2,
-        "--deltas", "false", "--stacking", "false", "--seed", 5,
-    ) == 0
+    assert run("train", "--corpus", corpus, "--out", out, *SAR_FLAGS) == 0
     return corpus, out
 
 
@@ -279,6 +281,28 @@ class TestReaderFaults:
         assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
         assert f"error: ValueError: {ckpt}: the checkpoint has no {record} config record" in capsys.readouterr().err
         assert not (tmp_path / "hyp.tsv").exists()
+
+    def test_warm_start_that_copies_nothing_exits_2(self, run_dir, corpus_dir, tmp_path, capsys):
+        # hidden 5 and projection 3 reshape every tensor of RUN_FLAGS' model
+        warm, out = run_dir / "epoch002.ckpt", tmp_path / "warm"
+        flags = (*RUN_FLAGS, "--hidden", 5, "--projection", 3, "--warm_ckpt", warm)
+        assert run("train", "--corpus", corpus_dir, "--out", out, *flags) == 2
+        fault = "tensor model.layers.0.R is (2, 24, 6) in the checkpoint and (2, 20, 5) in the model"
+        assert f"error: ValueError: {warm}: no tensor fits the model; {fault}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_transcript_outside_the_charset_exits_2_naming_the_utterance(self, sar_run, tmp_path, capsys):
+        corpus, _ = sar_run
+        bad, out = tmp_path / "corpus", tmp_path / "run"
+        shutil.copytree(corpus, bad)
+        lines = (bad / "corpus.tsv").read_text(encoding="utf-8").splitlines()
+        uid, _, features = lines[3].split("\t")
+        lines[3] = f"{uid}\tCAFÉ\t{features}"
+        (bad / "corpus.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("train", "--corpus", bad, "--out", out, *SAR_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert f"error: UnknownCharacter: utterance {uid}: character " in err and "in 'CAFÉ' is outside" in err
+        assert not out.exists()
 
     def test_chars_file_as_vocab_is_named(self, run_dir, corpus_dir, tmp_path, capsys):
         # a character-set file in vocab.txt's place

@@ -18,7 +18,6 @@ from a2w.network import (
     model_backward,
     model_forward,
     param_shapes,
-    warm_start,
 )
 from oracles import reference_backward, reference_forward
 
@@ -316,33 +315,6 @@ class TestBackward:
                 err = abs(flat_grad[idx] - numeric) / max(1.0, abs(flat_grad[idx]))
                 worst = max(worst, err)
         assert worst <= 1e-3
-
-
-class TestWarmStart:
-    def test_identical_configs_copy_everything(self):
-        source = tiny_model(0)
-        target = tiny_model(1)
-        report = warm_start(target, {k: v.copy() for k, v in source.params.items()})
-        assert not report.skipped
-        for name in source.params:
-            np.testing.assert_array_equal(target.params[name], source.params[name])
-
-    def test_different_output_size_skips_output_layer(self):
-        source = tiny_model(0)
-        bigger = ModelConfig(input_dim=5, output_dim=9, num_layers=1, hidden_per_direction=4,
-                             projection_dim=3, dropout_rate=0.0)
-        target = init_model(bigger, np.random.default_rng(1))
-        report = warm_start(target, source.params)
-        skipped_names = {name for name, _ in report.skipped}
-        assert skipped_names == {"out.W"}
-        assert "layers.0.W" in report.copied
-        np.testing.assert_array_equal(target.params["layers.0.W"], source.params["layers.0.W"])
-
-    def test_missing_tensors_reported(self):
-        target = tiny_model(0)
-        report = warm_start(target, {})
-        assert len(report.skipped) == len(target.params)
-        assert all(reason == "missing from source" for _, reason in report.skipped)
 
 
 def _max_rel_err(actual, expected):

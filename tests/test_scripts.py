@@ -13,12 +13,12 @@ GOLDEN_SWEEP = ROOT / "tests" / "golden" / "cli_sweep.sha256"
 ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
-def run_script(name, *args, env=None):
+def run_script(name, *args, env=None, cwd=None):
     env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
     )
 
 
@@ -61,8 +61,9 @@ def _digests(lines):
 
 def test_cli_sweep_matches_golden_digests(tmp_path):
     """Every artifact of the CLI sweep is byte for byte what the golden file
-    records; see scripts/cli_sweep.py for how to regenerate it."""
-    result = run_script("cli_sweep.py", "--out", str(tmp_path / "sweep"), env=ONE_THREAD)
+    records; see scripts/cli_sweep.py for how to regenerate it. ``--out`` is
+    relative, as the warm run changes directory."""
+    result = run_script("cli_sweep.py", "--out", "sweep", env=ONE_THREAD, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     got, want = result.stdout.splitlines(), GOLDEN_SWEEP.read_text(encoding="utf-8").splitlines()
     headers = [f"{w!r} is now {g!r}" for g, w in zip(got, want) if g.startswith("#") and g != w]

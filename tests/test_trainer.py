@@ -5,13 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import a2w.trainer as trainer
+from a2w.alphabet import UnknownCharacter
 from a2w.checkpoint import load_checkpoint, save_checkpoint
 from a2w.config import TrainConfig
 from a2w.ctc import InfeasibleAlignment
 from a2w.decoder import decode_utterances
 from a2w.network import init_model
-from a2w.pipeline import ASCENDING, SynthSpec, Utterance, random_order, sort_and_batch, synth_corpus
+from a2w.pipeline import ASCENDING, ORDERS, SynthSpec, Utterance, random_order, sort_and_batch, synth_corpus
 from a2w.trainer import (
     DivergedGradient,
     OptimizerState,
@@ -36,6 +40,10 @@ TOY = dict(layers=1, hidden=6, projection=4, dropout=0.1, epochs=3, batch_size=8
 def toy_corpora():
     spec = SynthSpec(vocab_size=5, feature_dim=4, min_words=1, max_words=3, proto_seed=1)
     return synth_corpus(spec, 24, seed=2), synth_corpus(spec, 8, seed=3, id_prefix="held")
+
+
+# words long enough in frames for spell-and-recognize targets without stacking
+SAR_SPEC = SynthSpec(vocab_size=4, feature_dim=4, min_words=1, max_words=2, min_frames=12, max_frames=16, proto_seed=1)
 
 
 class TestLrSchedule:
@@ -315,8 +323,9 @@ class TestTrainLoop:
             np.testing.assert_array_equal(back.params[name], value)
 
     def test_resume_steps_the_loaded_velocity_in_place(self, tmp_path):
-        # checkpoint tensors are views of the buffer the file was read into;
-        # they are writable, so a resume's in-place update of the velocity
+        # a resume steps a copy of the checkpoint's velocity, cast to the run
+        # dtype; the tensors load_checkpoint returns are writable views of the
+        # buffer the file was read into, and an in-place update of them, too,
         # is the update the out-of-place code made
         train_utts, held = toy_corpora()
         run_training(TrainConfig(**{**TOY, "epochs": 1}), train_utts, held, tmp_path)
@@ -346,6 +355,15 @@ class TestTrainLoop:
         with pytest.raises(InfeasibleAlignment) as err:
             check_feasible(prepared, space_encode)
         assert "utt" in str(err.value)
+
+    def test_transcript_that_cannot_be_encoded_is_named(self, tmp_path):
+        train_utts, held = synth_corpus(SAR_SPEC, 12, seed=2), synth_corpus(SAR_SPEC, 4, seed=3, id_prefix="held")
+        source = train_utts[3]
+        train_utts[3] = Utterance(source.id, source.features, ("CAFÉ",))
+        cfg = TrainConfig(**{**TOY, "targets": "sar"})
+        with pytest.raises(UnknownCharacter, match=f"^utterance {source.id}: character '.' in 'CAFÉ' is outside"):
+            run_training(cfg, train_utts, held, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_small_step_reduces_model_batch_loss(self):
         # one tiny momentum step on a fixed batch never increases its loss
@@ -402,6 +420,69 @@ class TestTrainLoop:
             run_training(TrainConfig(**TOY), train_utts, [], tmp_path)
         with pytest.raises(ValueError):
             run_training(TrainConfig(**TOY), [], held, tmp_path)
+
+
+def untrained(monkeypatch, cfg, out_dir):
+    """The model ``run_training`` builds for ``cfg`` on the toy corpora, as
+    the epoch loop would receive it; the loop does not run."""
+    monkeypatch.setattr(trainer, "train", lambda *args, **kwargs: None)
+    train_utts, held = toy_corpora()
+    return run_training(cfg, train_utts, held, out_dir)[1].model
+
+
+class TestWarmStart:
+    """A warm start copies each checkpoint tensor that fits into the cold
+    model, and reports the rest in the words decode and resume raise."""
+
+    def warm_from(self, monkeypatch, tmp_path, source_config):
+        """(cold model, source model, warm model): the source is drawn for
+        ``source_config`` and saved, and TOY's model is warm-started from it."""
+        cold = untrained(monkeypatch, TrainConfig(**TOY), tmp_path / "cold")
+        source = init_model(source_config(cold.config), np.random.default_rng(0))
+        path = tmp_path / "source.ckpt"
+        save_checkpoint(make_checkpoint(source, OptimizerState.zeros_like(source.params), TrainConfig(**TOY), 1), path)
+        warm = untrained(monkeypatch, TrainConfig(**{**TOY, "warm_ckpt": str(path)}), tmp_path / "warm")
+        return cold, source, warm
+
+    def report(self, tmp_path):
+        return (tmp_path / "warm" / "warm_start.txt").read_text(encoding="utf-8").splitlines()
+
+    def test_identical_configs_copy_everything(self, tmp_path, monkeypatch):
+        _, source, warm = self.warm_from(monkeypatch, tmp_path, lambda config: config)
+        assert warm.params.keys() == source.params.keys()
+        for name, value in source.params.items():
+            np.testing.assert_array_equal(warm.params[name], value)
+        assert self.report(tmp_path)[0] == f"copied {len(source.params)} tensors, skipped 0"
+
+    def test_different_output_size_skips_output_layer(self, tmp_path, monkeypatch):
+        bigger = lambda config: dataclasses.replace(config, output_dim=config.output_dim + 3)
+        cold, source, warm = self.warm_from(monkeypatch, tmp_path, bigger)
+        assert warm.params.keys() == cold.params.keys()
+        for name, value in warm.params.items():
+            np.testing.assert_array_equal(value, (cold if name == "out.W" else source).params[name])
+        report = self.report(tmp_path)
+        assert report[0] == f"copied {len(cold.params) - 1} tensors, skipped 1"
+        assert [line for line in report if line.startswith("  !")] == [
+            f"  ! tensor model.out.W is ({cold.config.output_dim + 3}, 4) in the checkpoint "
+            f"and ({cold.config.output_dim}, 4) in the model"
+        ]
+
+    def test_missing_extra_and_misshapen_tensors_reported(self, tmp_path, monkeypatch):
+        # TOY has one layer, hidden 6 and projection 4; the source has two layers and no projection
+        deeper = lambda config: dataclasses.replace(config, num_layers=2, projection_dim=0)
+        cold, _, _ = self.warm_from(monkeypatch, tmp_path, deeper)
+        labels = cold.config.output_dim
+        assert self.report(tmp_path) == [
+            "copied 3 tensors, skipped 5",
+            "  = layers.0.R",
+            "  = layers.0.W",
+            "  = layers.0.b",
+            "  ! tensor model.layers.1.R is (2, 24, 6) in the checkpoint and absent in the model",
+            "  ! tensor model.layers.1.W is (2, 24, 12) in the checkpoint and absent in the model",
+            "  ! tensor model.layers.1.b is (2, 24) in the checkpoint and absent in the model",
+            f"  ! tensor model.out.W is ({labels}, 12) in the checkpoint and ({labels}, 4) in the model",
+            "  ! tensor model.proj.W is absent in the checkpoint and (4, 12) in the model",
+        ]
 
 
 def eager_copy(utts, cfg, times=1):
@@ -496,9 +577,7 @@ class TestPreparedCorpus:
 class TestOpenRun:
     @pytest.mark.parametrize("targets", ["word", "sar"])
     def test_reopens_what_run_training_wrote(self, tmp_path, targets):
-        spec = SynthSpec(vocab_size=4, feature_dim=4, min_words=1, max_words=2, min_frames=12, max_frames=16,
-                         proto_seed=1)
-        train_utts, held = synth_corpus(spec, 12, seed=2), synth_corpus(spec, 4, seed=3, id_prefix="held")
+        train_utts, held = synth_corpus(SAR_SPEC, 12, seed=2), synth_corpus(SAR_SPEC, 4, seed=3, id_prefix="held")
         cfg = TrainConfig(**{**TOY, "epochs": 2, "targets": targets})
         _, trained = run_training(cfg, train_utts, held, tmp_path)
         reopened = open_run(tmp_path)
@@ -542,9 +621,7 @@ def test_trained_model_decode_is_the_prepared_corpus_recipe(tmp_path, targets):
     """``TrainedModel.decode`` of a raw corpus gives the rows of the recipe it
     replaces, for the handle ``run_training`` returns and the one ``open_run``
     reopens, in every mode."""
-    spec = SynthSpec(vocab_size=4, feature_dim=4, min_words=1, max_words=2, min_frames=12, max_frames=16,
-                     proto_seed=1)
-    train_utts, held = synth_corpus(spec, 12, seed=2), synth_corpus(spec, 7, seed=3, id_prefix="held")
+    train_utts, held = synth_corpus(SAR_SPEC, 12, seed=2), synth_corpus(SAR_SPEC, 7, seed=3, id_prefix="held")
     # deltas and stacking on, and a batch size that splits the heldout split unevenly
     cfg = TrainConfig(**{**TOY, "epochs": 2, "targets": targets, "batch_size": 3, "deltas": True, "stacking": True})
     _, trained = run_training(cfg, train_utts, held, tmp_path)
@@ -557,14 +634,49 @@ def test_trained_model_decode_is_the_prepared_corpus_recipe(tmp_path, targets):
             assert (want[0][2] is None) == (targets == "word" or mode == "word")
 
 
+# the keys that change what a checkpoint holds or how a resumed epoch steps,
+# each over values its rule accepts (TrainConfig checks each with check_value)
+RESUME_KEYS = {
+    "order": st.sampled_from(ORDERS),
+    "targets": st.sampled_from(["word", "sar"]),
+    "dtype": st.sampled_from(["float64", "float32"]),
+    "dropout": st.floats(0, 0.5),
+    "projection": st.integers(0, 7),  # < 2 * hidden
+    "stacking": st.booleans(),
+    "momentum": st.floats(0, 0.99),
+    "grad_clip": st.floats(0, 10),
+}
+
+
+@given(values=st.fixed_dictionaries(RESUME_KEYS))
+@settings(max_examples=20, deadline=None)
+def test_resume_and_reopen_agree_with_the_run_in_memory(tmp_path_factory, values):
+    """3 epochs equal 2 plus 1 resumed, record for record and checkpoint byte
+    for byte, and a reopened run decodes as the model in memory does."""
+    # words of 24 to 30 frames keep spell-and-recognize targets feasible with stacking
+    spec = SynthSpec(vocab_size=4, feature_dim=3, min_words=1, max_words=2, min_frames=24, max_frames=30, proto_seed=1)
+    train_utts, held = synth_corpus(spec, 8, seed=2), synth_corpus(spec, 3, seed=3, id_prefix="held")
+    cfg = TrainConfig(**{**TOY, "hidden": 4, "batch_size": 3, **values})
+    out = tmp_path_factory.mktemp("resume")
+    full, trained = run_training(cfg, train_utts, held, out / "full")
+    first, _ = run_training(dataclasses.replace(cfg, epochs=2), train_utts, held, out / "resumed")
+    last, resumed = run_training(cfg, train_utts, held, out / "resumed", resume_from=out / "resumed" / "epoch002.ckpt")
+    assert [r.deterministic_fields() for r in first.records + last.records] == [
+        r.deterministic_fields() for r in full.records
+    ]
+    assert (out / "resumed" / "epoch003.ckpt").read_bytes() == (out / "full" / "epoch003.ckpt").read_bytes()
+    for run_dir, handle in ((out / "full", trained), (out / "resumed", resumed)):
+        reopened = open_run(run_dir)
+        for mode in ("word", "chars", "switched"):
+            assert reopened.decode(held, mode) == handle.decode(held, mode), (run_dir.name, mode)
+
+
 def test_step_holds_at_most_one_logits_sized_array_above_the_forward_cache(tmp_path, monkeypatch):
     # With V large and H small a T x B x V array dominates the step. The CTC
     # gradients are written over the cache's logits buffer and backward uses
     # that buffer as dlogits, so from the end of the forward to the end of
     # backward the step allocates less than one more such array. (Keeping
     # the per-utterance gradients and a separate zeroed dlogits takes two.)
-    import a2w.trainer as trainer
-
     t_max, batch, vocab = 40, 16, 2000
     rng = np.random.default_rng(0)
     utts = [Utterance(f"u{k}", rng.normal(size=(t_max, 3)), tuple(str(w) for w in rng.integers(1, vocab, size=5)))
