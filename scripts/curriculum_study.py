@@ -12,13 +12,13 @@ from pathlib import Path
 from a2w.ablation import run_ablation
 from a2w.config import TrainConfig
 from a2w.pipeline import SynthSpec, synth_corpus, sort_and_batch, ASCENDING, DESCENDING, random_order
-from a2w.trainer import prepare_corpus, build_label_space
+from a2w.trainer import prepare_corpus
 
 
-def padding_report(utts, batch_size, encode):
+def padding_report(utts, batch_size):
     rows = []
     for name, order in (("ascending", ASCENDING), ("descending", DESCENDING), ("random", random_order(0))):
-        batches = sort_and_batch(utts, order, batch_size, encode)
+        batches = sort_and_batch(utts, order, batch_size)
         cells = sum(b.size * b.max_frames for b in batches)
         used = sum(int(b.lengths.sum()) for b in batches)
         rows.append((name, 1.0 - used / cells))
@@ -40,10 +40,8 @@ def main():
                        flat_epochs=10, lr=0.02, grad_clip=2.0, batch_size=8,
                        seed=101, min_count=1, init="uniform-fan-in-gain:2")
 
-    prepared = prepare_corpus(train_utts, base)
-    space = build_label_space(prepared, base)
     print("aggregate padding waste (whole epoch):")
-    for name, waste in padding_report(prepared, base.batch_size, space.encode):
+    for name, waste in padding_report(prepare_corpus(train_utts, base), base.batch_size):
         print(f"  {name:<10} {100 * waste:5.1f}%")
 
     result = run_ablation(base, ["full", "descending", "random"], train_utts, heldout, Path(args.work),

@@ -9,7 +9,8 @@ then reloads the epoch checkpoint. ``a2w.trainer``'s ``model_forward``,
 ``model_backward``, ``evaluate_loss`` and ``save_checkpoint`` are wrapped
 from outside to mark the phases:
 
-    forward      the training forward (the one given an rng), with its cache
+    forward      the training forward, with its cache (the heldout loss
+                 forwards through ``a2w.decoder``, not through this name)
     ctc          from the end of that forward to the start of backward
     backward     model_backward
     eval         the heldout loss (no-cache forward plus CTC)
@@ -78,8 +79,6 @@ class PhaseMeter:
         evaluate, save = trainer.evaluate_loss, trainer.save_checkpoint
 
         def model_forward(*args, **kwargs):
-            if kwargs.get("rng") is None:  # the heldout forward, inside the eval phase
-                return forward(*args, **kwargs)
             result = self.phase("forward", forward, *args, **kwargs)
             tracemalloc.reset_peak()
             self.ctc_start = tracemalloc.get_traced_memory()[0]
@@ -134,7 +133,7 @@ def main():
         try:
             start = tracemalloc.get_traced_memory()[0]
             train_utts, held_utts = trainer.prepare_corpus(raw_train, cfg), trainer.prepare_corpus(raw_held, cfg)
-            batches = sort_and_batch(train_utts, ASCENDING, args.batch, encode)
+            batches = sort_and_batch(train_utts, ASCENDING, args.batch)
             corpus_held = tracemalloc.get_traced_memory()[0] - start
             del batches
             meter.base = tracemalloc.get_traced_memory()[0]

@@ -50,9 +50,6 @@ class Checkpoint:
         """Parameter tensors with the ``model.`` prefix stripped."""
         return {k.removeprefix("model."): v for k, v in self.tensors.items() if k.startswith("model.")}
 
-    def velocity_tensors(self) -> dict[str, np.ndarray]:
-        return {k.removeprefix("opt.v."): v for k, v in self.tensors.items() if k.startswith("opt.v.")}
-
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Atomic write: the file appears complete or not at all.

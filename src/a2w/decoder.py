@@ -185,6 +185,19 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
     return SarHypothesis(entries=tuple(entries))
 
 
+def forward_batches(model: Model, utts: Sequence[Utterance], batch_size: int):
+    """Yield ``(batch, lattices)`` for each ascending-length batch of
+    ``utts``, forwarded with dropout off and no cache kept. A batch whose
+    features are not the model's input width raises ValueError naming its
+    first utterance."""
+    for batch in sort_and_batch(utts, ASCENDING, batch_size):
+        features = batch.features
+        check_width(batch.ids[0], features.shape[2], model.config.input_dim)
+        lattices, _ = model_forward(features, batch.lengths, model)
+        del features  # not held while the caller reads the lattices
+        yield batch, lattices
+
+
 # decode mode -> its annotated spell-and-recognize decode, or None for the word track
 DECODE_MODES = {"word": None, "chars": sar_decode_chars, "switched": sar_decode_switched}
 
@@ -201,9 +214,8 @@ def decode_utterances(
     in corpus order. ``mode`` must be a ``DECODE_MODES`` key; plain word
     models decode words whatever it is. The label space (``joint`` if
     given, else ``vocab``) must have the model's output size, and a joint
-    model's word track reads ``joint.vocab``. A batch whose features are
-    not the model's input width raises ValueError naming its first
-    utterance."""
+    model's word track reads ``joint.vocab``. The batches come from
+    ``forward_batches``, which names an utterance of the wrong width."""
     if mode not in DECODE_MODES:
         raise ValueError(f"unknown decode mode {mode!r}; choose from {', '.join(DECODE_MODES)}")
     annotate, size = None, vocab.size
@@ -212,10 +224,7 @@ def decode_utterances(
     if size != model.config.output_dim:
         raise ValueError(f"the label space has {size} labels but the model outputs {model.config.output_dim}")
     by_id = {}
-    for batch in sort_and_batch(utts, ASCENDING, batch_size, lambda words: ()):
-        features = batch.features
-        check_width(batch.ids[0], features.shape[2], model.config.input_dim)
-        lattices, _ = model_forward(features, batch.lengths, model)
+    for batch, lattices in forward_batches(model, utts, batch_size):
         for utt_id, lattice in zip(batch.ids, lattices):
             hyp = annotate(lattice, joint) if annotate else None
             by_id[utt_id] = (hyp.words if hyp else sar_decode_word(lattice, vocab), hyp)

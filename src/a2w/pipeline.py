@@ -64,7 +64,6 @@ class Batch:
 
     utts: tuple[Utterance, ...]     # or prepared utterances, which read like one
     lengths: np.ndarray             # B
-    targets: tuple[tuple[int, ...], ...]
 
     @property
     def features(self) -> np.ndarray:
@@ -162,18 +161,12 @@ def stack_decimate(features: np.ndarray) -> np.ndarray:
     return x.reshape(pairs, 2 * f)
 
 
-def sort_and_batch(
-    utts: Sequence[Utterance],
-    order: CurriculumOrder,
-    batch_size: int,
-    encode: Callable[[Sequence[str]], Sequence[int]],
-) -> list[Batch]:
+def sort_and_batch(utts: Sequence[Utterance], order: CurriculumOrder, batch_size: int) -> list[Batch]:
     """Arrange utterances and group consecutive runs of ``batch_size``.
 
     The batch sequence preserves the curriculum order; the final batch may
-    be smaller. ``encode`` maps a transcript to its target label sequence.
-    Reading, transforming and padding wait until a batch's ``features``
-    are read.
+    be smaller. Reading, transforming and padding wait until a batch's
+    ``features`` are read; transcripts are encoded where CTC reads them.
     """
     arranged = order.arrange(utts)
     batches = []
@@ -183,7 +176,6 @@ def sort_and_batch(
             Batch(
                 utts=tuple(chunk),
                 lengths=np.array([u.num_frames for u in chunk], dtype=np.int64),
-                targets=tuple(tuple(int(l) for l in encode(u.transcript)) for u in chunk),
             )
         )
     return batches

@@ -42,10 +42,9 @@ from .alphabet import (
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import TrainConfig, config_from_items, config_to_items, save_config
 from .ctc import InfeasibleAlignment, ctc_loss, min_frames_for
-from .decoder import SarHypothesis, decode_utterances
+from .decoder import SarHypothesis, decode_utterances, forward_batches
 from .network import Model, ModelConfig, init_model, model_backward, model_forward, param_shapes
 from .pipeline import (
-    ASCENDING,
     CurriculumOrder,
     Utterance,
     check_width,
@@ -264,11 +263,10 @@ def check_feasible(utts: Sequence[Utterance], encode) -> None:
 
 
 def evaluate_loss(model: Model, utts: Sequence[Utterance], encode, batch_size: int) -> float:
-    """Mean per-utterance CTC loss with dropout disabled."""
+    """Mean per-utterance CTC loss over the batches of ``forward_batches``."""
     total = 0.0
-    for batch in sort_and_batch(utts, ASCENDING, batch_size, encode):
-        lattices, _ = model_forward(batch.features, batch.lengths, model)
-        total += sum(ctc_loss(lat, tgt).log_loss for lat, tgt in zip(lattices, batch.targets))
+    for batch, lattices in forward_batches(model, utts, batch_size):
+        total += sum(ctc_loss(lat, encode(u.transcript)).log_loss for lat, u in zip(lattices, batch.utts))
     return total / len(utts)
 
 
@@ -393,7 +391,7 @@ def train(
             started = time.perf_counter()
             lr = lr_at(epoch, cfg)
             order = CurriculumOrder(cfg.order, derive_seed(cfg.seed, epoch, 0xF00D))
-            batches = sort_and_batch(train_utts, order, cfg.batch_size, encode)
+            batches = sort_and_batch(train_utts, order, cfg.batch_size)
             loss_sum = 0.0
             for batch_idx, batch in enumerate(batches):
                 rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, epoch, batch_idx)))
@@ -402,8 +400,8 @@ def train(
                     probe = Model(model.config, point)
                     lattices, cache = model_forward(batch.features, batch.lengths, probe, rng=rng)
                     losses = []
-                    for i, (lat, target) in enumerate(zip(lattices, batch.targets)):
-                        result = ctc_loss(lat, target)
+                    for i, (lat, u) in enumerate(zip(lattices, batch.utts)):
+                        result = ctc_loss(lat, encode(u.transcript))
                         losses.append(result.log_loss)
                         np.divide(result.grad, batch.size, out=cache.slot(i))
                     del lattices, lat, result

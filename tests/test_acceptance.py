@@ -230,7 +230,7 @@ def test_criterion_7_curriculum_trend(tmp_path):
         ]
 
         def total_cells(order):
-            batches = sort_and_batch(utts, order, batch_size, lambda words: ())
+            batches = sort_and_batch(utts, order, batch_size)
             return sum(b.size * b.max_frames for b in batches)
 
         ascending = total_cells(ASCENDING)

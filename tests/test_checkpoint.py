@@ -98,7 +98,6 @@ class TestFormat:
     def test_prefix_helpers(self):
         ckpt = sample_checkpoint()
         assert set(ckpt.model_tensors()) == {"layers.0.fwd.W", "out.W", "layers.0.fwd.b"}
-        assert set(ckpt.velocity_tensors()) == {"out.W"}
 
     def test_truncated_data_detected(self, tmp_path):
         ckpt = sample_checkpoint()

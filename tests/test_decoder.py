@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import a2w.decoder
+import a2w.trainer
 from a2w.alphabet import (
     JointAlphabet,
     build_positional_charset,
     build_sar_targets,
     build_simple_charset,
     build_vocabulary,
+    encode_words,
     spell_word,
     UNK_WORD,
 )
-from a2w.ctc import PROBABILITIES, PosteriorLattice, expand_target
+from a2w.ctc import PROBABILITIES, PosteriorLattice, ctc_loss, expand_target
 from a2w.network import ModelConfig, init_model
 from a2w.pipeline import Utterance
+from a2w.trainer import evaluate_loss
 from a2w.decoder import (
     TAG_FROM_CHARS,
     TAG_FROM_WORD,
@@ -271,6 +274,45 @@ class TestDecodeUtterances:
         message = f"the label space has {joint.size} labels but the model outputs {joint.size + offset}"
         with pytest.raises(ValueError, match=message):
             decode_utterances(model, utts, joint.vocab, joint=joint, mode="switched")
+
+
+class TestForwardBatches:
+    """Decode and the heldout loss read the network through one no-cache batch loop."""
+
+    def test_decode_and_heldout_loss_forward_each_batch_once(self, joint, monkeypatch):
+        vocab = joint.vocab
+        model, utts = tiny_model(vocab.size), random_utts(12)
+        encode = lambda words: encode_words(words, vocab)  # noqa: E731
+        forward, calls = a2w.decoder.model_forward, []
+
+        def counted(features, lengths, model, **kwargs):
+            assert not kwargs  # no rng: dropout off, no cache kept
+            calls.append(list(lengths))
+            return forward(features, lengths, model)
+
+        def training_forward(*args, **kwargs):
+            raise AssertionError("the heldout loss ran the training step's forward")
+
+        monkeypatch.setattr(a2w.decoder, "model_forward", counted)
+        monkeypatch.setattr(a2w.trainer, "model_forward", training_forward)
+        decode_utterances(model, utts, vocab, batch_size=5)
+        decoded = list(calls)
+        calls.clear()
+        loss = evaluate_loss(model, utts, encode, 5)
+        assert len(decoded) == 3 and calls == decoded
+        assert sorted(n for lengths in calls for n in lengths) == sorted(u.num_frames for u in utts)
+        singles = [forward(u.features[None], [u.num_frames], model)[0][0] for u in utts]
+        expected = sum(ctc_loss(lat, encode(u.transcript)).log_loss for lat, u in zip(singles, utts)) / len(utts)
+        assert loss == pytest.approx(expected, rel=1e-12)
+
+    def test_heldout_loss_names_an_utterance_of_another_width(self, joint):
+        vocab = joint.vocab
+        model = tiny_model(vocab.size)  # 3 wide
+        utts = [Utterance(f"h{k}", np.zeros((n, 5)), ("THE",)) for k, n in enumerate([4, 2, 3])]
+        encode = lambda words: encode_words(words, vocab)  # noqa: E731
+        # ascending by length, the first batch is (h1, h2)
+        with pytest.raises(ValueError, match="^h1: features are 5 wide, not 3$"):
+            evaluate_loss(model, utts, encode, 2)
 
 
 class TestRendering:

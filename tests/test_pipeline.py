@@ -38,10 +38,6 @@ def make_utts(lengths, feat_dim=2):
     ]
 
 
-def encode_len(words):
-    return [1] * len(words)
-
-
 class TestDeltas:
     def test_constant_signal_zero_deltas(self):
         x = np.full((6, 3), 2.5)
@@ -109,23 +105,23 @@ class TestStackDecimate:
 class TestSortAndBatch:
     def test_ascending_grouping_and_waste(self):
         utts = make_utts([3, 1, 2])
-        batches = sort_and_batch(utts, ASCENDING, 2, encode_len)
+        batches = sort_and_batch(utts, ASCENDING, 2)
         assert [list(b.lengths) for b in batches] == [[1, 2], [3]]
         assert batches[0].padding_waste == pytest.approx(1 - 3 / 4)
         assert batches[1].padding_waste == pytest.approx(0.0)
 
     def test_descending(self):
         utts = make_utts([3, 1, 2])
-        batches = sort_and_batch(utts, DESCENDING, 2, encode_len)
+        batches = sort_and_batch(utts, DESCENDING, 2)
         assert [list(b.lengths) for b in batches] == [[3, 2], [1]]
         assert batches[0].padding_waste == pytest.approx(1 - 5 / 6)
 
     def test_empty_input(self):
-        assert sort_and_batch([], ASCENDING, 4, encode_len) == []
+        assert sort_and_batch([], ASCENDING, 4) == []
 
     def test_ties_break_by_id(self):
         utts = make_utts([2, 2, 2])
-        batches = sort_and_batch(utts, ASCENDING, 2, encode_len)
+        batches = sort_and_batch(utts, ASCENDING, 2)
         assert batches[0].ids == ("u000", "u001")
         assert batches[1].ids == ("u002",)
 
@@ -133,7 +129,7 @@ class TestSortAndBatch:
         rng = np.random.default_rng(3)
         utts = make_utts(rng.integers(1, 12, size=23))
         for order in (ASCENDING, DESCENDING, random_order(5)):
-            batches = sort_and_batch(utts, order, 4, encode_len)
+            batches = sort_and_batch(utts, order, 4)
             seen = [i for b in batches for i in b.ids]
             assert sorted(seen) == sorted(u.id for u in utts)
             arranged = order.arrange(utts)
@@ -141,7 +137,7 @@ class TestSortAndBatch:
 
     def test_padding_recovery(self):
         utts = make_utts([2, 4, 1], feat_dim=3)
-        batches = sort_and_batch(utts, ASCENDING, 2, encode_len)
+        batches = sort_and_batch(utts, ASCENDING, 2)
         by_id = {u.id: u for u in utts}
         for batch in batches:
             for i, utt_id in enumerate(batch.ids):
@@ -153,7 +149,7 @@ class TestSortAndBatch:
     def test_utterance_wider_than_the_first_in_its_batch_is_named(self):
         utts = make_utts([2, 3, 4], feat_dim=6)
         utts[2] = Utterance(id=utts[2].id, features=np.zeros((4, 8)), transcript=("W",))
-        batch = sort_and_batch(utts, ASCENDING, 3, encode_len)[0]
+        batch = sort_and_batch(utts, ASCENDING, 3)[0]
         with pytest.raises(ValueError, match=f"^{utts[2].id}: features are 8 wide, not 6$"):
             batch.features
 
@@ -164,7 +160,7 @@ class TestSortAndBatch:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            batches = sort_and_batch(utts, random_order(1), 50, encode_len)
+            batches = sort_and_batch(utts, random_order(1), 50)
             retained = tracemalloc.get_traced_memory()[0] - before
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -178,16 +174,16 @@ class TestSortAndBatch:
         assert [b.features.shape for b in batches] == [(size, t_max, 40) for size, t_max, _ in counts]
 
     def test_waste_zero_iff_equal_lengths(self):
-        equal = sort_and_batch(make_utts([3, 3, 3]), ASCENDING, 3, encode_len)[0]
+        equal = sort_and_batch(make_utts([3, 3, 3]), ASCENDING, 3)[0]
         assert equal.padding_waste == 0.0
-        unequal = sort_and_batch(make_utts([3, 2, 3]), ASCENDING, 3, encode_len)[0]
+        unequal = sort_and_batch(make_utts([3, 2, 3]), ASCENDING, 3)[0]
         assert unequal.padding_waste > 0.0
 
     def test_random_order_deterministic(self):
         utts = make_utts([5, 1, 3, 2, 4])
-        a = [b.ids for b in sort_and_batch(utts, random_order(9), 2, encode_len)]
-        b = [b.ids for b in sort_and_batch(utts, random_order(9), 2, encode_len)]
-        c = [b.ids for b in sort_and_batch(utts, random_order(10), 2, encode_len)]
+        a = [b.ids for b in sort_and_batch(utts, random_order(9), 2)]
+        b = [b.ids for b in sort_and_batch(utts, random_order(9), 2)]
+        c = [b.ids for b in sort_and_batch(utts, random_order(10), 2)]
         assert a == b
         assert a != c  # overwhelmingly likely for 5 items
 
@@ -201,7 +197,7 @@ class TestSortAndBatch:
             utts = make_utts(rng.integers(1, 40, size=n))
 
             def total_cells(order):
-                return sum(b.size * b.max_frames for b in sort_and_batch(utts, order, batch_size, encode_len))
+                return sum(b.size * b.max_frames for b in sort_and_batch(utts, order, batch_size))
 
             ascending = total_cells(ASCENDING)
             assert ascending <= total_cells(random_order(trial))

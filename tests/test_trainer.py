@@ -330,7 +330,7 @@ class TestTrainLoop:
         train_utts, held = toy_corpora()
         run_training(TrainConfig(**{**TOY, "epochs": 1}), train_utts, held, tmp_path)
         ckpt = load_checkpoint(tmp_path / "epoch001.ckpt")
-        velocity = ckpt.velocity_tensors()
+        velocity = {k.removeprefix("opt.v."): v for k, v in ckpt.tensors.items() if k.startswith("opt.v.")}
         assert velocity and all(v.flags.writeable for v in velocity.values())
         params = {k: v.copy() for k, v in ckpt.model_tensors().items()}
         ref_params = {k: v.copy() for k, v in params.items()}
@@ -376,13 +376,14 @@ class TestTrainLoop:
                           projection_dim=4, dropout_rate=0.0)
         for seed in (1, 2, 3):
             model = init_model(cfg, np.random.default_rng(seed))
-            batch = sort_and_batch(train_utts, ASCENDING, 8, lambda ws: [1 + len(w) % 6 for w in ws])[0]
+            batch = sort_and_batch(train_utts, ASCENDING, 8)[0]
+            targets = [[1 + len(w) % 6 for w in u.transcript] for u in batch.utts]
 
             def grad_fn(point):
                 probe = Model(cfg, point)
                 lattices, cache = model_forward(batch.features, batch.lengths, probe, rng=np.random.default_rng(0))
                 total = 0.0
-                for i, (lat, y) in enumerate(zip(lattices, batch.targets)):
+                for i, (lat, y) in enumerate(zip(lattices, targets)):
                     res = ctc_loss(lat, y)
                     total += res.log_loss
                     cache.slot(i)[...] = res.grad
@@ -492,10 +493,6 @@ def eager_copy(utts, cfg, times=1):
     return utts
 
 
-def encode_words(words):
-    return [1 + len(w) % 5 for w in words]
-
-
 class TestPreparedCorpus:
     @pytest.mark.parametrize("times", [1, 2])
     @pytest.mark.parametrize("frames", [7, 8])
@@ -519,11 +516,11 @@ class TestPreparedCorpus:
                 for k, n in enumerate(rng.integers(5, 30, size=11))]
         cfg = TrainConfig(**{**TOY, "deltas": True, "stacking": True})
         for order in (ASCENDING, random_order(3)):
-            lazy = sort_and_batch(prepare_corpus(utts, cfg), order, 4, encode_words)
-            eager = sort_and_batch(eager_copy(utts, cfg), order, 4, encode_words)
+            lazy = sort_and_batch(prepare_corpus(utts, cfg), order, 4)
+            eager = sort_and_batch(eager_copy(utts, cfg), order, 4)
             assert len(lazy) == len(eager) == 3
             for got, want in zip(lazy, eager):
-                assert (got.ids, got.targets) == (want.ids, want.targets)
+                assert got.ids == want.ids
                 np.testing.assert_array_equal(got.lengths, want.lengths)
                 assert np.array_equal(got.features, want.features)
 
@@ -538,7 +535,7 @@ class TestPreparedCorpus:
         try:
             before = tracemalloc.get_traced_memory()[0]
             prepared = prepare_corpus(utts, cfg)
-            batches = sort_and_batch(prepared, random_order(1), 16, encode_words)
+            batches = sort_and_batch(prepared, random_order(1), 16)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -558,7 +555,7 @@ class TestPreparedCorpus:
         with pytest.raises(ValueError, match=message):
             run_training(cfg, train_utts, held, tmp_path / "run")
         assert not (tmp_path / "run").exists()
-        batch = sort_and_batch(prepare_corpus([bad], cfg), ASCENDING, 1, encode_words)[0]
+        batch = sort_and_batch(prepare_corpus([bad], cfg), ASCENDING, 1)[0]
         with pytest.raises(ValueError, match=message):
             batch.features
 
