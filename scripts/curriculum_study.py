@@ -11,14 +11,14 @@ from pathlib import Path
 
 from a2w.ablation import run_ablation
 from a2w.config import TrainConfig
-from a2w.pipeline import SynthSpec, synth_corpus, sort_and_batch, ASCENDING, DESCENDING, random_order
+from a2w.pipeline import ORDERS, SynthSpec, synth_corpus, sort_and_batch
 from a2w.trainer import prepare_corpus
 
 
 def padding_report(utts, batch_size):
     rows = []
-    for name, order in (("ascending", ASCENDING), ("descending", DESCENDING), ("random", random_order(0))):
-        batches = sort_and_batch(utts, order, batch_size)
+    for name in ORDERS:
+        batches = sort_and_batch(utts, name, batch_size)
         cells = sum(b.size * b.max_frames for b in batches)
         used = sum(int(b.lengths.sum()) for b in batches)
         rows.append((name, 1.0 - used / cells))

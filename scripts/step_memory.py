@@ -40,7 +40,7 @@ import a2w.trainer as trainer
 from a2w.checkpoint import load_checkpoint
 from a2w.config import TrainConfig
 from a2w.network import init_model
-from a2w.pipeline import ASCENDING, Utterance, sort_and_batch
+from a2w.pipeline import Utterance, sort_and_batch
 
 MB = 1 << 20
 
@@ -133,7 +133,7 @@ def main():
         try:
             start = tracemalloc.get_traced_memory()[0]
             train_utts, held_utts = trainer.prepare_corpus(raw_train, cfg), trainer.prepare_corpus(raw_held, cfg)
-            batches = sort_and_batch(train_utts, ASCENDING, args.batch)
+            batches = sort_and_batch(train_utts, "ascending", args.batch)
             corpus_held = tracemalloc.get_traced_memory()[0] - start
             del batches
             meter.base = tracemalloc.get_traced_memory()[0]

@@ -23,7 +23,7 @@ import numpy as np
 from .alphabet import BEGIN, BLANK_ID, BOTH, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, tokenize, unspell
 from .ctc import PROBABILITIES, PosteriorLattice
 from .network import Model, model_forward
-from .pipeline import ASCENDING, Utterance, check_width, read_table, sort_and_batch, write_table
+from .pipeline import Utterance, check_width, read_table, sort_and_batch, write_table
 
 TAG_FROM_WORD = "from-word"
 TAG_FROM_CHARS = "from-characters"
@@ -190,7 +190,7 @@ def forward_batches(model: Model, utts: Sequence[Utterance], batch_size: int):
     ``utts``, forwarded with dropout off and no cache kept. A batch whose
     features are not the model's input width raises ValueError naming its
     first utterance."""
-    for batch in sort_and_batch(utts, ASCENDING, batch_size):
+    for batch in sort_and_batch(utts, "ascending", batch_size):
         features = batch.features
         check_width(batch.ids[0], features.shape[2], model.config.input_dim)
         lattices, _ = model_forward(features, batch.lengths, model)

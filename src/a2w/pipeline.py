@@ -93,37 +93,7 @@ class Batch:
         return 1.0 - float(self.lengths.sum()) / (self.size * self.max_frames)
 
 
-ORDERS = ("ascending", "descending", "random")
-
-
-@dataclass(frozen=True)
-class CurriculumOrder:
-    """Deterministic presentation order: ascending/descending length or a
-    seeded shuffle."""
-
-    kind: str  # one of ORDERS
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ORDERS:
-            raise ValueError(f"unknown curriculum order {self.kind!r}")
-
-    def arrange(self, utts: Sequence[Utterance]) -> list[Utterance]:
-        by_id = sorted(utts, key=lambda u: u.id)
-        if self.kind == "ascending":
-            return sorted(by_id, key=lambda u: (u.num_frames, u.id))
-        if self.kind == "descending":
-            return sorted(by_id, key=lambda u: (-u.num_frames, u.id))
-        rng = np.random.Generator(np.random.PCG64(derive_seed(self.seed, 0x0D0E)))
-        return [by_id[i] for i in rng.permutation(len(by_id))]
-
-
-ASCENDING = CurriculumOrder("ascending")
-DESCENDING = CurriculumOrder("descending")
-
-
-def random_order(seed: int) -> CurriculumOrder:
-    return CurriculumOrder("random", seed)
+ORDERS = ("ascending", "descending", "random")  # the curriculum orders of sort_and_batch
 
 
 def compute_deltas(features: np.ndarray) -> np.ndarray:
@@ -161,14 +131,26 @@ def stack_decimate(features: np.ndarray) -> np.ndarray:
     return x.reshape(pairs, 2 * f)
 
 
-def sort_and_batch(utts: Sequence[Utterance], order: CurriculumOrder, batch_size: int) -> list[Batch]:
-    """Arrange utterances and group consecutive runs of ``batch_size``.
+def sort_and_batch(utts: Sequence[Utterance], order: str, batch_size: int, seed: int = 0) -> list[Batch]:
+    """Arrange utterances in one of ``ORDERS`` and group consecutive runs of
+    ``batch_size``.
 
-    The batch sequence preserves the curriculum order; the final batch may
-    be smaller. Reading, transforming and padding wait until a batch's
-    ``features`` are read; transcripts are encoded where CTC reads them.
+    ``ascending`` (the SortaGrad curriculum) and ``descending`` sort by
+    length, ties broken by id; ``random`` is a shuffle of the id-sorted
+    list, seeded by ``seed``. The batch sequence preserves the order; the
+    final batch may be smaller. Reading, transforming and padding wait until a
+    batch's ``features`` are read; transcripts are encoded where CTC reads
+    them.
     """
-    arranged = order.arrange(utts)
+    if order == "random":
+        by_id = sorted(utts, key=lambda u: u.id)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, 0x0D0E)))
+        arranged = [by_id[i] for i in rng.permutation(len(by_id))]
+    elif order in ORDERS:
+        sign = 1 if order == "ascending" else -1
+        arranged = sorted(utts, key=lambda u: (sign * u.num_frames, u.id))
+    else:
+        raise ValueError(f"unknown curriculum order {order!r}; choose from {', '.join(ORDERS)}")
     batches = []
     for start in range(0, len(arranged), batch_size):
         chunk = arranged[start : start + batch_size]

@@ -1,11 +1,9 @@
-"""Word error rate by Levenshtein alignment, plus OOV-rate accounting."""
+"""Word error rate by Levenshtein alignment."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-from .alphabet import Vocabulary, tokenize
+from typing import Mapping, Sequence
 
 
 class EmptyReference(ValueError):
@@ -92,14 +90,3 @@ def corpus_wer(refs: Mapping[str, Sequence[str]], hyps: Mapping[str, Sequence[st
         total = total + wer(refs[utt_id], hyps[utt_id])
     return total
 
-
-def oov_rate(transcripts: Iterable[str | Sequence[str]], vocab: Vocabulary) -> float:
-    """Fraction of word tokens outside the vocabulary; 0.0 for no tokens."""
-    total = 0
-    oov = 0
-    for transcript in transcripts:
-        words = tokenize(transcript) if isinstance(transcript, str) else [w.upper() for w in transcript]
-        for word in words:
-            total += 1
-            oov += word not in vocab
-    return oov / total if total else 0.0

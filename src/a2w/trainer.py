@@ -45,7 +45,6 @@ from .ctc import InfeasibleAlignment, ctc_loss, min_frames_for
 from .decoder import SarHypothesis, decode_utterances, forward_batches
 from .network import Model, ModelConfig, init_model, model_backward, model_forward, param_shapes
 from .pipeline import (
-    CurriculumOrder,
     Utterance,
     check_width,
     compute_deltas,
@@ -318,24 +317,19 @@ def _load(path: str | Path, ckpt: Checkpoint, config: ModelConfig, prefix: str) 
     return fits
 
 
-def config_from_checkpoint(ckpt: Checkpoint) -> tuple[TrainConfig, ModelConfig]:
-    """The run config and the network shape a checkpoint's config records snapshot."""
-    items = dict(ckpt.config)
-    input_dim, output_dim = int(items.pop("input_dim")), int(items.pop("output_dim"))
-    cfg = config_from_items(items)
-    return cfg, build_model_config(cfg, input_dim, output_dim)
-
-
 def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
     """Inverse of saving ``make_checkpoint``: the run config and the model a
     checkpoint file snapshots. A missing ``input_dim`` or ``output_dim``
     record, or model tensors that do not fit the config, raise ValueError
     naming the file and the record or tensor."""
     ckpt = load_checkpoint(path)
+    items = dict(ckpt.config)
     for key in ("input_dim", "output_dim"):
-        if key not in ckpt.config:
+        if key not in items:
             raise ValueError(f"{path}: the checkpoint has no {key} config record")
-    cfg, config = config_from_checkpoint(ckpt)
+    input_dim, output_dim = int(items.pop("input_dim")), int(items.pop("output_dim"))
+    cfg = config_from_items(items)
+    config = build_model_config(cfg, input_dim, output_dim)
     return cfg, Model(config, _load(path, ckpt, config, "model."))
 
 
@@ -390,8 +384,7 @@ def train(
         for epoch in range(start_epoch + 1, cfg.epochs + 1):
             started = time.perf_counter()
             lr = lr_at(epoch, cfg)
-            order = CurriculumOrder(cfg.order, derive_seed(cfg.seed, epoch, 0xF00D))
-            batches = sort_and_batch(train_utts, order, cfg.batch_size)
+            batches = sort_and_batch(train_utts, cfg.order, cfg.batch_size, derive_seed(cfg.seed, epoch, 0xF00D))
             loss_sum = 0.0
             for batch_idx, batch in enumerate(batches):
                 rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, epoch, batch_idx)))

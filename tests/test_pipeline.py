@@ -8,14 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from a2w.pipeline import (
-    ASCENDING,
-    DESCENDING,
-    CurriculumOrder,
+    ORDERS,
     SynthSpec,
     Utterance,
     compute_deltas,
     load_corpus,
-    random_order,
     read_table,
     save_corpus,
     sort_and_batch,
@@ -105,39 +102,40 @@ class TestStackDecimate:
 class TestSortAndBatch:
     def test_ascending_grouping_and_waste(self):
         utts = make_utts([3, 1, 2])
-        batches = sort_and_batch(utts, ASCENDING, 2)
+        batches = sort_and_batch(utts, "ascending", 2)
         assert [list(b.lengths) for b in batches] == [[1, 2], [3]]
         assert batches[0].padding_waste == pytest.approx(1 - 3 / 4)
         assert batches[1].padding_waste == pytest.approx(0.0)
 
     def test_descending(self):
         utts = make_utts([3, 1, 2])
-        batches = sort_and_batch(utts, DESCENDING, 2)
+        batches = sort_and_batch(utts, "descending", 2)
         assert [list(b.lengths) for b in batches] == [[3, 2], [1]]
         assert batches[0].padding_waste == pytest.approx(1 - 5 / 6)
 
     def test_empty_input(self):
-        assert sort_and_batch([], ASCENDING, 4) == []
+        assert sort_and_batch([], "ascending", 4) == []
 
     def test_ties_break_by_id(self):
         utts = make_utts([2, 2, 2])
-        batches = sort_and_batch(utts, ASCENDING, 2)
+        batches = sort_and_batch(utts, "ascending", 2)
         assert batches[0].ids == ("u000", "u001")
         assert batches[1].ids == ("u002",)
 
     def test_partition_property(self):
         rng = np.random.default_rng(3)
         utts = make_utts(rng.integers(1, 12, size=23))
-        for order in (ASCENDING, DESCENDING, random_order(5)):
-            batches = sort_and_batch(utts, order, 4)
+        frames = {u.id: u.num_frames for u in utts}
+        for order in ORDERS:
+            batches = sort_and_batch(utts, order, 4, seed=5)
+            assert [b.size for b in batches] == [4] * 5 + [3]
             seen = [i for b in batches for i in b.ids]
             assert sorted(seen) == sorted(u.id for u in utts)
-            arranged = order.arrange(utts)
-            assert seen == [u.id for u in arranged]
+            assert all(list(b.lengths) == [frames[i] for i in b.ids] for b in batches)
 
     def test_padding_recovery(self):
         utts = make_utts([2, 4, 1], feat_dim=3)
-        batches = sort_and_batch(utts, ASCENDING, 2)
+        batches = sort_and_batch(utts, "ascending", 2)
         by_id = {u.id: u for u in utts}
         for batch in batches:
             for i, utt_id in enumerate(batch.ids):
@@ -149,7 +147,7 @@ class TestSortAndBatch:
     def test_utterance_wider_than_the_first_in_its_batch_is_named(self):
         utts = make_utts([2, 3, 4], feat_dim=6)
         utts[2] = Utterance(id=utts[2].id, features=np.zeros((4, 8)), transcript=("W",))
-        batch = sort_and_batch(utts, ASCENDING, 3)[0]
+        batch = sort_and_batch(utts, "ascending", 3)[0]
         with pytest.raises(ValueError, match=f"^{utts[2].id}: features are 8 wide, not 6$"):
             batch.features
 
@@ -160,7 +158,7 @@ class TestSortAndBatch:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            batches = sort_and_batch(utts, random_order(1), 50)
+            batches = sort_and_batch(utts, "random", 50, seed=1)
             retained = tracemalloc.get_traced_memory()[0] - before
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -174,16 +172,16 @@ class TestSortAndBatch:
         assert [b.features.shape for b in batches] == [(size, t_max, 40) for size, t_max, _ in counts]
 
     def test_waste_zero_iff_equal_lengths(self):
-        equal = sort_and_batch(make_utts([3, 3, 3]), ASCENDING, 3)[0]
+        equal = sort_and_batch(make_utts([3, 3, 3]), "ascending", 3)[0]
         assert equal.padding_waste == 0.0
-        unequal = sort_and_batch(make_utts([3, 2, 3]), ASCENDING, 3)[0]
+        unequal = sort_and_batch(make_utts([3, 2, 3]), "ascending", 3)[0]
         assert unequal.padding_waste > 0.0
 
-    def test_random_order_deterministic(self):
+    def test_random_shuffle_deterministic(self):
         utts = make_utts([5, 1, 3, 2, 4])
-        a = [b.ids for b in sort_and_batch(utts, random_order(9), 2)]
-        b = [b.ids for b in sort_and_batch(utts, random_order(9), 2)]
-        c = [b.ids for b in sort_and_batch(utts, random_order(10), 2)]
+        a = [b.ids for b in sort_and_batch(utts, "random", 2, seed=9)]
+        b = [b.ids for b in sort_and_batch(utts, "random", 2, seed=9)]
+        c = [b.ids for b in sort_and_batch(utts, "random", 2, seed=10)]
         assert a == b
         assert a != c  # overwhelmingly likely for 5 items
 
@@ -196,12 +194,12 @@ class TestSortAndBatch:
             n = int(rng.integers(2, 7)) * batch_size
             utts = make_utts(rng.integers(1, 40, size=n))
 
-            def total_cells(order):
-                return sum(b.size * b.max_frames for b in sort_and_batch(utts, order, batch_size))
+            def total_cells(order, seed=0):
+                return sum(b.size * b.max_frames for b in sort_and_batch(utts, order, batch_size, seed))
 
-            ascending = total_cells(ASCENDING)
-            assert ascending <= total_cells(random_order(trial))
-            assert ascending == total_cells(DESCENDING)
+            ascending = total_cells("ascending")
+            assert ascending <= total_cells("random", trial)
+            assert ascending == total_cells("descending")
 
 
 class TestSynthCorpus:
@@ -422,14 +420,15 @@ class TestIdTable:
 
 class TestCurriculumOrder:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            CurriculumOrder("sorted")
+        with pytest.raises(ValueError, match="^unknown curriculum order 'sorted'; choose from ascending, descending, random$"):
+            sort_and_batch(make_utts([3, 1, 2]), "sorted", 2)
 
     def test_arrange_does_not_mutate(self):
-        utts = make_utts([3, 1])
+        utts = make_utts([3, 1, 2])
         ids = [u.id for u in utts]
-        ASCENDING.arrange(utts)
-        assert [u.id for u in utts] == ids
+        for order in ORDERS:
+            sort_and_batch(utts, order, 2, seed=1)
+            assert [u.id for u in utts] == ids
 
 
 def test_utterance_validation():

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2w.alphabet import build_vocabulary
-from a2w.scoring import EmptyReference, WerReport, corpus_wer, oov_rate, wer
+from a2w.scoring import EmptyReference, WerReport, corpus_wer, wer
 from oracles import brute_force_min_edits, enumerate_min_edits
 
 TOKENS = ("A", "B", "C")
@@ -104,38 +103,6 @@ class TestCorpusWer:
     def test_id_mismatch_rejected(self):
         with pytest.raises(KeyError):
             corpus_wer({"u1": ["a"]}, {"u2": ["a"]})
-
-
-class TestOovRate:
-    def test_all_in_vocab(self):
-        vocab = build_vocabulary(["a b"], min_count=1)
-        assert oov_rate(["a b", "b a"], vocab) == 0.0
-
-    def test_half_oov(self):
-        vocab = build_vocabulary(["a"], min_count=1)
-        assert oov_rate(["a b"], vocab) == 0.5
-
-    def test_token_weighted(self):
-        vocab = build_vocabulary(["a"], min_count=1)
-        assert oov_rate(["a a a b"], vocab) == 0.25
-
-    def test_accepts_token_sequences(self):
-        vocab = build_vocabulary(["a"], min_count=1)
-        assert oov_rate([["a", "b"]], vocab) == 0.5
-
-    def test_empty_corpus(self):
-        vocab = build_vocabulary(["a"], min_count=1)
-        assert oov_rate([], vocab) == 0.0
-
-    def test_injected_one_percent(self):
-        from a2w.pipeline import SynthSpec, synth_corpus, synth_vocabulary
-
-        spec = SynthSpec(vocab_size=20, oov_pool_size=10, oov_rate=0.01, proto_seed=3)
-        main, _ = synth_vocabulary(spec)
-        vocab = build_vocabulary([" ".join(main)] , min_count=1)
-        utts = synth_corpus(spec, 2000, seed=8)
-        rate = oov_rate([u.transcript for u in utts], vocab)
-        assert rate == pytest.approx(0.01, abs=0.004)
 
 
 def test_report_addition():
