@@ -16,7 +16,7 @@ import argparse
 import dataclasses
 import tempfile
 
-from a2w.alphabet import JointAlphabet, build_positional_charset, build_sar_targets, build_vocabulary
+from a2w.alphabet import JointAlphabet, build_charset, build_sar_targets, build_vocabulary
 from a2w.decoder import (
     one_hot_lattice,
     render_hypothesis,
@@ -34,9 +34,9 @@ VOCAB_CORPUS = [
 
 
 def label_text(joint, label):
-    if joint.is_word_id(label):
-        return joint.vocab.word_of(label)
-    return joint.char_symbol(label).text
+    if joint.is_char_id(label):
+        return joint.char_symbol(label).text
+    return joint.vocab.word_of(label)
 
 
 def trained_model_demo():
@@ -91,7 +91,7 @@ def main():
     args = parser.parse_args()
 
     vocab = build_vocabulary(VOCAB_CORPUS, min_count=1)
-    joint = JointAlphabet(vocab=vocab, charset=build_positional_charset())
+    joint = JointAlphabet(vocab=vocab, charset=build_charset("positional"))
     print(f"vocabulary: {len(vocab.words)} words + UNK; joint label space size {joint.size}")
 
     transcript = args.transcript.upper().split()

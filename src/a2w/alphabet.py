@@ -4,13 +4,15 @@ Every label space reserves id 0 for the CTC blank. Word spaces put the UNK
 tag at id 1 and retained words (sorted) from id 2. The joint alphabet keeps
 word ids unchanged and appends character ids after them, so the two ranges
 are contiguous and disjoint, and in either space the non-blank ids below
-the vocabulary size are exactly the words.
+the vocabulary size are exactly the words. The word threshold lives in the
+run config; a ``Vocabulary`` holds only the words it kept.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,7 +27,7 @@ BASE_CHARS = LETTERS + DIGITS + SEPARATOR_CHAR + "'-.&"
 
 BEGIN, MIDDLE, END, BOTH = "begin", "middle", "end", "both"
 
-ALPHABET_FILE_MAGIC = "#a2w-alphabet v1"
+ALPHABET_HEADER = "#a2w-alphabet v1 words"
 
 
 class EmptyCorpus(ValueError):
@@ -46,14 +48,12 @@ class Vocabulary:
     """Thresholded word label space: blank=0, UNK=1, words at 2..K-1."""
 
     words: tuple[str, ...]
-    min_count: int
-    word_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
 
     unk_id = 1
 
-    def __post_init__(self):
-        mapping = {w: i + 2 for i, w in enumerate(self.words)}
-        object.__setattr__(self, "word_to_id", mapping)
+    @cached_property
+    def word_to_id(self) -> dict[str, int]:
+        return {w: i + 2 for i, w in enumerate(self.words)}
 
     @property
     def size(self) -> int:
@@ -88,7 +88,7 @@ def build_vocabulary(corpus: Iterable[str], min_count: int) -> Vocabulary:
     if n_transcripts == 0:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
     retained = sorted(w for w, c in counts.items() if c >= min_count and w != UNK_WORD)
-    return Vocabulary(words=tuple(retained), min_count=min_count)
+    return Vocabulary(words=tuple(retained))
 
 
 def encode_words(transcript: Sequence[str], vocab: Vocabulary) -> list[int]:
@@ -148,22 +148,16 @@ def _charset(variant: str, units: Sequence[str], positions: Sequence[str]) -> Ch
     return CharSet(variant=variant, symbols=symbols)
 
 
-def build_simple_charset() -> CharSet:
-    """Flat 41-symbol set: letters, digits, whitespace and punctuation."""
-    return _charset("simple", BASE_CHARS, (MIDDLE,))
-
-
-def build_positional_charset() -> CharSet:
-    """Position-marked set: b-x / x / e-x / be-x per base character, plus
-    doubled-letter symbols (b-2x / xx / e-2x / be-2x) for each letter."""
-    return _charset("positional", [*BASE_CHARS, *(c + c for c in LETTERS)], (BEGIN, MIDDLE, END, BOTH))
-
-
-CHARSETS = {"simple": build_simple_charset, "positional": build_positional_charset}
+# name -> character set, built once: "simple" is the flat 41 base characters; "positional"
+# has b-x / x / e-x / be-x per base character, plus b-2x / xx / e-2x / be-2x per letter
+CHARSETS = {
+    "simple": _charset("simple", BASE_CHARS, (MIDDLE,)),
+    "positional": _charset("positional", [*BASE_CHARS, *(c + c for c in LETTERS)], (BEGIN, MIDDLE, END, BOTH)),
+}
 
 
 def build_charset(variant: str) -> CharSet:
-    return CHARSETS[variant]()
+    return CHARSETS[variant]
 
 
 def _spelling_units(word: str) -> list[str]:
@@ -226,8 +220,9 @@ def unspell(labels: Sequence[int], charset: CharSet) -> str:
 class JointAlphabet:
     """Single label space over blank + words (incl. UNK) + characters.
 
-    Word ids coincide with the vocabulary's own ids (1..W); character ids
-    are the charset ids shifted up by W.
+    Word ids coincide with the vocabulary's own ids (1..W), so a word's id
+    is ``vocab.id_of(word)``; character ids are the charset ids shifted up
+    by W = ``num_words``. Every non-blank id that is not a character is a word.
     """
 
     vocab: Vocabulary
@@ -241,14 +236,8 @@ class JointAlphabet:
     def size(self) -> int:
         return 1 + self.num_words + len(self.charset)
 
-    def is_word_id(self, label_id: int) -> bool:
-        return 1 <= label_id <= self.num_words
-
     def is_char_id(self, label_id: int) -> bool:
         return self.num_words < label_id < self.size
-
-    def word_id(self, word: str) -> int:
-        return self.vocab.id_of(word)
 
     def char_id(self, text: str) -> int:
         return self.charset.id_of(text) + self.num_words
@@ -287,15 +276,15 @@ def build_sar_targets(transcript: Sequence[str], joint: JointAlphabet) -> SarTar
         if k > 0:
             labels.append(joint.separator_id)
         labels.extend(joint.spell(word))
-        labels.append(joint.word_id(word))
+        labels.append(joint.vocab.id_of(word))
     return SarTargetSequence(labels=tuple(labels))
 
 
 def save_alphabet(path: str | Path, vocab: Vocabulary) -> None:
-    """Line-oriented word file: a header carrying min_count (so the round trip
-    is lossless), then one word per line; the k-th word line (0-based) holds
-    the label with id k+1, and blank is implicit at id 0."""
-    lines = [f"{ALPHABET_FILE_MAGIC} words min_count={vocab.min_count}", UNK_WORD, *vocab.words]
+    """Line-oriented word file: the header line, then one word per line; the
+    k-th word line (0-based) holds the label with id k+1, and blank is
+    implicit at id 0."""
+    lines = [ALPHABET_HEADER, UNK_WORD, *vocab.words]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -305,20 +294,9 @@ def load_alphabet(path: str | Path) -> Vocabulary:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not lines or not lines[0].startswith(ALPHABET_FILE_MAGIC):
-        raise ValueError(f"{path}: not an alphabet file")
-    variant, *extras = lines[0][len(ALPHABET_FILE_MAGIC):].split() or [""]
-    if variant != "words":
-        raise ValueError(f"{path}: unknown variant {variant!r}; an alphabet file holds words")
-    fields: dict[str, str] = {}
-    for extra in extras:
-        key, _, value = extra.partition("=")
-        if key in fields or key != "min_count":
-            raise ValueError(f"{path}: header field {key!r} is {'repeated' if key in fields else 'unknown'}")
-        fields[key] = value
-    min_count = fields.get("min_count", "1")
-    if not min_count.isdecimal():
-        raise ValueError(f"{path}: header min_count {min_count!r} is not a count")
+    if not lines or lines[0] != ALPHABET_HEADER:
+        fix = "; delete the min_count field older versions wrote" if lines and "min_count=" in lines[0] else ""
+        raise ValueError(f"{path}: line 1 must be {ALPHABET_HEADER!r}{fix}")
     body = lines[1:]
     if not body or body[0] != UNK_WORD:
         raise ValueError(f"{path}: word file must place {UNK_WORD} at id 1")
@@ -329,4 +307,4 @@ def load_alphabet(path: str | Path) -> Vocabulary:
         if word in seen:
             raise ValueError(f"{path}:{lineno}: {word!r} is listed twice")
         seen.add(word)
-    return Vocabulary(words=tuple(body[1:]), min_count=int(min_count))
+    return Vocabulary(words=tuple(body[1:]))

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .ablation import VARIANTS, default_aliases, run_ablation
-from .alphabet import build_positional_charset
+from .alphabet import build_charset
 from .checkpoint import load_checkpoint
 from .config import DEFAULTS, RULES, TrainConfig, config_from_items, load_config
 from .decoder import DECODE_MODES, read_sar_file, read_transcripts, write_sar_file, write_transcripts
@@ -80,7 +80,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_decode(args) -> int:
     sar_path = Path(args.out).with_suffix(".sar")
-    if DECODE_MODES[args.mode] and sar_path == Path(args.out):
+    if args.mode != "word" and sar_path == Path(args.out):
         raise _UsageError(f"--mode {args.mode} writes its annotations to {sar_path}, so --out must not end in .sar")
     rows = open_run(args.run, args.epoch).decode(load_corpus(args.corpus), args.mode)
     write_transcripts(args.out, [(utt_id, words) for utt_id, words, _ in rows])
@@ -96,7 +96,7 @@ def _cmd_decode(args) -> int:
 def _cmd_score(args) -> int:
     refs = read_transcripts(args.ref)
     if args.strip_sar:
-        hyps = {utt_id: hyp.words for utt_id, hyp in read_sar_file(args.hyp, build_positional_charset()).items()}
+        hyps = {utt_id: hyp.words for utt_id, hyp in read_sar_file(args.hyp, build_charset("positional")).items()}
     else:
         hyps = read_transcripts(args.hyp)
     if refs.keys() != hyps.keys():

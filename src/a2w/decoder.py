@@ -126,8 +126,6 @@ def sar_decode_switched(lattice: PosteriorLattice, joint: JointAlphabet) -> SarH
             if label != joint.separator_id:
                 buffer.append(label)
             continue
-        if not joint.is_word_id(label):
-            continue
         if label == joint.vocab.unk_id:
             if buffer:
                 entries.append(_spelled(joint, buffer, TAG_FROM_CHARS))
@@ -198,8 +196,9 @@ def forward_batches(model: Model, utts: Sequence[Utterance], batch_size: int):
         yield batch, lattices
 
 
-# decode mode -> its annotated spell-and-recognize decode, or None for the word track
-DECODE_MODES = {"word": None, "chars": sar_decode_chars, "switched": sar_decode_switched}
+# "word" reads the word track; "chars" and "switched" annotate a joint model's decode
+# with sar_decode_<mode>, looked up at each call so a wrapper set on this module runs
+DECODE_MODES = ("word", "chars", "switched")
 
 
 def decode_utterances(
@@ -220,7 +219,8 @@ def decode_utterances(
         raise ValueError(f"unknown decode mode {mode!r}; choose from {', '.join(DECODE_MODES)}")
     annotate, size = None, vocab.size
     if joint is not None:
-        vocab, annotate, size = joint.vocab, DECODE_MODES[mode], joint.size
+        annotate = {"chars": sar_decode_chars, "switched": sar_decode_switched}.get(mode)
+        vocab, size = joint.vocab, joint.size
     if size != model.config.output_dim:
         raise ValueError(f"the label space has {size} labels but the model outputs {model.config.output_dim}")
     by_id = {}

@@ -293,10 +293,13 @@ def build_model_config(cfg: TrainConfig, input_dim: int, output_dim: int) -> Mod
     )
 
 
-def _match(ckpt: Checkpoint, config: ModelConfig, prefix: str) -> tuple[dict[str, np.ndarray], list[str]]:
+def _match(
+    path: str | Path, ckpt: Checkpoint, config: ModelConfig, prefix: str
+) -> tuple[dict[str, np.ndarray], list[str]]:
     """The checkpoint's tensors under ``prefix`` that fit the model ``config``
     describes, by parameter name and cast to its dtype, and one line for each
-    tensor, in name order, that the checkpoint lacks, adds or shapes differently."""
+    tensor, in name order, that the checkpoint lacks, adds or shapes differently.
+    A fitting tensor that is not finite raises ValueError naming ``path`` and the tensor."""
     want = param_shapes(config)
     have = {name.removeprefix(prefix): tensor for name, tensor in ckpt.tensors.items() if name.startswith(prefix)}
     fits, misfits = {}, []
@@ -304,6 +307,8 @@ def _match(ckpt: Checkpoint, config: ModelConfig, prefix: str) -> tuple[dict[str
         found, wanted = have[name].shape if name in have else "absent", want.get(name, "absent")
         if found == wanted:
             fits[name] = have[name].astype(config.dtype)
+            if not np.all(np.isfinite(fits[name])):
+                raise ValueError(f"{path}: tensor {prefix}{name} is not finite")
         else:
             misfits.append(f"tensor {prefix}{name} is {found} in the checkpoint and {wanted} in the model")
     return fits, misfits
@@ -311,7 +316,7 @@ def _match(ckpt: Checkpoint, config: ModelConfig, prefix: str) -> tuple[dict[str
 
 def _load(path: str | Path, ckpt: Checkpoint, config: ModelConfig, prefix: str) -> dict[str, np.ndarray]:
     """The tensors ``_match`` fits; a misfit raises ValueError naming ``path`` and the first one."""
-    fits, misfits = _match(ckpt, config, prefix)
+    fits, misfits = _match(path, ckpt, config, prefix)
     if misfits:
         raise ValueError(f"{path}: {misfits[0]}")
     return fits
@@ -454,7 +459,7 @@ def run_training(
     else:
         model = init_model(model_config, np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x1417))))
         if cfg.warm_ckpt:
-            fits, misfits = _match(load_checkpoint(cfg.warm_ckpt), model_config, "model.")
+            fits, misfits = _match(cfg.warm_ckpt, load_checkpoint(cfg.warm_ckpt), model_config, "model.")
             if not fits:
                 raise ValueError(f"{cfg.warm_ckpt}: no tensor fits the model; {misfits[0]}")
             model.params.update(fits)

@@ -15,7 +15,7 @@ import numpy as np
 from a2w.alphabet import (
     JointAlphabet,
     UNK_WORD,
-    build_positional_charset,
+    build_charset,
     build_sar_targets,
     build_vocabulary,
     spell_word,
@@ -284,7 +284,7 @@ def test_criterion_9_sar_round_trip():
     words = sorted(words)
     in_vocab, oov_pool = words[:200], words[200:]
     vocab = build_vocabulary([" ".join(in_vocab)], min_count=1)
-    joint = JointAlphabet(vocab=vocab, charset=build_positional_charset())
+    joint = JointAlphabet(vocab=vocab, charset=build_charset("positional"))
 
     for word in in_vocab:
         lattice = one_hot_lattice(list(build_sar_targets([word], joint).labels), joint.size)

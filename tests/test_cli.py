@@ -291,6 +291,39 @@ class TestReaderFaults:
         assert f"error: ValueError: {warm}: no tensor fits the model; {fault}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, value, commands",
+        [("model.out.W", np.nan, ("decode", "resume", "warm")), ("opt.v.layers.0.b", np.inf, ("resume",))],
+        ids=["nan-weight", "inf-velocity"],
+    )
+    def test_non_finite_tensor_is_named_before_any_write(
+        self, run_dir, corpus_dir, tmp_path, capsys, name, value, commands
+    ):
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        for ckpt in (bad / "epoch001.ckpt", bad / "epoch002.ckpt"):
+            loaded = load_checkpoint(ckpt)
+            tensors = dict(loaded.tensors)
+            tensors[name] = tensors[name].copy()
+            tensors[name].flat[0] = value
+            save_checkpoint(Checkpoint(tensors=tensors, config=dict(loaded.config), epoch=loaded.epoch), ckpt)
+        before = {p.name: p.read_bytes() for p in bad.iterdir()}
+        fault = f"tensor {name} is not finite"
+        if "decode" in commands:
+            assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
+            assert f"error: ValueError: {bad / 'epoch002.ckpt'}: {fault}\n" in capsys.readouterr().err
+            assert not (tmp_path / "hyp.tsv").exists()
+        if "resume" in commands:
+            resume = ("--resume", bad / "epoch001.ckpt")
+            assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume) == 2
+            assert f"error: ValueError: {bad / 'epoch001.ckpt'}: {fault}\n" in capsys.readouterr().err
+        if "warm" in commands:
+            warm, out = bad / "epoch002.ckpt", tmp_path / "warm"
+            assert run("train", "--corpus", corpus_dir, "--out", out, *RUN_FLAGS, "--warm_ckpt", warm) == 2
+            assert f"error: ValueError: {warm}: {fault}\n" in capsys.readouterr().err
+            assert not out.exists()
+        assert {p.name: p.read_bytes() for p in bad.iterdir()} == before
+
     def test_transcript_outside_the_charset_exits_2_naming_the_utterance(self, sar_run, tmp_path, capsys):
         corpus, _ = sar_run
         bad, out = tmp_path / "corpus", tmp_path / "run"
@@ -311,7 +344,7 @@ class TestReaderFaults:
         symbols = [s.text for s in build_charset("simple").symbols]
         (bad / "vocab.txt").write_text("\n".join(["#a2w-alphabet v1 chars-simple", *symbols]) + "\n")
         assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
-        message = f"{bad / 'vocab.txt'}: unknown variant 'chars-simple'; an alphabet file holds words"
+        message = f"{bad / 'vocab.txt'}: line 1 must be '#a2w-alphabet v1 words'"
         assert message in capsys.readouterr().err
 
     def test_decode_epoch_picks_the_checkpoint(self, run_dir, corpus_dir, tmp_path, capsys):

@@ -9,9 +9,8 @@ import a2w.decoder
 import a2w.trainer
 from a2w.alphabet import (
     JointAlphabet,
-    build_positional_charset,
+    build_charset,
     build_sar_targets,
-    build_simple_charset,
     build_vocabulary,
     encode_words,
     spell_word,
@@ -48,7 +47,7 @@ VOCAB_TEXT = ["THE CAT IS BLACK", "THE CAT SAT", "MURDER OF A COP"]
 def joint():
     return JointAlphabet(
         vocab=build_vocabulary(VOCAB_TEXT, min_count=1),
-        charset=build_positional_charset(),
+        charset=build_charset("positional"),
     )
 
 
@@ -111,7 +110,7 @@ class TestGreedyCollapse:
 
 class TestWordDecode:
     def test_word_track_only(self, joint):
-        labels = char_ids(joint, "b-t", "h", "e-e") + [joint.word_id("THE")]
+        labels = char_ids(joint, "b-t", "h", "e-e") + [joint.vocab.id_of("THE")]
         assert sar_decode_word(lattice_for(labels, joint), joint.vocab) == ["THE"]
 
     def test_all_blank(self, joint):
@@ -166,7 +165,7 @@ class TestSwitchedDecode:
         assert hyp.entries[0].tag == TAG_FROM_CHARS
 
     def test_known_word_from_word_track(self, joint):
-        labels = char_ids(joint, "b-t", "h", "e-e") + [joint.word_id("THE")]
+        labels = char_ids(joint, "b-t", "h", "e-e") + [joint.vocab.id_of("THE")]
         hyp = sar_decode_switched(lattice_for(labels, joint), joint)
         assert hyp.words == ["THE"]
         assert hyp.entries[0].tag == TAG_FROM_WORD
@@ -181,7 +180,7 @@ class TestSwitchedDecode:
     def test_buffer_clears_at_each_word(self, joint):
         labels = (
             char_ids(joint, "b-t", "h", "e-e")
-            + [joint.word_id("THE")]
+            + [joint.vocab.id_of("THE")]
             + char_ids(joint, "b-z", "o", "e-o")
             + [joint.vocab.unk_id]
         )
@@ -190,7 +189,7 @@ class TestSwitchedDecode:
         assert [e.tag for e in hyp.entries] == [TAG_FROM_WORD, TAG_FROM_CHARS]
 
     def test_trailing_chars_dropped(self, joint):
-        labels = [joint.word_id("THE")] + char_ids(joint, "b-c", "a")
+        labels = [joint.vocab.id_of("THE")] + char_ids(joint, "b-c", "a")
         hyp = sar_decode_switched(lattice_for(labels, joint), joint)
         assert hyp.words == ["THE"]
 
@@ -352,7 +351,7 @@ class TestRendering:
     def test_fuzzed_round_trip(self, data):
         # fuzz over hypotheses a decode can actually produce: from-word is
         # never the UNK tag, spelled words match their spelling
-        charset = build_positional_charset()
+        charset = build_charset("positional")
         words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=5).filter(lambda w: w != "unk")
         entries = []
         for _ in range(data.draw(st.integers(0, 4))):
@@ -408,7 +407,7 @@ class TestTranscriptFiles:
             assert str(err.value).startswith(f"{path}{message}")
 
     def test_simple_charset_renderings_read_alike_under_either_charset(self, tmp_path):
-        simple = build_simple_charset()
+        simple = build_charset("simple")
         spelled = [SarWord(word=w.upper(), spelling=tuple(w), tag=tag) for w, tag in
                    (("the", TAG_FROM_WORD), ("z-o.o", TAG_FROM_CHARS), ("c'at", TAG_INCOMPLETE))]
         spelled.append(SarWord(word=UNK_WORD, spelling=(), tag=TAG_INCOMPLETE))
@@ -416,7 +415,7 @@ class TestTranscriptFiles:
         path = tmp_path / "hyp.sar"
         write_sar_file(path, rows)
         assert read_sar_file(path, simple) == dict(rows)
-        assert read_sar_file(path, build_positional_charset()) == dict(rows)
+        assert read_sar_file(path, build_charset("positional")) == dict(rows)
 
     def test_unreadable_sar_token_names_path_and_line(self, tmp_path, joint):
         path = tmp_path / "hyp.sar"
