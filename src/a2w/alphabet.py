@@ -228,11 +228,11 @@ class JointAlphabet:
     vocab: Vocabulary
     charset: CharSet
 
-    @property
+    @cached_property
     def num_words(self) -> int:
         return self.vocab.size - 1  # UNK + retained words
 
-    @property
+    @cached_property
     def size(self) -> int:
         return 1 + self.num_words + len(self.charset)
 
@@ -245,7 +245,7 @@ class JointAlphabet:
     def char_symbol(self, label_id: int) -> CharSymbol:
         return self.charset.symbol_of(label_id - self.num_words)
 
-    @property
+    @cached_property
     def separator_id(self) -> int:
         return self.char_id(SEPARATOR_CHAR)
 

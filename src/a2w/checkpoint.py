@@ -11,7 +11,8 @@ Layout, all little-endian:
     data          the tensors' float64 values, row-major, back to back
 
 Tensors are written in sorted name order and the manifest keys are sorted,
-so save -> load -> save reproduces the file byte for byte.
+so save -> load -> save reproduces the file byte for byte. Loaded tensors
+are read-only views of the file's bytes, so a reader that steps one copies it.
 """
 
 from __future__ import annotations
@@ -73,24 +74,12 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Any malformed part of the file raises ``ValueError("<path>: ...")``.
 
-    The tensors are views of one buffer holding the file, not copies.
+    The tensors are read-only views of one buffer holding the file, not copies.
     """
     try:
-        return _parse_checkpoint(_read_aligned(path))
+        return _parse_checkpoint(memoryview(Path(path).read_bytes()))
     except ValueError as exc:  # UnicodeDecodeError is one too
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_aligned(path: str | Path) -> memoryview:
-    """The file's bytes in a writable buffer, placed so that the data
-    section (after the manifest its header announces) is 8-byte aligned."""
-    with open(path, "rb") as f:
-        manifest_len = int.from_bytes(f.read(16)[8:], "little")
-        pad = -(16 + manifest_len) % 8
-        buf = np.empty(pad + os.fstat(f.fileno()).st_size, dtype=np.uint8)
-        f.seek(0)
-        size = f.readinto(memoryview(buf)[pad:])
-    return memoryview(buf)[pad : pad + size]
 
 
 def _parse_checkpoint(raw: memoryview) -> Checkpoint:

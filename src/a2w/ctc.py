@@ -138,16 +138,18 @@ def forward_backward(lattice: PosteriorLattice, y: Sequence[int]):
     lp = log_probs[:, ext]  # T x S
     emit = np.stack([lp, lp[::-1, ::-1]], axis=1)  # T x 2 x S
     states = np.stack([ext, ext[::-1]])
-    skip = (states[:, 2:] != BLANK_ID) & (states[:, 2:] != states[:, :-2])  # s-2 -> s is legal
+    # 0 where s-2 -> s is legal, else -inf, which logaddexp(a, -inf) == a ignores exactly
+    skip = np.where((states[:, 2:] != BLANK_ID) & (states[:, 2:] != states[:, :-2]), 0.0, NEG_INF)
 
     sweep = np.full(emit.shape, NEG_INF)
     sweep[0, :, :2] = 0.0
+    prev, jump = np.empty(emit.shape[1:]), np.empty(skip.shape)
     for t in range(1, t_frames):
-        prev = sweep[t - 1] + emit[t - 1]
-        acc = sweep[t]
-        acc[:] = prev
-        acc[:, 1:] = np.logaddexp(acc[:, 1:], prev[:, :-1])
-        acc[:, 2:] = np.where(skip, np.logaddexp(acc[:, 2:], prev[:, :-2]), acc[:, 2:])
+        np.add(sweep[t - 1], emit[t - 1], out=prev)
+        sweep[t, :, 0] = prev[:, 0]
+        np.logaddexp(prev[:, 1:], prev[:, :-1], out=sweep[t, :, 1:])
+        np.add(prev[:, :-2], skip, out=jump)
+        np.logaddexp(sweep[t, :, 2:], jump, out=sweep[t, :, 2:])
 
     log_alpha = sweep[:, 0] + emit[:, 0]
     log_total = float(np.logaddexp.reduce(log_alpha[-1, -2:]))

@@ -80,9 +80,6 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 class OptimizerState:
     velocity: dict[str, np.ndarray]
     rho: float = 0.9
-    # the buffers each step's lookahead point is built in; grad_fn may read
-    # them only until it returns
-    lookahead: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def zeros_like(cls, params: dict[str, np.ndarray], rho: float = 0.9):
@@ -98,16 +95,10 @@ def nesterov_step(
     state: OptimizerState,
     lr: float,
 ) -> tuple[dict[str, np.ndarray], OptimizerState, float]:
-    """One momentum update, in place on the parameters, the velocity and the
-    gradients ``grad_fn`` returns; returns (params, state, loss at the
-    evaluation point)."""
+    """One momentum update, in place on the parameters, the velocity and the gradients that
+    ``grad_fn`` returns at a fresh evaluation point; returns (params, state, loss at that point)."""
     rho = state.rho
-    if state.lookahead.keys() != params.keys():
-        state.lookahead = {name: np.empty_like(p) for name, p in params.items()}
-    for name, buf in state.lookahead.items():
-        np.multiply(state.velocity[name], rho, out=buf)
-        buf += params[name]
-    loss, grads = grad_fn(state.lookahead)
+    loss, grads = grad_fn({name: state.velocity[name] * rho + p for name, p in params.items()})
     _check_finite(grads)
     for name, p in params.items():
         v, g = state.velocity[name], grads[name]
@@ -235,7 +226,7 @@ class TrainedModel:
         return decode_utterances(self.model, prepared, space.vocab, joint=space.joint, mode=mode, batch_size=batch_size)
 
 
-def _label_space(vocab: Vocabulary, cfg: TrainConfig) -> LabelSpace:
+def label_space(vocab: Vocabulary, cfg: TrainConfig) -> LabelSpace:
     """Word targets, or spell-and-recognize targets over the config's charset."""
     if cfg.targets != "sar":
         return LabelSpace(vocab=vocab, joint=None, encode=lambda words: encode_words(words, vocab))
@@ -245,7 +236,7 @@ def _label_space(vocab: Vocabulary, cfg: TrainConfig) -> LabelSpace:
 
 def build_label_space(train_utts: Sequence[Utterance], cfg: TrainConfig) -> LabelSpace:
     vocab = build_vocabulary((" ".join(u.transcript) for u in train_utts), cfg.min_count)
-    return _label_space(vocab, cfg)
+    return label_space(vocab, cfg)
 
 
 def check_feasible(utts: Sequence[Utterance], encode) -> None:
@@ -489,7 +480,7 @@ def open_run(run_dir: str | Path, epoch: int | None = None) -> TrainedModel:
     if not found:
         raise FileNotFoundError(f"{run_dir}: no checkpoint matches {pattern}")
     cfg, model = model_from_checkpoint(found[-1])
-    space = _label_space(load_alphabet(run_dir / "vocab.txt"), cfg)
+    space = label_space(load_alphabet(run_dir / "vocab.txt"), cfg)
     if space.size != model.config.output_dim:
         files = f"vocab.txt and the {cfg.charset} charset" if space.joint else "vocab.txt"
         raise ValueError(

@@ -1,3 +1,4 @@
+import dataclasses
 import string
 import tempfile
 from pathlib import Path
@@ -168,6 +169,14 @@ class TestJointAlphabet:
 
     def test_size_accounting(self, joint):
         assert joint.size == 1 + (len(joint.vocab.words) + 1) + len(joint.charset)
+
+    def test_cached_values_are_not_fields(self, joint):
+        fresh = JointAlphabet(vocab=joint.vocab, charset=joint.charset)
+        assert [f.name for f in dataclasses.fields(JointAlphabet)] == ["vocab", "charset"]
+        cached = (joint.num_words, joint.size, joint.separator_id)
+        assert cached == (len(joint.vocab.words) + 1, joint.vocab.size + len(joint.charset), joint.char_id("_"))
+        assert {"num_words", "size", "separator_id"} <= vars(joint).keys() and "size" not in vars(fresh)
+        assert fresh == joint
 
     def test_interleaved_target_layout(self, joint):
         target = build_sar_targets(["THE", "CAT", "IS", "BLACK"], joint)

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import a2w.trainer as trainer
-from a2w.alphabet import UnknownCharacter
+from a2w.alphabet import (
+    JointAlphabet,
+    UnknownCharacter,
+    build_charset,
+    build_sar_targets,
+    build_vocabulary,
+    encode_words,
+)
 from a2w.checkpoint import load_checkpoint, save_checkpoint
 from a2w.config import TrainConfig
 from a2w.ctc import InfeasibleAlignment
@@ -22,6 +29,7 @@ from a2w.trainer import (
     build_model_config,
     check_feasible,
     clip_global_norm,
+    label_space,
     lr_at,
     make_checkpoint,
     model_from_checkpoint,
@@ -201,7 +209,7 @@ class TestInPlaceStep:
             np.testing.assert_array_equal(params[name], ref_params[name])
             np.testing.assert_array_equal(state.velocity[name], ref_state.velocity[name])
 
-    def test_lookahead_buffers_persist_and_alias_nothing_the_caller_holds(self):
+    def test_lookahead_point_aliases_nothing_the_caller_holds(self):
         params = {"a": np.ones(3), "b": np.ones((2, 2))}
         state = OptimizerState.zeros_like(params)
         points = []
@@ -212,10 +220,11 @@ class TestInPlaceStep:
 
         nesterov_step(params, grad_fn, state, lr=0.1)
         nesterov_step(params, grad_fn, state, lr=0.1)
-        for name in params:
-            assert points[0][name] is points[1][name] is state.lookahead[name]
-            for other in (params[name], state.velocity[name]):
-                assert not np.shares_memory(state.lookahead[name], other)
+        for point in points:
+            assert point.keys() == params.keys()
+            for name, value in point.items():
+                for other in (params[name], state.velocity[name]):
+                    assert not np.shares_memory(value, other)
 
     def test_clip_scales_in_place_as_a_product_would(self):
         rng = np.random.default_rng(6)
@@ -322,30 +331,20 @@ class TestTrainLoop:
             assert back.params[name].dtype == value.dtype
             np.testing.assert_array_equal(back.params[name], value)
 
-    def test_resume_steps_the_loaded_velocity_in_place(self, tmp_path):
-        # a resume steps a copy of the checkpoint's velocity, cast to the run
-        # dtype; the tensors load_checkpoint returns are writable views of the
-        # buffer the file was read into, and an in-place update of them, too,
-        # is the update the out-of-place code made
+    def test_loaded_tensors_are_read_only_and_matched_tensors_are_writable_copies(self, tmp_path):
+        # load_checkpoint returns views of the file's bytes that nothing may
+        # write; _match hands decode, resume and warm start copies it can step
         train_utts, held = toy_corpora()
-        run_training(TrainConfig(**{**TOY, "epochs": 1}), train_utts, held, tmp_path)
-        ckpt = load_checkpoint(tmp_path / "epoch001.ckpt")
-        velocity = {k.removeprefix("opt.v."): v for k, v in ckpt.tensors.items() if k.startswith("opt.v.")}
-        assert velocity and all(v.flags.writeable for v in velocity.values())
-        params = {k: v.copy() for k, v in ckpt.model_tensors().items()}
-        ref_params = {k: v.copy() for k, v in params.items()}
-        ref_state = OptimizerState({k: v.copy() for k, v in velocity.items()})
-        state = OptimizerState(velocity)
-
-        def grad_fn(point):
-            return 0.0, {k: np.cos(v) for k, v in point.items()}
-
-        nesterov_step(params, grad_fn, state, lr=0.01)
-        out_of_place_nesterov_step(ref_params, grad_fn, ref_state, lr=0.01)
-        for name, v in velocity.items():
-            assert state.velocity[name] is v
-            np.testing.assert_array_equal(v, ref_state.velocity[name])
-            np.testing.assert_array_equal(params[name], ref_params[name])
+        run, trained = run_training(TrainConfig(**{**TOY, "epochs": 1}), train_utts, held, tmp_path)
+        path = run.checkpoint_paths[-1]
+        ckpt = load_checkpoint(path)
+        assert ckpt.tensors and not any(t.flags.writeable for t in ckpt.tensors.values())
+        for prefix in ("model.", "opt.v."):
+            fits, misfits = trainer._match(path, ckpt, trained.model.config, prefix)
+            assert fits.keys() == trained.model.params.keys() and not misfits
+            for value in fits.values():
+                assert value.flags.writeable
+                assert not any(np.shares_memory(value, tensor) for tensor in ckpt.tensors.values())
 
     def test_infeasible_utterance_reported_by_id(self):
         train_utts, _ = toy_corpora()
@@ -569,6 +568,19 @@ class TestPreparedCorpus:
         with pytest.raises(ValueError, match=f"^{source.id}: features are {width - 1} wide, not {width}$"):
             run_training(TrainConfig(**TOY), train_utts, held, tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("charset", ["positional", "simple"])
+def test_label_space_encodes_as_the_alphabet_does(charset):
+    vocab = build_vocabulary(["THE CAT IS BLACK", "THE CAT SAT"], min_count=1)
+    transcripts = [["THE", "CAT"], ["A", "BLACK", "DOG"], ["SAT"]]
+    words = label_space(vocab, TrainConfig(**TOY))
+    assert words.joint is None and words.size == vocab.size
+    assert [list(words.encode(t)) for t in transcripts] == [list(encode_words(t, vocab)) for t in transcripts]
+    sar = label_space(vocab, TrainConfig(**{**TOY, "targets": "sar", "charset": charset}))
+    joint = JointAlphabet(vocab=vocab, charset=build_charset(charset))
+    assert sar.joint == joint and sar.size == joint.size
+    assert [list(sar.encode(t)) for t in transcripts] == [list(build_sar_targets(t, joint).labels) for t in transcripts]
 
 
 class TestOpenRun:
