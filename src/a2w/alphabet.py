@@ -11,7 +11,7 @@ run config; a ``Vocabulary`` holds only the words it kept.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -109,10 +109,10 @@ class CharSet:
 
     variant: str  # a CHARSETS name
     symbols: tuple[CharSymbol, ...]
-    _by_text: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_text", {s.text: i + 1 for i, s in enumerate(self.symbols)})
+    @cached_property
+    def _by_text(self) -> dict[str, int]:
+        return {s.text: i + 1 for i, s in enumerate(self.symbols)}
 
     def __len__(self) -> int:
         return len(self.symbols)

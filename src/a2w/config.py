@@ -116,12 +116,12 @@ def config_from_items(items: dict[str, str], base: TrainConfig | None = None) ->
     return dataclasses.replace(base or TrainConfig(), **{key: parse_value(key, raw) for key, raw in items.items()})
 
 
-def load_config(path: str | Path, base: TrainConfig | None = None) -> TrainConfig:
+def load_config(path: str | Path) -> TrainConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    cfg = base or TrainConfig()
+    cfg = TrainConfig()
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -20,14 +20,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .alphabet import BEGIN, BLANK_ID, BOTH, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, tokenize, unspell
+from .alphabet import (
+    BEGIN, BLANK_ID, BOTH, CHARSETS, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, tokenize, unspell,
+)
 from .ctc import PROBABILITIES, PosteriorLattice
 from .network import Model, model_forward
-from .pipeline import Utterance, check_width, read_table, sort_and_batch, write_table
+from .pipeline import Utterance, read_table, sort_and_batch, write_table
 
 TAG_FROM_WORD = "from-word"
 TAG_FROM_CHARS = "from-characters"
 TAG_INCOMPLETE = "incomplete"
+WORD_MARK = "="  # leads a word slot that would read as a character symbol: "7" renders "=7"
 
 
 def greedy_collapse(lattice: PosteriorLattice) -> list[int]:
@@ -143,12 +146,14 @@ def render_hypothesis(hyp: SarHypothesis) -> str:
 
     From-characters words render the UNK tag in the word slot (the spelled
     characters carry the content); incomplete spellings render with no word
-    slot at all. parse_hypothesis inverts this exactly.
+    slot at all, and a word that is itself a character symbol renders behind
+    ``WORD_MARK``. parse_hypothesis inverts this exactly.
     """
     groups = []
     for entry in hyp.entries:
         if entry.tag == TAG_FROM_WORD:
-            groups.append(list(entry.spelling) + [entry.word])
+            word = WORD_MARK + entry.word if entry.word in CHARSETS["positional"] else entry.word
+            groups.append(list(entry.spelling) + [word])
         elif entry.tag == TAG_FROM_CHARS:
             groups.append(list(entry.spelling) + [UNK_WORD])
         else:
@@ -179,18 +184,17 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
             else:
                 entries.append(SarWord(word=UNK_WORD, spelling=(), tag=TAG_INCOMPLETE))
         else:
-            entries.append(SarWord(word=last, spelling=tuple(tokens[:-1]), tag=TAG_FROM_WORD))
+            entries.append(SarWord(word=last.removeprefix(WORD_MARK), spelling=tuple(tokens[:-1]), tag=TAG_FROM_WORD))
     return SarHypothesis(entries=tuple(entries))
 
 
 def forward_batches(model: Model, utts: Sequence[Utterance], batch_size: int):
     """Yield ``(batch, lattices)`` for each ascending-length batch of
-    ``utts``, forwarded with dropout off and no cache kept. A batch whose
-    features are not the model's input width raises ValueError naming its
-    first utterance."""
+    ``utts``, read at the model's input width and forwarded with dropout off
+    and no cache kept. An utterance of another width raises ValueError
+    naming it."""
     for batch in sort_and_batch(utts, "ascending", batch_size):
-        features = batch.features
-        check_width(batch.ids[0], features.shape[2], model.config.input_dim)
+        features = batch.features(model.config.input_dim)
         lattices, _ = model_forward(features, batch.lengths, model)
         del features  # not held while the caller reads the lattices
         yield batch, lattices

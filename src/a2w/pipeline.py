@@ -44,20 +44,14 @@ class Utterance:
         return self.features.shape[0]
 
 
-def check_width(utt_id: str, width: int, expected: int) -> None:
-    """Raise ValueError naming the utterance whose features are not ``expected`` wide."""
-    if width != expected:
-        raise ValueError(f"{utt_id}: features are {width} wide, not {expected}")
-
-
 @dataclass(frozen=True)
 class Batch:
-    """A run of utterances, read and padded to a ``B x T_max x F`` tensor on
-    access.
+    """A run of utterances, read and padded to a ``B x T_max x F`` tensor
+    when ``features(F)`` is called.
 
     The batch keeps references to its utterances, not to frame arrays, so a
     list of batches costs almost nothing beyond the corpus it was built
-    from. Each read of ``features`` reads each utterance's ``features`` once
+    from. Each call of ``features`` reads each utterance's ``features`` once
     (running a prepared utterance's transforms) and pads them into a fresh
     copy; the counting properties read only ``lengths``.
     """
@@ -65,14 +59,14 @@ class Batch:
     utts: tuple[Utterance, ...]     # or prepared utterances, which read like one
     lengths: np.ndarray             # B
 
-    @property
-    def features(self) -> np.ndarray:
-        """The zero-padded ``B x T_max x F`` float64 tensor, built from
-        features read (and transformed) now."""
-        frames = [u.features for u in self.utts]
-        padded = np.zeros((self.size, self.max_frames, frames[0].shape[1]))
-        for u, row, f in zip(self.utts, padded, frames):
-            check_width(u.id, f.shape[1], padded.shape[2])
+    def features(self, width: int) -> np.ndarray:
+        """The zero-padded ``B x T_max x width`` float64 tensor of features read (and
+        transformed) now; an utterance of another width raises ValueError naming it."""
+        padded = np.zeros((self.size, self.max_frames, width))
+        for u, row in zip(self.utts, padded):
+            f = u.features
+            if f.shape[1] != width:
+                raise ValueError(f"{u.id}: features are {f.shape[1]} wide, not {width}")
             row[: f.shape[0]] = f
         return padded
 
@@ -139,8 +133,8 @@ def sort_and_batch(utts: Sequence[Utterance], order: str, batch_size: int, seed:
     length, ties broken by id; ``random`` is a shuffle of the id-sorted
     list, seeded by ``seed``. The batch sequence preserves the order; the
     final batch may be smaller. Reading, transforming and padding wait until a
-    batch's ``features`` are read; transcripts are encoded where CTC reads
-    them.
+    batch's ``features`` are asked for at a width; transcripts are encoded
+    where CTC reads them.
     """
     if order == "random":
         by_id = sorted(utts, key=lambda u: u.id)

@@ -46,7 +46,6 @@ from .decoder import SarHypothesis, decode_utterances, forward_batches
 from .network import Model, ModelConfig, init_model, model_backward, model_forward, param_shapes
 from .pipeline import (
     Utterance,
-    check_width,
     compute_deltas,
     sort_and_batch,
     stack_decimate,
@@ -94,9 +93,9 @@ def nesterov_step(
     grad_fn: GradFn,
     state: OptimizerState,
     lr: float,
-) -> tuple[dict[str, np.ndarray], OptimizerState, float]:
+) -> float:
     """One momentum update, in place on the parameters, the velocity and the gradients that
-    ``grad_fn`` returns at a fresh evaluation point; returns (params, state, loss at that point)."""
+    ``grad_fn`` returns at a fresh evaluation point; returns the loss at that point."""
     rho = state.rho
     loss, grads = grad_fn({name: state.velocity[name] * rho + p for name, p in params.items()})
     _check_finite(grads)
@@ -106,7 +105,7 @@ def nesterov_step(
         g *= lr
         v += g
         p -= v
-    return params, state, loss
+    return loss
 
 
 def _check_finite(grads: dict[str, np.ndarray]) -> None:
@@ -195,7 +194,7 @@ class PreparedUtterance:
 
 def prepare_corpus(utts: Sequence[Utterance], cfg: TrainConfig) -> list[PreparedUtterance]:
     """The utterances as the run config's model reads them; the transforms
-    run when a batch's ``features`` are read."""
+    run when a batch's ``features`` are read at the model's input width."""
     return [PreparedUtterance(u, cfg) for u in utts]
 
 
@@ -387,7 +386,7 @@ def train(
 
                 def grad_fn(point, batch=batch, rng=rng):
                     probe = Model(model.config, point)
-                    lattices, cache = model_forward(batch.features, batch.lengths, probe, rng=rng)
+                    lattices, cache = model_forward(batch.features(model.config.input_dim), batch.lengths, probe, rng=rng)
                     losses = []
                     for i, (lat, u) in enumerate(zip(lattices, batch.utts)):
                         result = ctc_loss(lat, encode(u.transcript))
@@ -397,7 +396,7 @@ def train(
                     grads = clip_global_norm(model_backward(cache), cfg.grad_clip)
                     return sum(losses) / batch.size, grads
 
-                _, state, loss = nesterov_step(model.params, grad_fn, state, lr)
+                loss = nesterov_step(model.params, grad_fn, state, lr)
                 loss_sum += loss * batch.size
             heldout_loss = evaluate_loss(model, heldout_utts, encode, cfg.batch_size)
             ckpt_path = out_dir / CHECKPOINT_NAME.format(epoch)
@@ -434,11 +433,12 @@ def run_training(
     check_feasible(train_utts, space.encode)
     check_feasible(heldout_utts, space.encode)
 
-    # every check that can reject the recipe runs before the first file is written;
-    # reading each utterance once rejects a transform that is not finite, by id
+    # every check that can reject the recipe runs before the first file is written: reading each
+    # batch once, as the epochs will, names an utterance whose transform is not finite or not this wide
     input_dim = train_utts[0].features.shape[1]
-    for u in (*train_utts, *heldout_utts):
-        check_width(u.id, u.features.shape[1], input_dim)
+    for utts in (train_utts, heldout_utts):
+        for batch in sort_and_batch(utts, "ascending", cfg.batch_size):
+            batch.features(input_dim)
     model_config = build_model_config(cfg, input_dim, space.size)
     state, warm_report, start_epoch = None, None, 0
     if resume_from is not None:

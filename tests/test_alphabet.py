@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from a2w.alphabet import (
     BLANK_ID,
     UNK_WORD,
+    CharSet,
     EmptyCorpus,
     JointAlphabet,
     UnknownCharacter,
@@ -139,6 +140,12 @@ class TestCharSets:
 
     def test_simple_spelling_is_letterwise(self, simple):
         assert texts(spell_word("CAT", simple), simple) == ["c", "a", "t"]
+
+    def test_text_index_is_cached_not_a_field(self, positional):
+        fresh = CharSet(variant=positional.variant, symbols=positional.symbols)
+        assert [f.name for f in dataclasses.fields(CharSet)] == ["variant", "symbols"]
+        assert "_by_text" not in vars(fresh) and fresh == positional
+        assert fresh.id_of("b-7") == positional.id_of("b-7") and "_by_text" in vars(fresh)
 
     def test_unknown_character(self, positional):
         with pytest.raises(UnknownCharacter):

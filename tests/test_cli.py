@@ -355,11 +355,11 @@ class TestReaderFaults:
         assert run("decode", "--run", run_dir, "--corpus", corpus_dir, "--out", tmp_path / "x", "--epoch", 9) == 2
         assert f"{run_dir}: no checkpoint matches epoch009.ckpt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("widen", ["last", "all"])
+    @pytest.mark.parametrize("widen", ["first", "last", "all"])
     def test_corpus_of_another_width_exits_2_naming_the_utterance(self, run_dir, corpus_dir, tmp_path, capsys, widen):
         utts = sorted(load_corpus(corpus_dir), key=lambda u: (u.num_frames, u.id))
-        # the longest utterance shares a batch with shorter ones; widened alone, its batch rejects it
-        odd = utts[-1:] if widen == "last" else utts
+        # the shortest and the longest utterance share a batch with others; widened alone, each is named
+        odd = {"first": utts[:1], "last": utts[-1:], "all": utts}[widen]
         wide = {u.id for u in odd}
         save_corpus([Utterance(u.id, np.hstack([u.features] * (1 + (u.id in wide))), u.transcript) for u in utts],
                     tmp_path / "corpus")

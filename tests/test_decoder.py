@@ -342,6 +342,8 @@ class TestRendering:
                 SarWord(word="UNK", spelling=(), tag=TAG_INCOMPLETE),
                 SarWord(word="CA", spelling=("b-c", "a"), tag=TAG_INCOMPLETE),
                 SarWord(word="A", spelling=(), tag=TAG_FROM_WORD),
+                SarWord(word="7", spelling=("be-7",), tag=TAG_FROM_WORD),
+                SarWord(word="&", spelling=(), tag=TAG_FROM_WORD),
             )
         )
         assert parse_hypothesis(render_hypothesis(hyp), charset) == hyp
@@ -352,7 +354,8 @@ class TestRendering:
         # fuzz over hypotheses a decode can actually produce: from-word is
         # never the UNK tag, spelled words match their spelling
         charset = build_charset("positional")
-        words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=5).filter(lambda w: w != "unk")
+        chars = string.ascii_lowercase + string.digits + "&'-."  # not "_", the group separator
+        words = st.text(alphabet=chars, min_size=1, max_size=5).filter(lambda w: w != "unk")
         entries = []
         for _ in range(data.draw(st.integers(0, 4))):
             word = data.draw(words)

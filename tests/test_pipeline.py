@@ -140,16 +140,19 @@ class TestSortAndBatch:
         for batch in batches:
             for i, utt_id in enumerate(batch.ids):
                 np.testing.assert_allclose(
-                    batch.features[i, : batch.lengths[i]], by_id[utt_id].features
+                    batch.features(3)[i, : batch.lengths[i]], by_id[utt_id].features
                 )
-                np.testing.assert_allclose(batch.features[i, batch.lengths[i] :], 0.0)
+                np.testing.assert_allclose(batch.features(3)[i, batch.lengths[i] :], 0.0)
 
-    def test_utterance_wider_than_the_first_in_its_batch_is_named(self):
-        utts = make_utts([2, 3, 4], feat_dim=6)
-        utts[2] = Utterance(id=utts[2].id, features=np.zeros((4, 8)), transcript=("W",))
-        batch = sort_and_batch(utts, "ascending", 3)[0]
-        with pytest.raises(ValueError, match=f"^{utts[2].id}: features are 8 wide, not 6$"):
-            batch.features
+    def test_utterance_not_of_the_width_asked_for_is_named(self):
+        # the odd utterance sorts first, then last: each time it, not a neighbour, is named
+        for odd in (0, 2):
+            utts = make_utts([2, 3, 4], feat_dim=6)
+            utts[odd] = Utterance(id=utts[odd].id, features=np.zeros((odd + 2, 8)), transcript=("W",))
+            batch = sort_and_batch(utts, "ascending", 3)[0]
+            assert batch.ids[odd] == utts[odd].id
+            with pytest.raises(ValueError, match=f"^{utts[odd].id}: features are 8 wide, not 6$"):
+                batch.features(6)
 
     def test_batches_pad_on_access_and_retain_no_copy(self):
         rng = np.random.default_rng(4)
@@ -169,7 +172,7 @@ class TestSortAndBatch:
         assert retained < 0.05 * corpus_bytes
         padded_bytes = min(b.size * b.max_frames * 40 * 8 for b in batches)
         assert counting_peak < 0.01 * padded_bytes
-        assert [b.features.shape for b in batches] == [(size, t_max, 40) for size, t_max, _ in counts]
+        assert [b.features(40).shape for b in batches] == [(size, t_max, 40) for size, t_max, _ in counts]
 
     def test_waste_zero_iff_equal_lengths(self):
         equal = sort_and_batch(make_utts([3, 3, 3]), "ascending", 3)[0]
