@@ -15,6 +15,7 @@ rendering parses back losslessly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +25,7 @@ from .alphabet import (
     BEGIN, BLANK_ID, BOTH, CHARSETS, END, UNK_WORD, CharSet, JointAlphabet, Vocabulary, tokenize, unspell,
 )
 from .ctc import PROBABILITIES, PosteriorLattice
-from .network import Model, model_forward
+from .network import Model, ModelConfig, model_forward
 from .pipeline import Utterance, read_table, sort_and_batch, write_table
 
 TAG_FROM_WORD = "from-word"
@@ -164,10 +165,13 @@ def render_hypothesis(hyp: SarHypothesis) -> str:
 def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
     """Inverse of render_hypothesis; needs the charset to classify tokens."""
 
-    def _unspell(symbols: list[str]) -> str:
+    def _spelling(symbols: list[str]) -> tuple[str, ...]:
         if not all(s in charset for s in symbols):
             raise ValueError(f"{' '.join(symbols)!r} holds a token outside the {charset.variant} charset")
-        return unspell([charset.id_of(s) for s in symbols], charset).upper()
+        return tuple(symbols)
+
+    def _unspell(symbols: list[str]) -> str:
+        return unspell([charset.id_of(s) for s in _spelling(symbols)], charset).upper()
 
     entries = []
     for chunk in text.split(" _ ") if text.strip() else []:
@@ -184,20 +188,45 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
             else:
                 entries.append(SarWord(word=UNK_WORD, spelling=(), tag=TAG_INCOMPLETE))
         else:
-            entries.append(SarWord(word=last.removeprefix(WORD_MARK), spelling=tuple(tokens[:-1]), tag=TAG_FROM_WORD))
+            word = last.removeprefix(WORD_MARK)
+            entries.append(SarWord(word=word, spelling=_spelling(tokens[:-1]), tag=TAG_FROM_WORD))
     return SarHypothesis(entries=tuple(entries))
+
+
+# a no-cache step stays bound by numpy dispatch until its gate block, 2 x k x B x 4H
+# elements, reaches about this size (decode_sar's 2 x 16 x 128 block is exactly it)
+STEP_GATES = 4096
+
+
+def batches_per_group(config: ModelConfig, batch_size: int) -> int:
+    """How many batches of ``batch_size`` one no-cache forward runs side by
+    side: as many as keep a step's gate block within ``STEP_GATES``, and at least one."""
+    return max(1, STEP_GATES // (2 * batch_size * 4 * config.hidden_per_direction))
 
 
 def forward_batches(model: Model, utts: Sequence[Utterance], batch_size: int):
     """Yield ``(batch, lattices)`` for each ascending-length batch of
     ``utts``, read at the model's input width and forwarded with dropout off
-    and no cache kept. An utterance of another width raises ValueError
-    naming it."""
-    for batch in sort_and_batch(utts, "ascending", batch_size):
-        features = batch.features(model.config.input_dim)
-        lattices, _ = model_forward(features, batch.lengths, model)
-        del features  # not held while the caller reads the lattices
-        yield batch, lattices
+    and no cache kept. Up to ``batches_per_group`` consecutive batches of
+    one size share a forward, each read once into its own rows; a batch's
+    lattices equal its own forward's bit for bit. An utterance of another
+    width raises ValueError naming it."""
+    width, per_group = model.config.input_dim, batches_per_group(model.config, batch_size)
+    for size, same_size in groupby(sort_and_batch(utts, "ascending", batch_size), key=lambda b: b.size):
+        same_size = list(same_size)
+        for start in range(0, len(same_size), per_group):
+            group = same_size[start : start + per_group]
+            if len(group) == 1:  # its padded features as they are read, with no copy
+                features = group[0].features(width)
+            else:
+                features = np.zeros((len(group) * size, max(b.max_frames for b in group), width))
+                for j, batch in enumerate(group):
+                    features[j * size : (j + 1) * size, : batch.max_frames] = batch.features(width)
+            lengths = np.concatenate([b.lengths for b in group])
+            lattices, _ = model_forward(features, lengths, model, batch_size=size)
+            del features  # not held while the caller reads the lattices
+            for j, batch in enumerate(group):
+                yield batch, lattices[j * size : (j + 1) * size]
 
 
 # "word" reads the word track; "chars" and "switched" annotate a joint model's decode

@@ -23,6 +23,14 @@ can overflow. The backward pass mirrors this: one reverse time loop for
 both directions, dL/dz written over the gate buffer, then one stacked
 GEMM each for the W, R and input gradients.
 
+The eval path (no rng) can run k equal-size batches side by side, as the
+kB columns of one 2 x T x kB grid in one time loop. Only the products
+whose row count the batch sets run per batch: the input GEMM over each
+batch's own t_j x B frames, each step's h @ R.T and the output head. So
+every batch's lattices equal its own forward's bit for bit, and every
+elementwise step op covers the whole block; at desk sizes a step is bound
+by numpy dispatch, so k batches cost little more than one.
+
 Memory: a training step holds each large array once. A forward given an
 rng is a training forward: it draws the dropout masks from that rng and
 returns a cache holding the model it ran, each layer's input, gates, cell
@@ -32,7 +40,10 @@ caller writes each utterance's d(loss)/d(logits) into ``cache.slot(i)``;
 ``model_backward(cache)`` zeroes the padded frames, uses the buffer as
 dL/dlogits and frees it after the output layer, so the forward's lattices
 are invalid after it. A forward without an rng keeps no cache: it writes
-only h per step and frees each layer before the next one runs.
+only h per step and frees each layer before the next one runs. Its
+callers group batches only while a step's gate block, 2 x k x B x 4H
+elements, stays within 4,096 (``decoder.STEP_GATES``), so a grouped
+forward's gate buffer holds at most 4,096 x T elements per layer.
 """
 
 from __future__ import annotations
@@ -182,41 +193,60 @@ class _LayerCache:
     h: np.ndarray      # 2 x (T+1) x B x H hidden states after a zero slot 0
 
 
-def _blstm_forward(x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray, want_cache: bool) -> _LayerCache:
+def _blstm_forward(
+    x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray, t_ends: Sequence[int], want_cache: bool
+) -> _LayerCache:
     """Run both directions of one layer in a single time loop.
 
-    ``w``, ``r`` and ``b`` stack the fwd and bwd tensors on axis 0. The
-    input GEMM for every frame goes straight into the gate buffer. Each
-    step works on contiguous 2 x B x ... blocks (at desk sizes a numpy
-    call on one costs about a third of the same call on strided slices of
-    the cache), allocates nothing, and copies its hidden state into the
-    cache. With ``want_cache`` it also copies the gates and cell state
-    (tanh(c) is recomputed by backward); without it the result holds
-    only ``h`` and the gate buffer is released on return.
+    ``x`` holds k = len(``t_ends``) batches side by side: batch j is
+    columns j*B to (j+1)*B of the 2 x T x kB frame grid, padded beyond its
+    first ``t_ends[j]`` frames. ``w``, ``r`` and ``b`` stack the fwd and
+    bwd tensors on axis 0. The input GEMM for every frame goes straight
+    into the gate buffer; with k > 1 there is one GEMM per batch, over its
+    own t_j x B frames, and each step's h @ R.T runs per batch, so a batch's
+    values are its own forward's bit for bit. Each step works on
+    contiguous 2 x kB x ... blocks (at desk sizes a numpy call on one costs
+    about a third of the same call on strided slices of the cache, and
+    little more for k batches than for one), allocates nothing, and copies
+    its hidden state into the cache. With ``want_cache`` it also copies
+    the gates and cell state (tanh(c) is recomputed by backward); without
+    it the result holds only ``h`` and the gate buffer is released on
+    return.
     """
-    _, t_max, batch, in_dim = x.shape
-    hidden = r.shape[2]
+    _, t_max, rows, in_dim = x.shape
+    k, hidden = len(t_ends), r.shape[2]
+    batch = rows // k
     scale, shift = _gate_affine(hidden, x.dtype)
     # multiplying by 1/2 or 1 is exact, so these yield scale * z bit for bit
     w_t = (w * scale[:, None]).transpose(0, 2, 1)
     r_t = np.ascontiguousarray((r * scale[:, None]).transpose(0, 2, 1))
-    gates = np.matmul(x.reshape(2, t_max * batch, in_dim), w_t).reshape(2, t_max, batch, 4 * hidden)
+    if k == 1:
+        gates = np.matmul(x.reshape(2, t_max * rows, in_dim), w_t).reshape(2, t_max, rows, 4 * hidden)
+    else:  # a batch's frames are a strided block of the grid, so its GEMM result is copied in
+        gates = np.zeros((2, t_max, rows, 4 * hidden), dtype=x.dtype)
+        for j, t_end in enumerate(t_ends):
+            cols = slice(j * batch, (j + 1) * batch)
+            frames = x[:, :t_end, cols].reshape(2, t_end * batch, in_dim)
+            gates[:, :t_end, cols] = np.matmul(frames, w_t).reshape(2, t_end, batch, 4 * hidden)
     gates += (b * scale)[:, None, None]
-    h = np.empty((2, t_max + 1, batch, hidden), dtype=x.dtype)
+    h = np.empty((2, t_max + 1, rows, hidden), dtype=x.dtype)
     h[:, 0] = 0.0
     c = None
     if want_cache:
         c = np.empty_like(h)
         c[:, 0] = 0.0
 
-    z = np.empty((2, batch, 4 * hidden), dtype=x.dtype)
-    i, f, g, o = (z[..., k * hidden : (k + 1) * hidden] for k in range(4))
-    c_t = np.zeros((2, batch, hidden), dtype=x.dtype)
+    z = np.empty((2, rows, 4 * hidden), dtype=x.dtype)
+    i, f, g, o = (z[..., n * hidden : (n + 1) * hidden] for n in range(4))
+    c_t = np.zeros((2, rows, hidden), dtype=x.dtype)
     h_t = np.zeros_like(c_t)
     tc = np.empty_like(c_t)
     i_g = np.empty_like(c_t)
+    h_rows, r_rows, z_rows = h_t, r_t, z
+    if k > 1:  # h @ R.T per batch, B rows each: (2, k, B, H) @ (2, 1, H, 4H)
+        h_rows, r_rows, z_rows = h_t.reshape(2, k, batch, hidden), r_t[:, None], z.reshape(2, k, batch, 4 * hidden)
     for t in range(t_max):
-        np.matmul(h_t, r_t, out=z)
+        np.matmul(h_rows, r_rows, out=z_rows)
         z += gates[:, t]
         np.tanh(z, out=z)
         z *= scale
@@ -315,7 +345,8 @@ def _reversal_rows(lengths: np.ndarray, t_max: int) -> np.ndarray:
 def _reverse_into(src: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     """``out[t, b] = src[n_b - 1 - t, b]`` on utterance b's n_b valid frames and
     ``src[t, b]`` on its padding, for time-major T x B x D arrays."""
-    np.take(src.reshape(-1, src.shape[-1]), rows, axis=0, out=out.reshape(-1, out.shape[-1]))
+    # the rows are always in range; "clip" lets take write into out without buffering it first
+    np.take(src.reshape(-1, src.shape[-1]), rows, axis=0, out=out.reshape(-1, out.shape[-1]), mode="clip")
 
 
 def _concat_into(h: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
@@ -355,6 +386,7 @@ def model_forward(
     lengths: Sequence[int],
     model: Model,
     rng: np.random.Generator | None = None,
+    batch_size: int | None = None,
 ):
     """Run the stack over a padded batch; returns (per-utterance logit
     lattices, cache).
@@ -367,6 +399,11 @@ def model_forward(
     dropped once the next layer's input is built. The lattices are views
     of one T x B x V logits buffer, which a cache holds and
     ``model_backward`` overwrites.
+
+    A ``batch_size`` B that divides the rows runs them as k separate
+    batches of B rows side by side in one time loop. With the rows padded
+    to the longest batch's length, each batch's lattices equal those of its
+    own forward bit for bit. A training forward runs one batch.
     """
     config = model.config
     dtype = np.dtype(config.dtype)
@@ -377,10 +414,15 @@ def model_forward(
     if len(lengths) != x.shape[0] or np.any(lengths < 1) or np.any(lengths > x.shape[1]):
         raise BadShape("lengths must match the batch and lie in [1, T_max]")
     train = rng is not None
+    batch, t_max, _ = x.shape
+    batch_size = batch if batch_size is None else batch_size
+    if batch_size < 1 or batch % batch_size or (train and batch_size != batch):
+        raise BadShape(f"batch_size={batch_size} must divide the {batch} rows, and a training forward runs one batch")
     use_dropout = train and config.dropout_rate > 0.0
     keep_scale = _dropout_scale(config)
+    k = batch // batch_size
+    t_ends = lengths.reshape(k, batch_size).max(axis=1)
 
-    batch, t_max, _ = x.shape
     concat = config.concat_dim
     rows = _reversal_rows(lengths, t_max)
     # each layer's input holds both directions' frame orders, time-major
@@ -392,7 +434,8 @@ def model_forward(
     for layer in range(config.num_layers):
         _reverse_into(inputs[0], rows, inputs[1])
         prefix = f"layers.{layer}."
-        layer_cache = _blstm_forward(inputs, params[prefix + "W"], params[prefix + "R"], params[prefix + "b"], train)
+        w, r, b = params[prefix + "W"], params[prefix + "R"], params[prefix + "b"]
+        layer_cache = _blstm_forward(inputs, w, r, b, t_ends, train)
         if train:
             directions.append(layer_cache)
         if layer == config.num_layers - 1:
@@ -414,7 +457,8 @@ def model_forward(
     head_inputs, logits = [], top
     for name in _head(config):
         head_inputs.append(logits)
-        logits = logits @ params[name].T
+        # a stack of B-row products per frame and batch, as each batch's own forward runs them
+        logits = (logits.reshape(t_max, k, batch_size, -1) @ params[name].T).reshape(t_max, batch, -1)
 
     lattices = [PosteriorLattice(logits[: lengths[i], i], LOGITS) for i in range(batch)]
     if not train:

@@ -54,6 +54,7 @@ from .seeding import derive_seed
 
 
 CHECKPOINT_NAME = "epoch{:03d}.ckpt"  # of each 1-based epoch, in the run directory
+RECORDS_NAME = "train_run.jsonl"  # one EpochRecord line per epoch, in the run directory
 
 
 class DivergedGradient(RuntimeError):
@@ -331,8 +332,10 @@ def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
 def _records_through(path: Path, last_epoch: int) -> list[str]:
     """The lines of an existing ``train_run.jsonl`` whose epoch is at most
     ``last_epoch``. A line that is not UTF-8 or not a JSON object with an
-    integer epoch raises ValueError naming the file and the line."""
-    kept = []
+    integer epoch raises ValueError naming the file and the line, and so
+    does a file with no line of a resumed ``last_epoch`` (a run cut between
+    that epoch's checkpoint and its record), naming the file and the epoch."""
+    kept, found = [], last_epoch == 0 or not path.exists()
     for lineno, raw in enumerate(path.read_bytes().splitlines() if path.exists() else [], 1):
         try:
             line = raw.decode("utf-8")
@@ -344,6 +347,9 @@ def _records_through(path: Path, last_epoch: int) -> list[str]:
             raise ValueError(f"{path}:{lineno}: not a record with an integer epoch")
         if epoch <= last_epoch:
             kept.append(line + "\n")
+        found = found or epoch == last_epoch
+    if not found:
+        raise ValueError(f"{path}: no record of epoch {last_epoch}, the epoch of the checkpoint resumed from")
     return kept
 
 
@@ -368,7 +374,7 @@ def train(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records_path = out_dir / "train_run.jsonl"
+    records_path = out_dir / RECORDS_NAME
     kept = _records_through(records_path, start_epoch)
     if state is None:
         state = OptimizerState.zeros_like(model.params, rho=cfg.momentum)
@@ -447,6 +453,7 @@ def run_training(
         state = OptimizerState(velocity=_load(resume_from, ckpt, model_config, "opt.v."), rho=cfg.momentum)
         start_epoch = ckpt.epoch
         del ckpt  # the model and velocity are copies, so the file buffer can go
+        _records_through(Path(out_dir) / RECORDS_NAME, start_epoch)  # names a lost record before any write
     else:
         model = init_model(model_config, np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 0x1417))))
         if cfg.warm_ckpt:

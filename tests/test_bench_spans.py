@@ -2,7 +2,8 @@
 replacing module attributes that a2w looks up when it runs. A name that a2w
 binds at import instead, or stops calling, leaves its per-layer metric at 0
 on working code, so every name in ``spans.TARGETS`` must be reached by a
-training epoch, a switched decode and a WER score."""
+training epoch, a switched decode and a WER score, and a decode must reach
+the forward and the batching through ``a2w.decoder``'s own names."""
 
 import dataclasses
 import sys
@@ -22,24 +23,39 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
 
+SPEC = SynthSpec(vocab_size=4, feature_dim=4, min_frames=6, max_frames=8, min_words=1, max_words=2)
+CFG = TrainConfig(layers=1, hidden=4, projection=0, epochs=1, batch_size=4, min_count=1, deltas=False, stacking=False)
+
+
 def test_every_traced_name_is_reached(tmp_path):
-    spec = SynthSpec(vocab_size=4, feature_dim=4, min_frames=6, max_frames=8, min_words=1, max_words=2)
-    utts = synth_corpus(spec, 8, seed=3)
-    cfg = TrainConfig(layers=1, hidden=4, projection=0, epochs=1, batch_size=4, min_count=1,
-                      deltas=False, stacking=False)
-    sar_cfg = dataclasses.replace(cfg, targets="sar")
+    utts = synth_corpus(SPEC, 8, seed=3)
+    sar_cfg = dataclasses.replace(CFG, targets="sar")
     rng = np.random.Generator(np.random.PCG64(5))
     tracer = spans.Tracer()
     with spans.installed(tracer):
-        prepared = prepare_corpus(utts, cfg)
-        space = build_label_space(prepared, cfg)
-        model = init_model(build_model_config(cfg, spec.feature_dim, space.size), rng)
-        train(model, prepared[:6], prepared[6:], cfg, tmp_path, space.encode)
+        prepared = prepare_corpus(utts, CFG)
+        space = build_label_space(prepared, CFG)
+        model = init_model(build_model_config(CFG, SPEC.feature_dim, space.size), rng)
+        train(model, prepared[:6], prepared[6:], CFG, tmp_path, space.encode)
 
         sar = build_label_space(prepared, sar_cfg)
-        sar_model = init_model(build_model_config(sar_cfg, spec.feature_dim, sar.size), rng)
+        sar_model = init_model(build_model_config(sar_cfg, SPEC.feature_dim, sar.size), rng)
         rows = decode_utterances(sar_model, prepared, sar.vocab, joint=sar.joint, mode="switched", batch_size=4)
         corpus_wer({u.id: list(u.transcript) for u in utts}, {utt_id: words for utt_id, words, _ in rows})
     recorded = {span.name for span in tracer.spans}
     missing = sorted({name for _, _, name, _ in spans.TARGETS} - recorded)
     assert not missing, f"no span recorded for {missing}"
+
+
+def test_a_switched_decode_reaches_the_forward_and_the_batching():
+    # a training epoch records these span names too, so only a decode traced on its own
+    # shows that it still calls a2w.decoder.model_forward and a2w.decoder.sort_and_batch
+    sar_cfg = dataclasses.replace(CFG, targets="sar")
+    prepared = prepare_corpus(synth_corpus(SPEC, 8, seed=3), sar_cfg)
+    sar = build_label_space(prepared, sar_cfg)
+    sar_model = init_model(build_model_config(sar_cfg, SPEC.feature_dim, sar.size), np.random.default_rng(5))
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        decode_utterances(sar_model, prepared, sar.vocab, joint=sar.joint, mode="switched", batch_size=4)
+    recorded = {span.name for span in tracer.spans}
+    assert {"network.model_forward", "pipeline.sort_and_batch"} <= recorded

@@ -1,4 +1,5 @@
 import filecmp
+import json
 import shutil
 
 import numpy as np
@@ -229,6 +230,24 @@ class TestReaderFaults:
         resume = ("--resume", bad / "epoch001.ckpt")
         assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume) == 2
         assert f"error: ValueError: {records}:2: {fault}" in capsys.readouterr().err
+
+    def test_resume_past_a_lost_record_names_the_epoch_and_writes_nothing(self, run_dir, corpus_dir, tmp_path, capsys):
+        # a run cut after epoch002.ckpt was written but before its record line was appended
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        records = bad / "train_run.jsonl"
+        records.write_bytes(b"".join(records.read_bytes().splitlines(keepends=True)[:-1]))
+        for name in ("config.txt", "vocab.txt"):
+            (bad / name).unlink()
+        before = sorted(p.name for p in bad.iterdir()), records.read_bytes()
+        resume = ("--epochs", 3, "--resume", bad / "epoch002.ckpt")
+        assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume) == 2
+        message = f"error: ValueError: {records}: no record of epoch 2, the epoch of the checkpoint resumed from"
+        assert message in capsys.readouterr().err
+        assert (sorted(p.name for p in bad.iterdir()), records.read_bytes()) == before
+        records.unlink()  # with no records to keep, the resume runs
+        assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume) == 0
+        assert [json.loads(line)["epoch"] for line in records.read_text().splitlines()] == [3]
 
     # RUN_FLAGS: 4 input features, 1 layer, hidden 6, projection 4
     @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from a2w.decoder import (
     TAG_INCOMPLETE,
     SarHypothesis,
     SarWord,
+    batches_per_group,
     decode_utterances,
     greedy_collapse,
     one_hot_lattice,
@@ -285,9 +286,9 @@ class TestForwardBatches:
         forward, calls = a2w.decoder.model_forward, []
 
         def counted(features, lengths, model, **kwargs):
-            assert not kwargs  # no rng: dropout off, no cache kept
+            assert "rng" not in kwargs  # dropout off, no cache kept
             calls.append(list(lengths))
-            return forward(features, lengths, model)
+            return forward(features, lengths, model, **kwargs)
 
         def training_forward(*args, **kwargs):
             raise AssertionError("the heldout loss ran the training step's forward")
@@ -298,11 +299,34 @@ class TestForwardBatches:
         decoded = list(calls)
         calls.clear()
         loss = evaluate_loss(model, utts, encode, 5)
-        assert len(decoded) == 3 and calls == decoded
+        assert calls == decoded
         assert sorted(n for lengths in calls for n in lengths) == sorted(u.num_frames for u in utts)
         singles = [forward(u.features[None], [u.num_frames], model)[0][0] for u in utts]
         expected = sum(ctc_loss(lat, encode(u.transcript)).log_loss for lat, u in zip(singles, utts)) / len(utts)
         assert loss == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "hidden, batch_size, per_group",
+        [(32, 4, 4), (32, 16, 1), (128, 16, 1)],
+        ids=["train_desk", "decode_sar", "train_paper"],
+    )
+    def test_batches_per_group_at_the_benchmark_shapes(self, hidden, batch_size, per_group):
+        config = ModelConfig(input_dim=8, output_dim=22, num_layers=2, hidden_per_direction=hidden, projection_dim=32)
+        assert batches_per_group(config, batch_size) == per_group
+
+    def test_a_group_holds_batches_of_one_size(self, joint, monkeypatch):
+        # 11 utterances in batches of 3 (tiny_model runs up to 42 side by side): 3 + 3 + 3, then the short 2
+        model, utts = tiny_model(joint.vocab.size), random_utts(11)
+        forward, calls = a2w.decoder.model_forward, []
+
+        def counted(features, lengths, model, **kwargs):
+            calls.append((len(lengths), kwargs["batch_size"]))
+            return forward(features, lengths, model, **kwargs)
+
+        monkeypatch.setattr(a2w.decoder, "model_forward", counted)
+        batches = [batch.ids for batch, _ in a2w.decoder.forward_batches(model, utts, 3)]
+        assert calls == [(9, 3), (2, 2)]
+        assert [len(ids) for ids in batches] == [3, 3, 3, 2]
 
     def test_heldout_loss_names_an_utterance_of_another_width(self, joint):
         vocab = joint.vocab
@@ -395,7 +419,7 @@ class TestTranscriptFiles:
     @pytest.mark.parametrize(
         "data, message",
         [
-            (b"a\tTHE CAT\nb THE DOG\n", r":2: expected id<TAB>text, got 'b THE DOG'"),
+            (b"a\tTHE\nb THE DOG\n", r":2: expected id<TAB>text, got 'b THE DOG'"),
             (b"a\tTHE\n\nb\tA\na\tCAT\n", r":4: id 'a' repeats line 1"),
             (b"a\tTHE\nb\tDO\xffG\n", r":2: 'utf-8' codec can't decode byte 0xff"),
         ],
@@ -426,3 +450,9 @@ class TestTranscriptFiles:
         message = f"{path}:2: 'b-z q-q e-o' holds a token outside the positional charset"
         with pytest.raises(ValueError, match=message):
             read_sar_file(path, joint.charset)
+
+    @pytest.mark.parametrize("group", ["b-z q-q e-o THE", "b-z q-q e-o UNK", "b-z q-q e-o"],
+                             ids=["from-word", "from-characters", "incomplete"])
+    def test_every_group_checks_its_spelling_against_the_charset(self, joint, group):
+        with pytest.raises(ValueError, match="^'b-z q-q e-o' holds a token outside the positional charset$"):
+            parse_hypothesis(f"b-t h e-e THE _ {group}", joint.charset)

@@ -403,6 +403,45 @@ class TestFusedAgainstReference:
         assert _max_rel_err([grads[name] for name in ref_grads], list(ref_grads.values())) <= tol
 
 
+class TestBatchesSideBySide:
+    """k batches in one no-cache forward against one forward per batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layers=st.integers(1, 3),
+        hidden=st.integers(1, 8),
+        projection=st.booleans(),
+        batch=st.integers(1, 5),
+        k=st.integers(1, 5),
+        max_len=st.integers(1, 9),
+        dtype=st.sampled_from(["float64", "float32"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_each_batch_equals_its_own_forward_bit_for_bit(self, layers, hidden, projection, batch, k, max_len,
+                                                           dtype, seed):
+        cfg = ModelConfig(input_dim=3, output_dim=4, num_layers=layers, hidden_per_direction=hidden,
+                          projection_dim=1 if projection else 0, dtype=dtype)
+        model = init_model(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        lengths = rng.integers(1, max_len + 1, size=(k, batch))
+        feats = np.zeros((k * batch, lengths.max(), 3))  # as long as the longest batch
+        expected = []
+        for j, own_lengths in enumerate(lengths):
+            own = rng.normal(size=(batch, own_lengths.max(), 3))
+            feats[j * batch : (j + 1) * batch, : own_lengths.max()] = own
+            expected += model_forward(own, own_lengths, model)[0]
+        lattices, cache = model_forward(feats, lengths.ravel(), model, batch_size=batch)
+        assert cache is None
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(lattices, expected, strict=True))
+
+    def test_batch_size_must_divide_the_rows_and_a_training_forward_runs_one_batch(self):
+        model = tiny_model()
+        with pytest.raises(BadShape, match="^batch_size=2 must divide the 3 rows"):
+            model_forward(np.zeros((3, 2, 5)), [2, 2, 2], model, batch_size=2)
+        with pytest.raises(BadShape, match="^batch_size=1 must divide the 2 rows, and a training forward runs one"):
+            model_forward(np.zeros((2, 2, 5)), [2, 2], model, rng=np.random.default_rng(0), batch_size=1)
+
+
 class TestFloat32:
     def test_float32_end_to_end(self, monkeypatch):
         cfg = ModelConfig(input_dim=5, output_dim=6, num_layers=2, hidden_per_direction=4,
