@@ -3,9 +3,12 @@
 
     python scripts/step_memory.py --hidden 512 --vocab 10000 --batch 16 --frames 100
 
-Builds a synthetic corpus of exactly one batch, trains one epoch of one
-step on it through ``a2w.trainer.train`` (so the step is the real one),
-then reloads the epoch checkpoint. ``a2w.trainer``'s ``model_forward``,
+Builds a synthetic training split of exactly one batch and a heldout
+split of ``HELDOUT_BATCHES`` batches, trains one epoch of one step through
+``a2w.trainer.train`` (so the step is the real one), then reloads the
+epoch checkpoint. The heldout split has two batches so that the ``eval``
+row shows what the heldout pass holds from one batch to the next: one
+batch's logits, not two. ``a2w.trainer``'s ``model_forward``,
 ``model_backward``, ``evaluate_loss`` and ``save_checkpoint`` are wrapped
 from outside to mark the phases:
 
@@ -43,6 +46,7 @@ from a2w.network import init_model
 from a2w.pipeline import Utterance, sort_and_batch
 
 MB = 1 << 20
+HELDOUT_BATCHES = 2
 
 
 def synthetic_split(prefix, count, frames, dim, words, vocab, rng):
@@ -111,7 +115,8 @@ def main():
     rng = np.random.default_rng(args.seed)
     words = max(1, args.frames // 4)  # always alignable at T frames
     raw_train = synthetic_split("train", args.batch, 2 * args.frames, args.input_dim // 6, words, args.vocab, rng)
-    raw_held = synthetic_split("held", args.batch, 2 * args.frames, args.input_dim // 6, words, args.vocab, rng)
+    raw_held = synthetic_split("held", HELDOUT_BATCHES * args.batch, 2 * args.frames, args.input_dim // 6, words,
+                               args.vocab, rng)
     cfg = TrainConfig(layers=args.layers, hidden=args.hidden, projection=args.projection, dtype=args.dtype,
                       epochs=1, batch_size=args.batch, grad_clip=2.0, seed=args.seed, deltas=True, stacking=True)
     model_config = trainer.build_model_config(cfg, args.input_dim, args.vocab)

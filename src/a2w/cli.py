@@ -16,7 +16,7 @@ from .checkpoint import load_checkpoint
 from .config import DEFAULTS, RULES, TrainConfig, config_from_items, load_config
 from .decoder import DECODE_MODES, read_sar_file, read_transcripts, write_sar_file, write_transcripts
 from .pipeline import SynthSpec, load_corpus, save_corpus, split_by_id_hash, synth_corpus
-from .scoring import corpus_wer
+from .scoring import EmptyReference, corpus_wer
 from .trainer import open_run, run_training
 
 
@@ -102,7 +102,11 @@ def _cmd_score(args) -> int:
     if refs.keys() != hyps.keys():
         only_ref, only_hyp = sorted(refs.keys() - hyps.keys())[:3], sorted(hyps.keys() - refs.keys())[:3]
         raise ValueError(f"ids differ: {only_ref} only in {args.ref}, {only_hyp} only in {args.hyp}")
-    print(corpus_wer(refs, hyps))
+    try:
+        report = corpus_wer(refs, hyps)
+    except EmptyReference as exc:
+        raise EmptyReference(f"{args.ref}: {exc}") from None
+    print(report)
     return 0
 
 

@@ -26,7 +26,7 @@ from .alphabet import (
 )
 from .ctc import PROBABILITIES, PosteriorLattice
 from .network import Model, ModelConfig, model_forward
-from .pipeline import Utterance, read_table, sort_and_batch, write_table
+from .pipeline import Batch, Utterance, read_table, sort_and_batch, write_table
 
 TAG_FROM_WORD = "from-word"
 TAG_FROM_CHARS = "from-characters"
@@ -204,29 +204,40 @@ def batches_per_group(config: ModelConfig, batch_size: int) -> int:
     return max(1, STEP_GATES // (2 * batch_size * 4 * config.hidden_per_direction))
 
 
+def _group_features(group: Sequence[Batch], width: int) -> np.ndarray:
+    """The padded features of consecutive batches of one size, each read once
+    into its own rows; a group of one is its batch's features, with no copy."""
+    if len(group) == 1:
+        return group[0].features(width)
+    size = group[0].size
+    features = np.zeros((len(group) * size, max(b.max_frames for b in group), width))
+    for j, batch in enumerate(group):
+        features[j * size : (j + 1) * size, : batch.max_frames] = batch.features(width)
+    return features
+
+
 def forward_batches(model: Model, utts: Sequence[Utterance], batch_size: int):
     """Yield ``(batch, lattices)`` for each ascending-length batch of
     ``utts``, read at the model's input width and forwarded with dropout off
     and no cache kept. Up to ``batches_per_group`` consecutive batches of
-    one size share a forward, each read once into its own rows; a batch's
-    lattices equal its own forward's bit for bit. An utterance of another
-    width raises ValueError naming it."""
+    one size share a forward; a batch's lattices equal its own forward's bit
+    for bit. An utterance of another width raises ValueError naming it.
+
+    A group's lattices are views of its one T x kB x V logits buffer. A
+    caller that keeps any of them past its loop body (a ``for`` loop's
+    names stay bound while this computes the next item) keeps that whole
+    buffer alive through the next group's forward."""
     width, per_group = model.config.input_dim, batches_per_group(model.config, batch_size)
     for size, same_size in groupby(sort_and_batch(utts, "ascending", batch_size), key=lambda b: b.size):
         same_size = list(same_size)
         for start in range(0, len(same_size), per_group):
             group = same_size[start : start + per_group]
-            if len(group) == 1:  # its padded features as they are read, with no copy
-                features = group[0].features(width)
-            else:
-                features = np.zeros((len(group) * size, max(b.max_frames for b in group), width))
-                for j, batch in enumerate(group):
-                    features[j * size : (j + 1) * size, : batch.max_frames] = batch.features(width)
             lengths = np.concatenate([b.lengths for b in group])
-            lattices, _ = model_forward(features, lengths, model, batch_size=size)
-            del features  # not held while the caller reads the lattices
+            # passed unnamed, so the forward can let the features go once it has copied them
+            lattices, _ = model_forward(_group_features(group, width), lengths, model, batch_size=size)
             for j, batch in enumerate(group):
                 yield batch, lattices[j * size : (j + 1) * size]
+            del lattices
 
 
 # "word" reads the word track; "chars" and "switched" annotate a joint model's decode
@@ -261,6 +272,7 @@ def decode_utterances(
         for utt_id, lattice in zip(batch.ids, lattices):
             hyp = annotate(lattice, joint) if annotate else None
             by_id[utt_id] = (hyp.words if hyp else sar_decode_word(lattice, vocab), hyp)
+        del lattices, lattice  # so the next group's forward runs without this group's logits
     return [(u.id, *by_id[u.id]) for u in utts]
 
 

@@ -39,9 +39,13 @@ and the one T x B x V logits buffer, of which the lattices are views. The
 caller writes each utterance's d(loss)/d(logits) into ``cache.slot(i)``;
 ``model_backward(cache)`` zeroes the padded frames, uses the buffer as
 dL/dlogits and frees it after the output layer, so the forward's lattices
-are invalid after it. A forward without an rng keeps no cache: it writes
-only h per step and frees each layer before the next one runs. Its
-callers group batches only while a step's gate block, 2 x k x B x 4H
+are invalid after it. A forward without an rng keeps no cache: it lets
+go of the features once layer 0's input is built, of a layer's input once
+its GEMM has filled the gate buffer, of the gates after the time loop
+(which writes only h per step) and of each head input once its product
+is made. Its callers hold one group's T x kB x V logits buffer at a time
+(``decoder.forward_batches``; 122 MB at V = 10k, B = 16, T = 100). They
+group batches only while a step's gate block, 2 x k x B x 4H
 elements, stays within 4,096 (``decoder.STEP_GATES``), so a grouped
 forward's gate buffer holds at most 4,096 x T elements per layer.
 """
@@ -193,58 +197,69 @@ class _LayerCache:
     h: np.ndarray      # 2 x (T+1) x B x H hidden states after a zero slot 0
 
 
-def _blstm_forward(
-    x: np.ndarray, w: np.ndarray, r: np.ndarray, b: np.ndarray, t_ends: Sequence[int], want_cache: bool
-) -> _LayerCache:
-    """Run both directions of one layer in a single time loop.
-
-    ``x`` holds k = len(``t_ends``) batches side by side: batch j is
-    columns j*B to (j+1)*B of the 2 x T x kB frame grid, padded beyond its
-    first ``t_ends[j]`` frames. ``w``, ``r`` and ``b`` stack the fwd and
-    bwd tensors on axis 0. The input GEMM for every frame goes straight
-    into the gate buffer; with k > 1 there is one GEMM per batch, over its
-    own t_j x B frames, and each step's h @ R.T runs per batch, so a batch's
-    values are its own forward's bit for bit. Each step works on
-    contiguous 2 x kB x ... blocks (at desk sizes a numpy call on one costs
-    about a third of the same call on strided slices of the cache, and
-    little more for k batches than for one), allocates nothing, and copies
-    its hidden state into the cache. With ``want_cache`` it also copies
-    the gates and cell state (tanh(c) is recomputed by backward); without
-    it the result holds only ``h`` and the gate buffer is released on
-    return.
-    """
+def _input_gates(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, t_ends: Sequence[int], scale: np.ndarray
+) -> np.ndarray:
+    """One layer's 2 x T x kB x 4H gate buffer, ``scale * (x @ W.T + b)``
+    for every frame of both directions (``w`` and ``b`` stack fwd and bwd
+    on axis 0). ``x`` holds k = len(``t_ends``) batches side by side: batch
+    j is columns j*B to (j+1)*B of the 2 x T x kB grid, padded beyond its
+    first ``t_ends[j]`` frames. With k > 1 there is one GEMM per batch, over
+    its own t_j x B frames, so a batch's values are its own forward's bit
+    for bit."""
     _, t_max, rows, in_dim = x.shape
-    k, hidden = len(t_ends), r.shape[2]
+    k, gate_dim = len(t_ends), w.shape[1]
     batch = rows // k
-    scale, shift = _gate_affine(hidden, x.dtype)
-    # multiplying by 1/2 or 1 is exact, so these yield scale * z bit for bit
+    # multiplying by 1/2 or 1 is exact, so this yields scale * z bit for bit
     w_t = (w * scale[:, None]).transpose(0, 2, 1)
-    r_t = np.ascontiguousarray((r * scale[:, None]).transpose(0, 2, 1))
     if k == 1:
-        gates = np.matmul(x.reshape(2, t_max * rows, in_dim), w_t).reshape(2, t_max, rows, 4 * hidden)
+        gates = np.matmul(x.reshape(2, t_max * rows, in_dim), w_t).reshape(2, t_max, rows, gate_dim)
     else:  # a batch's frames are a strided block of the grid, so its GEMM result is copied in
-        gates = np.zeros((2, t_max, rows, 4 * hidden), dtype=x.dtype)
+        gates = np.zeros((2, t_max, rows, gate_dim), dtype=x.dtype)
         for j, t_end in enumerate(t_ends):
             cols = slice(j * batch, (j + 1) * batch)
             frames = x[:, :t_end, cols].reshape(2, t_end * batch, in_dim)
-            gates[:, :t_end, cols] = np.matmul(frames, w_t).reshape(2, t_end, batch, 4 * hidden)
+            gates[:, :t_end, cols] = np.matmul(frames, w_t).reshape(2, t_end, batch, gate_dim)
     gates += (b * scale)[:, None, None]
-    h = np.empty((2, t_max + 1, rows, hidden), dtype=x.dtype)
+    return gates
+
+
+def _blstm_forward(
+    gates: np.ndarray, r: np.ndarray, k: int, scale: np.ndarray, shift: np.ndarray, want_cache: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Run both directions of one layer in a single time loop over the gate
+    buffer that ``_input_gates`` filled, for k batches side by side.
+
+    ``r`` stacks the fwd and bwd tensors on axis 0. Each step's h @ R.T
+    runs per batch when k > 1, B rows each. Each step works on contiguous
+    2 x kB x ... blocks (at desk sizes a numpy call on one costs about a
+    third of the same call on strided slices of the cache, and little more
+    for k batches than for one), allocates nothing, and copies its hidden
+    state into ``h``. With ``want_cache`` it also writes the gates back
+    over the buffer and copies the cell state (tanh(c) is recomputed by
+    backward). Returns ``h`` and ``c``, each 2 x (T+1) x kB x H after a
+    zero slot 0; ``c`` is None without ``want_cache``.
+    """
+    _, t_max, rows, gate_dim = gates.shape
+    hidden, batch = gate_dim // 4, rows // k
+    # multiplying by 1/2 or 1 is exact, so this yields scale * (h @ R.T) bit for bit
+    r_t = np.ascontiguousarray((r * scale[:, None]).transpose(0, 2, 1))
+    h = np.empty((2, t_max + 1, rows, hidden), dtype=gates.dtype)
     h[:, 0] = 0.0
     c = None
     if want_cache:
         c = np.empty_like(h)
         c[:, 0] = 0.0
 
-    z = np.empty((2, rows, 4 * hidden), dtype=x.dtype)
+    z = np.empty((2, rows, gate_dim), dtype=gates.dtype)
     i, f, g, o = (z[..., n * hidden : (n + 1) * hidden] for n in range(4))
-    c_t = np.zeros((2, rows, hidden), dtype=x.dtype)
+    c_t = np.zeros((2, rows, hidden), dtype=gates.dtype)
     h_t = np.zeros_like(c_t)
     tc = np.empty_like(c_t)
     i_g = np.empty_like(c_t)
     h_rows, r_rows, z_rows = h_t, r_t, z
     if k > 1:  # h @ R.T per batch, B rows each: (2, k, B, H) @ (2, 1, H, 4H)
-        h_rows, r_rows, z_rows = h_t.reshape(2, k, batch, hidden), r_t[:, None], z.reshape(2, k, batch, 4 * hidden)
+        h_rows, r_rows, z_rows = h_t.reshape(2, k, batch, hidden), r_t[:, None], z.reshape(2, k, batch, gate_dim)
     for t in range(t_max):
         np.matmul(h_rows, r_rows, out=z_rows)
         z += gates[:, t]
@@ -260,9 +275,7 @@ def _blstm_forward(
         if want_cache:
             gates[:, t] = z
             c[:, t + 1] = c_t
-    if not want_cache:
-        return _LayerCache(x=None, gates=None, c=None, h=h)
-    return _LayerCache(x=x, gates=gates, c=c, h=h)
+    return h, c
 
 
 def _blstm_backward(cache: _LayerCache, dh: np.ndarray, w: np.ndarray, r: np.ndarray, want_dx: bool):
@@ -395,8 +408,10 @@ def model_forward(
     lattice. With an ``rng`` this is a training forward: inter-layer
     dropout masks are drawn from it when the rate is > 0, and the returned
     ``ForwardCache`` keeps what ``model_backward`` needs. Without one the
-    cache is None, no cell states are kept and each layer's buffers are
-    dropped once the next layer's input is built. The lattices are views
+    cache is None, no cell states are kept, and each buffer is dropped once
+    the next is built: a layer's input once its input GEMM has filled the
+    gate buffer, and ``features`` once layer 0's input is (a caller that
+    keeps no other reference to them lets them go then). The lattices are views
     of one T x B x V logits buffer, which a cache holds and
     ``model_backward`` overwrites.
 
@@ -424,28 +439,33 @@ def model_forward(
     t_ends = lengths.reshape(k, batch_size).max(axis=1)
 
     concat = config.concat_dim
+    scale, shift = _gate_affine(config.hidden_per_direction, dtype)
     rows = _reversal_rows(lengths, t_max)
     # each layer's input holds both directions' frame orders, time-major
     inputs = np.empty((2, t_max, batch, config.input_dim), dtype=dtype)
     inputs[0] = x.swapaxes(0, 1)
+    del features, x  # copied into layer 0's input
     directions: list[_LayerCache] = []
     masks: list[np.ndarray | None] = []
     params = model.params
     for layer in range(config.num_layers):
         _reverse_into(inputs[0], rows, inputs[1])
         prefix = f"layers.{layer}."
-        w, r, b = params[prefix + "W"], params[prefix + "R"], params[prefix + "b"]
-        layer_cache = _blstm_forward(inputs, w, r, b, t_ends, train)
+        gates = _input_gates(inputs, params[prefix + "W"], params[prefix + "b"], t_ends, scale)
+        if not train:  # the time loop reads only the gate buffer; backward would need the input
+            del inputs
+        h, c = _blstm_forward(gates, params[prefix + "R"], k, scale, shift, train)
         if train:
-            directions.append(layer_cache)
+            directions.append(_LayerCache(x=inputs, gates=gates, c=c, h=h))
+        del gates, c
         if layer == config.num_layers - 1:
             top = np.empty((t_max, batch, concat), dtype=dtype)
-            _concat_into(layer_cache.h, rows, top)
-            del layer_cache, inputs
+            _concat_into(h, rows, top)
+            del h
             break
         inputs = np.empty((2, t_max, batch, concat), dtype=dtype)
-        _concat_into(layer_cache.h, rows, inputs[0])
-        del layer_cache
+        _concat_into(h, rows, inputs[0])
+        del h
         keep = None
         if use_dropout:
             keep = rng.random((batch, t_max, concat)) >= config.dropout_rate
@@ -455,8 +475,10 @@ def model_forward(
         masks.append(keep)
 
     head_inputs, logits = [], top
+    del top
     for name in _head(config):
-        head_inputs.append(logits)
+        if train:  # a no-cache forward lets each head matrix's input go once its product is made
+            head_inputs.append(logits)
         # a stack of B-row products per frame and batch, as each batch's own forward runs them
         logits = (logits.reshape(t_max, k, batch_size, -1) @ params[name].T).reshape(t_max, batch, -1)
 

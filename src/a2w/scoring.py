@@ -81,12 +81,16 @@ def wer(ref: Sequence[str], hyp: Sequence[str]) -> WerReport:
 
 
 def corpus_wer(refs: Mapping[str, Sequence[str]], hyps: Mapping[str, Sequence[str]]) -> WerReport:
-    """Sum the per-utterance alignments; both sides must cover the same ids."""
+    """Sum the per-utterance alignments; both sides must cover the same ids.
+    An empty reference against a non-empty hypothesis raises EmptyReference naming the id."""
     if set(refs) != set(hyps):
         missing = set(refs) ^ set(hyps)
         raise KeyError(f"reference and hypothesis ids differ, e.g. {sorted(missing)[:3]}")
     total = WerReport(0, 0, 0, 0)
     for utt_id in sorted(refs):
-        total = total + wer(refs[utt_id], hyps[utt_id])
+        try:
+            total = total + wer(refs[utt_id], hyps[utt_id])
+        except EmptyReference as exc:
+            raise EmptyReference(f"{utt_id}: {exc}") from None
     return total
 

@@ -257,6 +257,7 @@ def evaluate_loss(model: Model, utts: Sequence[Utterance], encode, batch_size: i
     total = 0.0
     for batch, lattices in forward_batches(model, utts, batch_size):
         total += sum(ctc_loss(lat, encode(u.transcript)).log_loss for lat, u in zip(lattices, batch.utts))
+        del lattices  # so the next group's forward runs without this group's logits
     return total / len(utts)
 
 

@@ -1,15 +1,20 @@
 import filecmp
+import io
 import json
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import a2w.checkpoint
 from a2w.alphabet import build_charset
 from a2w.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from a2w.cli import cli_main
 from a2w.decoder import read_transcripts
 from a2w.pipeline import Utterance, load_corpus, save_corpus
+from a2w.trainer import EpochRecord
 from test_config import TEXT_CASES
 
 
@@ -445,6 +450,113 @@ class TestReaderFaults:
         assert f"{victim}: features of 'utt00002' are not all finite" in capsys.readouterr().err
 
 
+class Killed(BaseException):
+    """The injected fault: the process dies here, so nothing catches it and nothing after it runs."""
+
+
+class FaultyFile:
+    """A file opened for writing whose ``at``-th write call is killed: in place of
+    the write, halfway through it, or just after it."""
+
+    def __init__(self, file, at, mode):
+        self.file, self.at, self.mode, self.writes = file, at, mode, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes != self.at:
+            return self.file.write(data)
+        if self.mode == "half":
+            self.file.write(data[: len(data) // 2])
+        if self.mode == "after":
+            self.file.write(data)
+        raise Killed(self.file.name)
+
+    def writelines(self, lines):
+        self.file.writelines(lines)
+
+    def flush(self):
+        self.file.flush()
+
+
+# the writes of a 2-epoch RUN_FLAGS run, in order, each killed in turn; what a resume from
+# the newest checkpoint then does: "resumes" to an unbroken run's records, or exits 2 because
+# "epoch N lost its record", "line N is cut" or the run was "complete"
+KILLS = [
+    *[("config.txt", 1, mode, "resumes") for mode in ("in place", "half", "after")],
+    *[("vocab.txt", 1, mode, "resumes") for mode in ("in place", "half", "after")],
+    *[("epoch001.ckpt.tmp", 1, mode, "resumes") for mode in ("in place", "half", "after")],
+    ("replace epoch001.ckpt.tmp", 1, "in place", "resumes"),
+    ("replace epoch001.ckpt.tmp", 1, "after", "epoch 1 lost its record"),
+    ("train_run.jsonl", 1, "in place", "epoch 1 lost its record"),
+    ("train_run.jsonl", 1, "half", "line 1 is cut"),
+    ("train_run.jsonl", 1, "after", "resumes"),
+    *[("epoch002.ckpt.tmp", 1, mode, "resumes") for mode in ("in place", "half", "after")],
+    ("replace epoch002.ckpt.tmp", 1, "in place", "resumes"),
+    ("replace epoch002.ckpt.tmp", 1, "after", "epoch 2 lost its record"),
+    ("train_run.jsonl", 2, "in place", "epoch 2 lost its record"),
+    ("train_run.jsonl", 2, "half", "line 2 is cut"),
+    ("train_run.jsonl", 2, "after", "complete"),
+]
+
+
+def deterministic_records(path):
+    return [EpochRecord(**json.loads(line)).deterministic_fields() for line in path.read_text().splitlines()]
+
+
+class TestKilledAtAWrite:
+    """A run killed at any write of ``run_training`` resumes from its newest checkpoint (or starts over
+    where there is none) to the records of an unbroken run, or the resume exits 2 naming the file."""
+
+    @pytest.mark.parametrize("target, at, mode, outcome", KILLS, ids=[f"{t}:{a}:{m}" for t, a, m, _ in KILLS])
+    def test_resume_after_a_kill(self, run_dir, corpus_dir, tmp_path, capsys, monkeypatch, target, at, mode, outcome):
+        out = tmp_path / "run"
+        with monkeypatch.context() as patch:
+            if target.startswith("replace "):
+                replace, name = os.replace, target.removeprefix("replace ")
+
+                def killed_replace(src, dst):
+                    if mode == "after" or Path(src).name != name:
+                        replace(src, dst)
+                    if Path(src).name == name:
+                        raise Killed(src)
+
+                patch.setattr(os, "replace", killed_replace)
+            else:
+                real_open = io.open
+
+                def killed_open(file, mode_="r", *args, **kwargs):
+                    opened = real_open(file, mode_, *args, **kwargs)
+                    return FaultyFile(opened, at, mode) if Path(file).name == target and "w" in mode_ else opened
+
+                patch.setattr(io, "open", killed_open)  # pathlib's writers
+                patch.setattr(a2w.checkpoint, "open", killed_open, raising=False)  # the checkpoint's .tmp file
+            with pytest.raises(Killed):
+                run("train", "--corpus", corpus_dir, "--out", out, *RUN_FLAGS)
+        newest = sorted(out.glob("epoch*.ckpt"))[-1:]
+        resume = ("--resume", newest[0]) if newest else ()
+        code = run("train", "--corpus", corpus_dir, "--out", out, *RUN_FLAGS, *resume)
+        err, records = capsys.readouterr().err, out / "train_run.jsonl"
+        if outcome in ("resumes", "complete"):
+            assert code == (0 if outcome == "resumes" else 2), err
+            if outcome == "complete":
+                assert f"{newest[0]} is at epoch 2, so epochs=2 leaves no epoch to run" in err
+            assert deterministic_records(records) == deterministic_records(run_dir / "train_run.jsonl")
+        elif outcome.endswith("lost its record"):
+            epoch = outcome.split()[1]
+            assert code == 2
+            assert f"error: ValueError: {records}: no record of epoch {epoch}, the epoch of the checkpoint" in err
+        else:
+            line = outcome.split()[1]
+            assert code == 2
+            assert f"error: ValueError: {records}:{line}: " in err
+
+
 class TestUnrunnableRecipe:
     """A recipe that cannot run exits 2 naming the key and the value before
     it writes a file: an existing run directory is left byte for byte, a new
@@ -538,6 +650,20 @@ class TestExitCodes:
         b.write_text("u2\tHELLO\n")
         assert run("score", a, b) == 2
         assert f"error: ValueError: ids differ: ['u1'] only in {a}, ['u2'] only in {b}" in capsys.readouterr().err
+
+    def test_score_on_an_empty_reference_names_the_file_and_the_utterance(self, tmp_path, capsys):
+        ref, hyp = tmp_path / "ref.tsv", tmp_path / "hyp.tsv"
+        ref.write_text("u0\tHELLO\nu1\t\n")
+        hyp.write_text("u0\tHELLO\nu1\tHELLO\n")
+        assert run("score", ref, hyp) == 2
+        assert f"error: EmptyReference: {ref}: u1: reference transcript is empty" in capsys.readouterr().err
+        hyp.write_text("u0\tHELLO\nu1\t\n")
+        assert run("score", ref, hyp) == 0
+        assert capsys.readouterr().out == "WER 0.00% (S=0 I=0 D=0 N=1)\n"
+        ref.write_text("u1\t\n")
+        hyp.write_text("u1\t\n")
+        assert run("score", ref, hyp) == 0
+        assert capsys.readouterr().out == "WER 0.00% (S=0 I=0 D=0 N=0)\n"
 
     def test_truncated_feature_file_is_named(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -1,4 +1,5 @@
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,44 @@ class TestForwardBatches:
         # ascending by length, the first batch is (h1, h2)
         with pytest.raises(ValueError, match="^h1: features are 5 wide, not 3$"):
             evaluate_loss(model, utts, encode, 2)
+
+
+def traced_peak(fn, *args):
+    """The tracemalloc peak of ``fn(*args)`` above what was held when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneGroupAtATime:
+    """A decode or heldout pass lets go of a group's logits before the next group's forward runs."""
+
+    @pytest.mark.parametrize("layers, batch_size, per_group", [(1, 16, 1), (6, 4, 4)], ids=["groups_of_1", "desk"])
+    @pytest.mark.parametrize("pass_name", ["decode", "heldout_loss"])
+    def test_three_groups_peak_where_one_does(self, pass_name, layers, batch_size, per_group):
+        # 40 frames at V = 1,001: one group's T x kB x V logits buffer is 5.1 MB, the most of a forward's
+        # peak, so a pass that held the last group's lattices through the next forward would peak near twice
+        words = [f"W{n:03d}" for n in range(999)]
+        vocab = build_vocabulary([" ".join(words)], min_count=1)
+        config = ModelConfig(input_dim=3, output_dim=vocab.size, num_layers=layers, hidden_per_direction=32,
+                             projection_dim=32, dropout_rate=0.0)
+        assert batches_per_group(config, batch_size) == per_group
+        model = init_model(config, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        group = per_group * batch_size
+        utts = [Utterance(f"u{k}", rng.normal(size=(40, 3)), tuple(rng.choice(words, 3))) for k in range(3 * group)]
+        if pass_name == "decode":
+            run = lambda utts: decode_utterances(model, utts, vocab, batch_size=batch_size)  # noqa: E731
+        else:
+            encode = lambda words: encode_words(words, vocab)  # noqa: E731
+            run = lambda utts: evaluate_loss(model, utts, encode, batch_size)  # noqa: E731
+        one = traced_peak(run, utts[:group])
+        assert one >= 8 * 40 * group * vocab.size
+        assert traced_peak(run, utts) <= 1.1 * one
 
 
 class TestRendering:

@@ -196,6 +196,27 @@ class TestForward:
         needed = 8 * (2 * frames * (in_dim + 4 * hidden) + frames * (2 * hidden + out_dim)) + cell
         assert peak <= needed + cell // 2
 
+    def test_no_cache_forward_lets_go_of_the_layer_input_before_its_time_loop(self):
+        # a layer input much wider than its gate block (In = 128 >> 4H = 16) is read only by the
+        # input GEMM: the peak stays below the input and gate buffers plus half of the
+        # 2 x (T+1) x B x H h buffer that the time loop would hold beside them
+        t_max, batch, hidden, in_dim = 200, 64, 4, 128
+        cfg = ModelConfig(input_dim=in_dim, output_dim=3, num_layers=1, hidden_per_direction=hidden,
+                          projection_dim=0, dropout_rate=0.0)
+        model = init_model(cfg, np.random.default_rng(0))
+        feats = np.random.default_rng(1).normal(size=(batch, t_max, in_dim))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model_forward(feats, [t_max] * batch, model)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        frames = t_max * batch
+        layer_input, gates = 8 * 2 * frames * in_dim, 8 * 2 * frames * 4 * hidden
+        h = 8 * 2 * (t_max + 1) * batch * hidden
+        assert peak <= layer_input + gates + h // 2
+
     def test_bidirectionality_mirror(self):
         # swap fwd/bwd parameters (reverse axis 0) and reverse the input:
         # hidden halves swap and the frame order reverses
