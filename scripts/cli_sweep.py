@@ -31,12 +31,24 @@ thread, and ``tests/test_scripts.py`` compares a fresh sweep with it. A
 change that alters the arithmetic on purpose regenerates it:
 
     OPENBLAS_NUM_THREADS=1 python scripts/cli_sweep.py --out DIR > tests/golden/cli_sweep.sha256
+
+To see how far two sweeps differ, not only whether, compare their
+directories:
+
+    python scripts/cli_sweep.py --compare DIR_A DIR_B
+
+prints one line per artifact whose digest differs: for a checkpoint, the
+largest relative difference of each differing tensor (read with
+``load_checkpoint``); for ``train_run.jsonl``, that of each differing
+deterministic field and the first epoch that differs; for any other file,
+the count of differing lines. It is a diagnostic, not a tolerance.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -47,6 +59,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from a2w.checkpoint import load_checkpoint  # noqa: E402
 from a2w.cli import cli_main  # noqa: E402
 
 TINY = ["--layers", "1", "--hidden", "16", "--projection", "8", "--epochs", "12", "--batch_size", "8",
@@ -129,10 +142,73 @@ def header() -> list[str]:
             f"# blas {blas['name']} {blas['version']}"]
 
 
+def rel_diff(a, b) -> float:
+    """The largest |a - b| / max(|a|, |b|) over two equal-shape arrays; 0 where both are 0."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
+def _compare_checkpoints(path_a: Path, path_b: Path) -> str:
+    a, b = load_checkpoint(path_a), load_checkpoint(path_b)
+    parts = [f"epoch {a.epoch} vs {b.epoch}"] if a.epoch != b.epoch else []
+    keys = sorted(a.config.keys() | b.config.keys())
+    parts += [f"config {key}" for key in keys if a.config.get(key) != b.config.get(key)]
+    for name in sorted(a.tensors.keys() | b.tensors.keys()):
+        x, y = a.tensors.get(name), b.tensors.get(name)
+        if x is None or y is None or x.shape != y.shape:
+            parts.append(f"{name} {'absent' if x is None or y is None else 'reshaped'}")
+        elif not np.array_equal(x, y):
+            parts.append(f"{name} {rel_diff(x, y):.3g}")
+    return ", ".join(parts)
+
+
+def _compare_records(path_a: Path, path_b: Path) -> str:
+    a, b = ([json.loads(line) for line in p.read_text(encoding="utf-8").splitlines()] for p in (path_a, path_b))
+    if len(a) != len(b):
+        return f"{len(a)} records vs {len(b)}"
+    fields = [k for k in (a[0] if a else ()) if k != "seconds" and any(x[k] != y[k] for x, y in zip(a, b))]
+    first = next((x["epoch"] for x, y in zip(a, b) if any(x[k] != y[k] for k in fields)), None)
+    diffs = (f"{k} {rel_diff([x[k] for x in a], [y[k] for y in b]):.3g}" for k in fields)
+    return f"first differing epoch {first}; " + ", ".join(diffs)
+
+
+def _compare_lines(path_a: Path, path_b: Path) -> str:
+    a, b = path_a.read_bytes().splitlines(), path_b.read_bytes().splitlines()
+    differing = sum(x != y for x, y in itertools.zip_longest(a, b))
+    return f"{differing} of {max(len(a), len(b))} lines differ"
+
+
+def compare(dir_a: Path, dir_b: Path) -> list[str]:
+    """One ``relative/path: how it differs`` line per artifact whose digest
+    differs between two sweep directories, sorted by path."""
+    files = [{p.relative_to(d) for p in d.rglob("*") if p.is_file()} for d in (dir_a, dir_b)]
+    lines = []
+    for rel in sorted(files[0] | files[1]):
+        path_a, path_b = dir_a / rel, dir_b / rel
+        if rel not in files[0] or rel not in files[1]:
+            lines.append(f"{rel.as_posix()}: only in {dir_a if rel in files[0] else dir_b}")
+        elif digest(path_a) != digest(path_b):
+            if rel.suffix == ".ckpt":
+                how = _compare_checkpoints(path_a, path_b)
+            elif rel.name == "train_run.jsonl":
+                how = _compare_records(path_a, path_b)
+            else:
+                how = _compare_lines(path_a, path_b)
+            lines.append(f"{rel.as_posix()}: {how}")
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", required=True, help="new directory for the sweep's files")
+    task = parser.add_mutually_exclusive_group(required=True)
+    task.add_argument("--out", help="new directory for the sweep's files")
+    task.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"), help="two sweep directories to compare")
     args = parser.parse_args()
+    if args.compare:
+        for line in compare(*map(Path, args.compare)):
+            print(line)
+        return
     out = Path(args.out).resolve()  # the warm run changes directory
     if out.exists() and any(out.iterdir()):
         parser.error(f"{out} is not empty")

@@ -189,6 +189,8 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
                 entries.append(SarWord(word=UNK_WORD, spelling=(), tag=TAG_INCOMPLETE))
         else:
             word = last.removeprefix(WORD_MARK)
+            if word != last and word not in CHARSETS["positional"]:  # render_hypothesis marks nothing else
+                raise ValueError(f"{last!r}: {WORD_MARK!r} marks only a word that reads as a positional-charset symbol")
             entries.append(SarWord(word=word, spelling=_spelling(tokens[:-1]), tag=TAG_FROM_WORD))
     return SarHypothesis(entries=tuple(entries))
 
@@ -204,40 +206,26 @@ def batches_per_group(config: ModelConfig, batch_size: int) -> int:
     return max(1, STEP_GATES // (2 * batch_size * 4 * config.hidden_per_direction))
 
 
-def _group_features(group: Sequence[Batch], width: int) -> np.ndarray:
-    """The padded features of consecutive batches of one size, each read once
-    into its own rows; a group of one is its batch's features, with no copy."""
-    if len(group) == 1:
-        return group[0].features(width)
-    size = group[0].size
-    features = np.zeros((len(group) * size, max(b.max_frames for b in group), width))
-    for j, batch in enumerate(group):
-        features[j * size : (j + 1) * size, : batch.max_frames] = batch.features(width)
-    return features
-
-
-def forward_batches(model: Model, utts: Sequence[Utterance], batch_size: int):
-    """Yield ``(batch, lattices)`` for each ascending-length batch of
-    ``utts``, read at the model's input width and forwarded with dropout off
-    and no cache kept. Up to ``batches_per_group`` consecutive batches of
-    one size share a forward; a batch's lattices equal its own forward's bit
-    for bit. An utterance of another width raises ValueError naming it.
-
-    A group's lattices are views of its one T x kB x V logits buffer. A
-    caller that keeps any of them past its loop body (a ``for`` loop's
-    names stay bound while this computes the next item) keeps that whole
-    buffer alive through the next group's forward."""
+def forward_batches(model: Model, utts: Sequence[Utterance], batch_size: int, read):
+    """Yield ``(batch, [read(lattice, utt) for each utterance])`` for each
+    ascending-length batch of ``utts``, read at the model's input width and
+    forwarded with dropout off and no cache kept. Up to ``batches_per_group``
+    consecutive batches of one size share a forward as one merged batch; a
+    batch's lattices equal its own forward's bit for bit and never leave
+    here, so a group's T x kB x V logits buffer is gone before the next
+    group's forward. An utterance of another width raises ValueError naming it."""
     width, per_group = model.config.input_dim, batches_per_group(model.config, batch_size)
     for size, same_size in groupby(sort_and_batch(utts, "ascending", batch_size), key=lambda b: b.size):
         same_size = list(same_size)
         for start in range(0, len(same_size), per_group):
             group = same_size[start : start + per_group]
-            lengths = np.concatenate([b.lengths for b in group])
+            merged = Batch(utts=sum((b.utts for b in group), ()), lengths=np.concatenate([b.lengths for b in group]))
             # passed unnamed, so the forward can let the features go once it has copied them
-            lattices, _ = model_forward(_group_features(group, width), lengths, model, batch_size=size)
-            for j, batch in enumerate(group):
-                yield batch, lattices[j * size : (j + 1) * size]
+            lattices, _ = model_forward(merged.features(width), merged.lengths, model, batch_size=size)
+            values = [read(lattice, utt) for lattice, utt in zip(lattices, merged.utts)]
             del lattices
+            for j, batch in enumerate(group):
+                yield batch, values[j * size : (j + 1) * size]
 
 
 # "word" reads the word track; "chars" and "switched" annotate a joint model's decode
@@ -267,12 +255,12 @@ def decode_utterances(
         vocab, size = joint.vocab, joint.size
     if size != model.config.output_dim:
         raise ValueError(f"the label space has {size} labels but the model outputs {model.config.output_dim}")
-    by_id = {}
-    for batch, lattices in forward_batches(model, utts, batch_size):
-        for utt_id, lattice in zip(batch.ids, lattices):
-            hyp = annotate(lattice, joint) if annotate else None
-            by_id[utt_id] = (hyp.words if hyp else sar_decode_word(lattice, vocab), hyp)
-        del lattices, lattice  # so the next group's forward runs without this group's logits
+
+    def read(lattice, utt):
+        hyp = annotate(lattice, joint) if annotate else None
+        return utt.id, (hyp.words if hyp else sar_decode_word(lattice, vocab), hyp)
+
+    by_id = dict(row for _, rows in forward_batches(model, utts, batch_size, read) for row in rows)
     return [(u.id, *by_id[u.id]) for u in utts]
 
 

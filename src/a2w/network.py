@@ -23,13 +23,14 @@ can overflow. The backward pass mirrors this: one reverse time loop for
 both directions, dL/dz written over the gate buffer, then one stacked
 GEMM each for the W, R and input gradients.
 
-The eval path (no rng) can run k equal-size batches side by side, as the
-kB columns of one 2 x T x kB grid in one time loop. Only the products
-whose row count the batch sets run per batch: the input GEMM over each
-batch's own t_j x B frames, each step's h @ R.T and the output head. So
-every batch's lattices equal its own forward's bit for bit, and every
-elementwise step op covers the whole block; at desk sizes a step is bound
-by numpy dispatch, so k batches cost little more than one.
+The eval path (no rng) can run k equal-size batches side by side in one
+time loop; a training forward runs k = 1. The gate buffer is batch-major,
+2 x k x T x B x 4H: each batch's input GEMM, over its own t_j x B frames,
+writes into its own contiguous block, and each step's h @ R.T and the
+output head run per batch, B rows each. So a batch's lattices equal its
+own forward's bit for bit, and every elementwise step op covers all k
+batches; at desk sizes a step is bound by numpy dispatch, so k batches
+cost little more than one.
 
 Memory: a training step holds each large array once. A forward given an
 rng is a training forward: it draws the dropout masks from that rng and
@@ -41,13 +42,14 @@ caller writes each utterance's d(loss)/d(logits) into ``cache.slot(i)``;
 dL/dlogits and frees it after the output layer, so the forward's lattices
 are invalid after it. A forward without an rng keeps no cache: it lets
 go of the features once layer 0's input is built, of a layer's input once
-its GEMM has filled the gate buffer, of the gates after the time loop
-(which writes only h per step) and of each head input once its product
-is made. Its callers hold one group's T x kB x V logits buffer at a time
-(``decoder.forward_batches``; 122 MB at V = 10k, B = 16, T = 100). They
-group batches only while a step's gate block, 2 x k x B x 4H
-elements, stays within 4,096 (``decoder.STEP_GATES``), so a grouped
-forward's gate buffer holds at most 4,096 x T elements per layer.
+its GEMMs have filled the gate buffer (with one batch's frame copy beside
+it), of the gates after the time loop (which writes only h per step) and
+of each head input once its product is made. ``decoder.forward_batches``
+reads a group's lattices before the next group's forward, so a pass holds
+one T x kB x V logits buffer (122 MB at V = 10k, B = 16, T = 100). It
+groups batches while a step's gate block, 2 x k x B x 4H elements, stays
+within 4,096 (``decoder.STEP_GATES``), so a grouped forward's gate buffer
+holds at most 4,096 x T elements per layer.
 """
 
 from __future__ import annotations
@@ -200,69 +202,63 @@ class _LayerCache:
 def _input_gates(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, t_ends: Sequence[int], scale: np.ndarray
 ) -> np.ndarray:
-    """One layer's 2 x T x kB x 4H gate buffer, ``scale * (x @ W.T + b)``
-    for every frame of both directions (``w`` and ``b`` stack fwd and bwd
-    on axis 0). ``x`` holds k = len(``t_ends``) batches side by side: batch
-    j is columns j*B to (j+1)*B of the 2 x T x kB grid, padded beyond its
-    first ``t_ends[j]`` frames. With k > 1 there is one GEMM per batch, over
-    its own t_j x B frames, so a batch's values are its own forward's bit
-    for bit."""
+    """One layer's 2 x k x T x B x 4H gate buffer, ``scale * (x @ W.T + b)``
+    for every frame of both directions (``w`` and ``b`` stack fwd and bwd on
+    axis 0) of k = len(``t_ends``) batches. Batch j, columns j*B to (j+1)*B
+    of ``x``'s 2 x T x kB grid, has one GEMM over its first ``t_ends[j]``
+    frames, written straight into its own contiguous block, and reads zero
+    input beyond them, so its values are its own forward's bit for bit."""
     _, t_max, rows, in_dim = x.shape
-    k, gate_dim = len(t_ends), w.shape[1]
-    batch = rows // k
+    batch, gate_dim = rows // len(t_ends), w.shape[1]
     # multiplying by 1/2 or 1 is exact, so this yields scale * z bit for bit
     w_t = (w * scale[:, None]).transpose(0, 2, 1)
-    if k == 1:
-        gates = np.matmul(x.reshape(2, t_max * rows, in_dim), w_t).reshape(2, t_max, rows, gate_dim)
-    else:  # a batch's frames are a strided block of the grid, so its GEMM result is copied in
-        gates = np.zeros((2, t_max, rows, gate_dim), dtype=x.dtype)
-        for j, t_end in enumerate(t_ends):
-            cols = slice(j * batch, (j + 1) * batch)
-            frames = x[:, :t_end, cols].reshape(2, t_end * batch, in_dim)
-            gates[:, :t_end, cols] = np.matmul(frames, w_t).reshape(2, t_end, batch, gate_dim)
-    gates += (b * scale)[:, None, None]
+    gates = np.empty((2, len(t_ends), t_max, batch, gate_dim), dtype=x.dtype)
+    for j, t_end in enumerate(t_ends):
+        block = gates[:, j].reshape(2, t_max * batch, gate_dim)
+        # a batch's frames are a strided block of the grid unless it is the only one
+        frames = x[:, :t_end, j * batch : (j + 1) * batch].reshape(2, t_end * batch, in_dim)
+        np.matmul(frames, w_t, out=block[:, : t_end * batch])
+        block[:, t_end * batch :] = 0.0
+    gates += (b * scale)[:, None, None, None]
     return gates
 
 
 def _blstm_forward(
-    gates: np.ndarray, r: np.ndarray, k: int, scale: np.ndarray, shift: np.ndarray, want_cache: bool
+    gates: np.ndarray, r: np.ndarray, scale: np.ndarray, shift: np.ndarray, want_cache: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run both directions of one layer in a single time loop over the gate
-    buffer that ``_input_gates`` filled, for k batches side by side.
+    """Run both directions of one layer's k batches in a single time loop
+    over the 2 x k x T x B x 4H gate buffer that ``_input_gates`` filled.
 
     ``r`` stacks the fwd and bwd tensors on axis 0. Each step's h @ R.T
-    runs per batch when k > 1, B rows each. Each step works on contiguous
-    2 x kB x ... blocks (at desk sizes a numpy call on one costs about a
-    third of the same call on strided slices of the cache, and little more
-    for k batches than for one), allocates nothing, and copies its hidden
-    state into ``h``. With ``want_cache`` it also writes the gates back
-    over the buffer and copies the cell state (tanh(c) is recomputed by
-    backward). Returns ``h`` and ``c``, each 2 x (T+1) x kB x H after a
-    zero slot 0; ``c`` is None without ``want_cache``.
+    runs per batch, (2, k, B, H) @ (2, 1, H, 4H); the step works on
+    contiguous 2 x k x B x ... blocks (at desk sizes a numpy call on one
+    costs about a third of the same call on strided slices of the cache,
+    and little more for k batches than for one), allocates nothing, and
+    copies its hidden state into ``h``. With ``want_cache`` it also writes
+    the gates back over the buffer and copies the cell state (tanh(c) is
+    recomputed by backward). Returns ``h`` and ``c``, each 2 x (T+1) x kB
+    x H after a zero slot 0; ``c`` is None without ``want_cache``.
     """
-    _, t_max, rows, gate_dim = gates.shape
-    hidden, batch = gate_dim // 4, rows // k
+    _, k, t_max, batch, gate_dim = gates.shape
+    hidden = gate_dim // 4
     # multiplying by 1/2 or 1 is exact, so this yields scale * (h @ R.T) bit for bit
-    r_t = np.ascontiguousarray((r * scale[:, None]).transpose(0, 2, 1))
-    h = np.empty((2, t_max + 1, rows, hidden), dtype=gates.dtype)
+    r_t = np.ascontiguousarray((r * scale[:, None]).transpose(0, 2, 1))[:, None]
+    h = np.empty((2, t_max + 1, k, batch, hidden), dtype=gates.dtype)
     h[:, 0] = 0.0
     c = None
     if want_cache:
         c = np.empty_like(h)
         c[:, 0] = 0.0
 
-    z = np.empty((2, rows, gate_dim), dtype=gates.dtype)
+    z = np.empty((2, k, batch, gate_dim), dtype=gates.dtype)
     i, f, g, o = (z[..., n * hidden : (n + 1) * hidden] for n in range(4))
-    c_t = np.zeros((2, rows, hidden), dtype=gates.dtype)
+    c_t = np.zeros((2, k, batch, hidden), dtype=gates.dtype)
     h_t = np.zeros_like(c_t)
     tc = np.empty_like(c_t)
     i_g = np.empty_like(c_t)
-    h_rows, r_rows, z_rows = h_t, r_t, z
-    if k > 1:  # h @ R.T per batch, B rows each: (2, k, B, H) @ (2, 1, H, 4H)
-        h_rows, r_rows, z_rows = h_t.reshape(2, k, batch, hidden), r_t[:, None], z.reshape(2, k, batch, gate_dim)
     for t in range(t_max):
-        np.matmul(h_rows, r_rows, out=z_rows)
-        z += gates[:, t]
+        np.matmul(h_t, r_t, out=z)
+        z += gates[:, :, t]
         np.tanh(z, out=z)
         z *= scale
         z += shift
@@ -273,9 +269,10 @@ def _blstm_forward(
         np.multiply(o, tc, out=h_t)
         h[:, t + 1] = h_t
         if want_cache:
-            gates[:, t] = z
+            gates[:, :, t] = z
             c[:, t + 1] = c_t
-    return h, c
+    rows = (2, t_max + 1, k * batch, hidden)
+    return h.reshape(rows), None if c is None else c.reshape(rows)
 
 
 def _blstm_backward(cache: _LayerCache, dh: np.ndarray, w: np.ndarray, r: np.ndarray, want_dx: bool):
@@ -454,9 +451,9 @@ def model_forward(
         gates = _input_gates(inputs, params[prefix + "W"], params[prefix + "b"], t_ends, scale)
         if not train:  # the time loop reads only the gate buffer; backward would need the input
             del inputs
-        h, c = _blstm_forward(gates, params[prefix + "R"], k, scale, shift, train)
-        if train:
-            directions.append(_LayerCache(x=inputs, gates=gates, c=c, h=h))
+        h, c = _blstm_forward(gates, params[prefix + "R"], scale, shift, train)
+        if train:  # one batch, so its gates have the 2 x T x B x 4H layout that backward reads
+            directions.append(_LayerCache(x=inputs, gates=gates[:, 0], c=c, h=h))
         del gates, c
         if layer == config.num_layers - 1:
             top = np.empty((t_max, batch, concat), dtype=dtype)

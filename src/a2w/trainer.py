@@ -253,12 +253,12 @@ def check_feasible(utts: Sequence[Utterance], encode) -> None:
 
 
 def evaluate_loss(model: Model, utts: Sequence[Utterance], encode, batch_size: int) -> float:
-    """Mean per-utterance CTC loss over the batches of ``forward_batches``."""
-    total = 0.0
-    for batch, lattices in forward_batches(model, utts, batch_size):
-        total += sum(ctc_loss(lat, encode(u.transcript)).log_loss for lat, u in zip(lattices, batch.utts))
-        del lattices  # so the next group's forward runs without this group's logits
-    return total / len(utts)
+    """Mean per-utterance CTC loss over ``forward_batches``, summed batch by batch."""
+
+    def read(lattice, utt):
+        return ctc_loss(lattice, encode(utt.transcript)).log_loss
+
+    return sum(sum(losses) for _, losses in forward_batches(model, utts, batch_size, read)) / len(utts)
 
 
 def make_checkpoint(model: Model, state: OptimizerState, cfg: TrainConfig, epoch: int) -> Checkpoint:

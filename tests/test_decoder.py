@@ -18,8 +18,8 @@ from a2w.alphabet import (
     UNK_WORD,
 )
 from a2w.ctc import PROBABILITIES, PosteriorLattice, ctc_loss, expand_target
-from a2w.network import ModelConfig, init_model
-from a2w.pipeline import Utterance
+from a2w.network import ModelConfig, init_model, model_forward
+from a2w.pipeline import Utterance, sort_and_batch
 from a2w.trainer import evaluate_loss
 from a2w.decoder import (
     TAG_FROM_CHARS,
@@ -325,9 +325,28 @@ class TestForwardBatches:
             return forward(features, lengths, model, **kwargs)
 
         monkeypatch.setattr(a2w.decoder, "model_forward", counted)
-        batches = [batch.ids for batch, _ in a2w.decoder.forward_batches(model, utts, 3)]
+        batches = [batch.ids for batch, _ in a2w.decoder.forward_batches(model, utts, 3, lambda lat, u: None)]
         assert calls == [(9, 3), (2, 2)]
         assert [len(ids) for ids in batches] == [3, 3, 3, 2]
+
+    def test_read_sees_each_utterance_once_in_batch_order_with_its_own_lattice(self, joint):
+        # 11 utterances in batches of 3: a group of three batches, then a group of one
+        model, utts = tiny_model(joint.vocab.size), random_utts(11)
+        own = {}  # each utterance's lattice from its batch's own forward
+        for batch in sort_and_batch(utts, "ascending", 3):
+            lattices, _ = model_forward(batch.features(model.config.input_dim), batch.lengths, model)
+            own.update((u.id, lat.values) for u, lat in zip(batch.utts, lattices))
+        seen = []
+
+        def read(lattice, utt):
+            seen.append(utt.id)
+            return utt.id, np.array_equal(lattice.values, own[utt.id])
+
+        yielded = list(a2w.decoder.forward_batches(model, utts, 3, read))
+        assert seen == [utt_id for batch, _ in yielded for utt_id in batch.ids]
+        assert sorted(seen) == sorted(u.id for u in utts)
+        assert all(values == [(utt_id, True) for utt_id in batch.ids] for batch, values in yielded)
+        assert not any(isinstance(item, PosteriorLattice) for pair in yielded for item in (*pair, *pair[1]))
 
     def test_heldout_loss_names_an_utterance_of_another_width(self, joint):
         vocab = joint.vocab
@@ -490,8 +509,17 @@ class TestTranscriptFiles:
         with pytest.raises(ValueError, match=message):
             read_sar_file(path, joint.charset)
 
-    @pytest.mark.parametrize("group", ["b-z q-q e-o THE", "b-z q-q e-o UNK", "b-z q-q e-o"],
-                             ids=["from-word", "from-characters", "incomplete"])
-    def test_every_group_checks_its_spelling_against_the_charset(self, joint, group):
-        with pytest.raises(ValueError, match="^'b-z q-q e-o' holds a token outside the positional charset$"):
+    @pytest.mark.parametrize(
+        "group, message",
+        [
+            ("b-z q-q e-o THE", "^'b-z q-q e-o' holds a token outside the positional charset$"),
+            ("b-z q-q e-o UNK", "^'b-z q-q e-o' holds a token outside the positional charset$"),
+            ("b-z q-q e-o", "^'b-z q-q e-o' holds a token outside the positional charset$"),
+            ("b-t e-e =THE", "^'=THE': '=' marks only a word that reads as a positional-charset symbol$"),
+            ("=UNK", "^'=UNK': '=' marks only a word that reads as a positional-charset symbol$"),
+        ],
+        ids=["from-word", "from-characters", "incomplete", "marked-word", "marked-unk"],
+    )
+    def test_every_group_checks_its_spelling_against_the_charset(self, joint, group, message):
+        with pytest.raises(ValueError, match=message):
             parse_hypothesis(f"b-t h e-e THE _ {group}", joint.charset)

@@ -217,6 +217,32 @@ class TestForward:
         h = 8 * 2 * (t_max + 1) * batch * hidden
         assert peak <= layer_input + gates + h // 2
 
+    def test_grouped_input_gemm_writes_each_batch_into_the_gate_buffer(self):
+        # k = 4 batches of a narrow input (In = 2) into a wide gate block (4H = 256): each batch's GEMM
+        # writes into its own block of the buffer, so the peak stays below the buffer, one batch's frame
+        # copy and half of one batch's gate block (a GEMM result held beside the buffer is a whole block)
+        k, t_max, batch, hidden, in_dim = 4, 50, 8, 64, 2
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, t_max, k * batch, in_dim))
+        w, b = rng.normal(size=(2, 4 * hidden, in_dim)), rng.normal(size=(2, 4 * hidden))
+        scale, _ = network._gate_affine(hidden, np.float64)
+        t_ends = [20, 35, 50, 50]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            gates = network._input_gates(x, w, b, t_ends, scale)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        block = 8 * 2 * t_max * batch * 4 * hidden
+        assert gates.nbytes == k * block
+        assert peak <= gates.nbytes + 8 * 2 * t_max * batch * in_dim + block // 2
+        w_t, bias = (w * scale[:, None]).swapaxes(1, 2)[:, None], (b * scale)[:, None, None]
+        for j, t_end in enumerate(t_ends):  # each batch's own frames, then zero before the bias
+            frames = x[:, :t_end, j * batch : (j + 1) * batch]
+            np.testing.assert_allclose(gates[:, j, :t_end], frames @ w_t + bias, rtol=1e-12)
+            assert np.all(gates[:, j, t_end:] == bias)
+
     def test_bidirectionality_mirror(self):
         # swap fwd/bwd parameters (reverse axis 0) and reverse the input:
         # hidden halves swap and the frame order reverses

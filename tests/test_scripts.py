@@ -1,11 +1,16 @@
 """Smoke test for scripts/: each script starts, and its imports resolve."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from a2w.checkpoint import Checkpoint, save_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_SWEEP = ROOT / "tests" / "golden" / "cli_sweep.sha256"
@@ -62,3 +67,34 @@ def test_cli_sweep_matches_golden_digests(tmp_path):
     assert not differing and got == want, (
         f"{len(differing)} of {len(want_digests)} artifacts differ, first {differing[:5]}; header fields: {headers}"
     )
+
+
+def test_cli_sweep_compare_says_how_far_each_artifact_differs(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    (a / "run").mkdir(parents=True)
+    tensors = {"model.out.W": np.linspace(1.0, 2.0, 6).reshape(2, 3), "model.b": np.zeros(3)}
+    save_checkpoint(Checkpoint(tensors=tensors, config={"lr": "0.1"}, epoch=2), a / "run" / "epoch002.ckpt")
+    records = [{"epoch": n, "lr": 0.1, "train_loss": 3.0 / n, "heldout_loss": 4.0 / n, "seconds": 1.0} for n in (1, 2)]
+    records_text = "".join(json.dumps(r) + "\n" for r in records)
+    (a / "run" / "train_run.jsonl").write_text(records_text, encoding="utf-8")
+    (a / "hyp.tsv").write_text("u1\tTHE CAT\nu2\tA DOG\n", encoding="utf-8")
+    shutil.copytree(a, b)
+    slower = records_text.replace('"seconds": 1.0', '"seconds": 2.0')
+    (b / "run" / "train_run.jsonl").write_text(slower, encoding="utf-8")
+    tensors["model.out.W"][1, 2] *= 1 + 1e-12
+    save_checkpoint(Checkpoint(tensors=tensors, config={"lr": "0.1"}, epoch=2), b / "run" / "epoch002.ckpt")
+
+    def compare():
+        result = run_script("cli_sweep.py", "--compare", a, b)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()
+
+    assert compare() == ["run/epoch002.ckpt: model.out.W 1e-12"]  # wall time is not compared
+    records[1]["heldout_loss"] *= 1.5
+    (b / "run" / "train_run.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    (b / "hyp.tsv").write_text("u1\tTHE CAT\nu2\tA CAT\nu3\t\n", encoding="utf-8")
+    assert compare() == [
+        "hyp.tsv: 2 of 3 lines differ",
+        "run/epoch002.ckpt: model.out.W 1e-12",
+        "run/train_run.jsonl: first differing epoch 2; heldout_loss 0.333",
+    ]
