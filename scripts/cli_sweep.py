@@ -40,8 +40,10 @@ directories:
 prints one line per artifact whose digest differs: for a checkpoint, the
 largest relative difference of each differing tensor (read with
 ``load_checkpoint``); for ``train_run.jsonl``, that of each differing
-deterministic field and the first epoch that differs; for any other file,
-the count of differing lines. It is a diagnostic, not a tolerance.
+deterministic field and the first epoch that differs; for a transcript
+``.tsv``, the count of differing lines and B's WER against A (both read with
+``read_transcripts``); for a ``score_*.txt``, both score lines; for any other
+file, the count of differing lines. It is a diagnostic, not a tolerance.
 """
 
 import argparse
@@ -61,6 +63,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from a2w.checkpoint import load_checkpoint  # noqa: E402
 from a2w.cli import cli_main  # noqa: E402
+from a2w.decoder import read_transcripts  # noqa: E402
+from a2w.scoring import EmptyReference, corpus_wer  # noqa: E402
 
 TINY = ["--layers", "1", "--hidden", "16", "--projection", "8", "--epochs", "12", "--batch_size", "8",
         "--heldout_fraction", "0.2", "--dropout", "0", "--lr", "0.1", "--seed", "3"]
@@ -179,6 +183,18 @@ def _compare_lines(path_a: Path, path_b: Path) -> str:
     return f"{differing} of {max(len(a), len(b))} lines differ"
 
 
+def _compare_transcripts(path_a: Path, path_b: Path) -> str:
+    lines = _compare_lines(path_a, path_b)
+    try:
+        return f"{lines}; B against A: {corpus_wer(read_transcripts(path_a), read_transcripts(path_b))}"
+    except (KeyError, EmptyReference) as exc:  # the ids differ, or A has an empty line where B has words
+        return f"{lines}; no WER: {exc.args[0]}"
+
+
+def _compare_scores(path_a: Path, path_b: Path) -> str:
+    return " vs ".join(p.read_text(encoding="utf-8").strip() for p in (path_a, path_b))
+
+
 def compare(dir_a: Path, dir_b: Path) -> list[str]:
     """One ``relative/path: how it differs`` line per artifact whose digest
     differs between two sweep directories, sorted by path."""
@@ -193,6 +209,10 @@ def compare(dir_a: Path, dir_b: Path) -> list[str]:
                 how = _compare_checkpoints(path_a, path_b)
             elif rel.name == "train_run.jsonl":
                 how = _compare_records(path_a, path_b)
+            elif rel.suffix == ".tsv" and rel.name != "corpus.tsv":
+                how = _compare_transcripts(path_a, path_b)
+            elif rel.name.startswith("score_"):
+                how = _compare_scores(path_a, path_b)
             else:
                 how = _compare_lines(path_a, path_b)
             lines.append(f"{rel.as_posix()}: {how}")

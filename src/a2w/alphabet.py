@@ -289,7 +289,7 @@ def save_alphabet(path: str | Path, vocab: Vocabulary) -> None:
 
 
 def load_alphabet(path: str | Path) -> Vocabulary:
-    """Inverse of ``save_alphabet``; a malformed file raises ValueError naming it."""
+    """Inverse of ``save_alphabet``: words ascending after UNK; a malformed file raises ValueError naming it."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -300,11 +300,11 @@ def load_alphabet(path: str | Path) -> Vocabulary:
     body = lines[1:]
     if not body or body[0] != UNK_WORD:
         raise ValueError(f"{path}: word file must place {UNK_WORD} at id 1")
-    seen = {UNK_WORD}
-    for lineno, word in enumerate(body[1:], 3):
+    for lineno, (before, word) in enumerate(zip(body, body[1:]), 3):
         if tokenize(word) != [word]:
             raise ValueError(f"{path}:{lineno}: {word!r} is not one uppercase token")
-        if word in seen:
+        if word == UNK_WORD:
             raise ValueError(f"{path}:{lineno}: {word!r} is listed twice")
-        seen.add(word)
+        if lineno > 3 and word <= before:  # as build_vocabulary sorts them; a reorder would swap ids
+            raise ValueError(f"{path}:{lineno}: {word!r} must sort after {before!r}, the word before it")
     return Vocabulary(words=tuple(body[1:]))

@@ -10,9 +10,10 @@ Layout, all little-endian:
                       tensor <name> <d0>x<d1>x... <byte offset into data>
     data          the tensors' float64 values, row-major, back to back
 
-Tensors are written in sorted name order and the manifest keys are sorted,
-so save -> load -> save reproduces the file byte for byte. Loaded tensors
-are read-only views of the file's bytes, so a reader that steps one copies it.
+The epoch comes first, then config keys and tensor names in ascending order, each
+once, and each tensor's data starts where the one before it ends. The reader
+requires exactly that order, so save -> load -> save reproduces the file byte for
+byte. Loaded tensors are read-only views of the file's bytes; a reader that steps one copies it.
 """
 
 from __future__ import annotations
@@ -91,49 +92,47 @@ def _parse_checkpoint(raw: memoryview) -> Checkpoint:
     manifest = str(raw[16 : 16 + manifest_len], "utf-8")
     data = raw[16 + manifest_len :]
     ckpt = Checkpoint()
-    spans: list[tuple[int, int, str]] = []  # data byte range of each tensor read so far
+    rank = {"epoch": 0, "config": 1, "tensor": 2}
+    last, offset = (-1, ""), 0  # the (rank, name) of the record before, and where the tensors so far end
     for line in manifest.splitlines():
         kind, _, rest = line.partition(" ")
+        if kind not in rank:
+            raise ValueError(f"unknown manifest record {kind!r}")
+        name = "" if kind == "epoch" else rest.partition("=")[0] if kind == "config" else rest.rsplit(" ", 2)[0]
+        if (rank[kind], name) <= last or last[0] < 0 < rank[kind]:
+            raise ValueError(f"manifest record {line!r} is repeated or out of order")
+        last = (rank[kind], name)
         if kind == "epoch":
             if not rest.isdecimal():
                 raise ValueError(f"malformed manifest record {line!r}")
             ckpt.epoch = int(rest)
         elif kind == "config":
-            key, sep, value = rest.partition("=")
+            _, sep, value = rest.partition("=")
             if not sep:
                 raise ValueError(f"malformed manifest record {line!r}")
             try:
-                if key not in ("input_dim", "output_dim"):
-                    parse_value(key, value)
+                if name not in ("input_dim", "output_dim"):
+                    parse_value(name, value)
                 elif not (value.isdecimal() and int(value) > 0):
-                    raise ValueError(f"{key}={value!r}: must be a positive integer")
+                    raise ValueError(f"{name}={value!r}: must be a positive integer")
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"malformed manifest record {line!r}: {exc.args[0]}") from None
-            ckpt.config[key] = value
-        elif kind == "tensor":
+            ckpt.config[name] = value
+        else:
             try:
-                name, dims, offset = rest.rsplit(" ", 2)
-                shape, start = tuple(int(d) for d in dims.split("x")), int(offset)
+                _, dims, start = rest.rsplit(" ", 2)
+                shape = tuple(int(d) for d in dims.split("x"))
             except ValueError:
                 raise ValueError(f"malformed manifest record {line!r}") from None
-            count = math.prod(shape)
             if any(d < 1 for d in shape):
                 raise ValueError(f"tensor {name} has a non-positive dimension in {dims}")
-            if start < 0:
-                raise ValueError(f"tensor {name} has negative data offset {start}")
-            end = start + 8 * count
-            if end > len(data):
+            if start != str(offset):
+                raise ValueError(f"tensor {name} data starts at {start}, not at {offset} where the one before ends")
+            count = math.prod(shape)
+            if offset + 8 * count > len(data):
                 raise ValueError(f"tensor {name} data is truncated")
-            if name in ckpt.tensors:
-                raise ValueError(f"tensor {name} is listed twice")
-            for lo, hi, other in spans:
-                if start < hi and lo < end:
-                    raise ValueError(f"tensor {name} data [{start}, {end}) overlaps tensor {other} [{lo}, {hi})")
-            spans.append((start, end, name))
-            ckpt.tensors[name] = np.frombuffer(data, dtype="<f8", count=count, offset=start).reshape(shape)
-        else:
-            raise ValueError(f"unknown manifest record {kind!r}")
-    covered = sum(hi - lo for lo, hi, _ in spans)
-    if covered != len(data):
-        raise ValueError(f"tensors cover {covered} of the {len(data)} data bytes")
+            ckpt.tensors[name] = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
+            offset += 8 * count
+    if offset != len(data):
+        raise ValueError(f"tensors cover {offset} of the {len(data)} data bytes")
     return ckpt

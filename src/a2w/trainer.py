@@ -40,7 +40,7 @@ from .alphabet import (
     save_alphabet,
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import TrainConfig, config_from_items, config_to_items, save_config
+from .config import DEFAULTS, TrainConfig, config_from_items, config_to_items, save_config
 from .ctc import InfeasibleAlignment, ctc_loss, min_frames_for
 from .decoder import SarHypothesis, decode_utterances, forward_batches
 from .network import Model, ModelConfig, init_model, model_backward, model_forward, param_shapes
@@ -316,12 +316,12 @@ def _load(path: str | Path, ckpt: Checkpoint, config: ModelConfig, prefix: str) 
 
 def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
     """Inverse of saving ``make_checkpoint``: the run config and the model a
-    checkpoint file snapshots. A missing ``input_dim`` or ``output_dim``
-    record, or model tensors that do not fit the config, raise ValueError
-    naming the file and the record or tensor."""
+    checkpoint file snapshots. A missing config record (every ``TrainConfig``
+    key, ``input_dim`` and ``output_dim``), or model tensors that do not fit
+    the config, raise ValueError naming the file and the key or tensor."""
     ckpt = load_checkpoint(path)
     items = dict(ckpt.config)
-    for key in ("input_dim", "output_dim"):
+    for key in (*DEFAULTS, "input_dim", "output_dim"):
         if key not in items:
             raise ValueError(f"{path}: the checkpoint has no {key} config record")
     input_dim, output_dim = int(items.pop("input_dim")), int(items.pop("output_dim"))
@@ -331,12 +331,11 @@ def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
 
 
 def _records_through(path: Path, last_epoch: int) -> list[str]:
-    """The lines of an existing ``train_run.jsonl`` whose epoch is at most
-    ``last_epoch``. A line that is not UTF-8 or not a JSON object with an
-    integer epoch raises ValueError naming the file and the line, and so
-    does a file with no line of a resumed ``last_epoch`` (a run cut between
-    that epoch's checkpoint and its record), naming the file and the epoch."""
-    kept, found = [], last_epoch == 0 or not path.exists()
+    """The lines of an existing ``train_run.jsonl`` whose epoch is at most ``last_epoch``: the
+    records of epochs 1, 2, ... in order, as ``train`` writes them. A line that is not UTF-8, not
+    a JSON object with an integer epoch, or a kept record out of that order raises ValueError
+    naming the file and the line, and a file without a resumed ``last_epoch`` names the epoch."""
+    kept = []
     for lineno, raw in enumerate(path.read_bytes().splitlines() if path.exists() else [], 1):
         try:
             line = raw.decode("utf-8")
@@ -347,9 +346,10 @@ def _records_through(path: Path, last_epoch: int) -> list[str]:
         if type(epoch) is not int:
             raise ValueError(f"{path}:{lineno}: not a record with an integer epoch")
         if epoch <= last_epoch:
+            if epoch != len(kept) + 1:
+                raise ValueError(f"{path}:{lineno}: the record of epoch {epoch} where epoch {len(kept) + 1}'s belongs")
             kept.append(line + "\n")
-        found = found or epoch == last_epoch
-    if not found:
+    if path.exists() and len(kept) < last_epoch:
         raise ValueError(f"{path}: no record of epoch {last_epoch}, the epoch of the checkpoint resumed from")
     return kept
 
@@ -367,8 +367,8 @@ def train(
     """Run epochs ``start_epoch+1 .. cfg.epochs`` of the full recipe.
 
     Per epoch: arrange the curriculum batches, take one momentum step per
-    batch on the batch-mean CTC loss, evaluate the heldout loss, write a
-    checkpoint, and append one record line. Identical seeds give identical
+    batch on the batch-mean CTC loss, evaluate the heldout loss, append one
+    record line, and write a checkpoint. Identical seeds give identical
     records apart from wall time. Records of epochs after ``start_epoch``
     left by an earlier run in ``out_dir`` are dropped first, so a resumed
     run's record file lists each epoch once.
@@ -406,8 +406,6 @@ def train(
                 loss = nesterov_step(model.params, grad_fn, state, lr)
                 loss_sum += loss * batch.size
             heldout_loss = evaluate_loss(model, heldout_utts, encode, cfg.batch_size)
-            ckpt_path = out_dir / CHECKPOINT_NAME.format(epoch)
-            save_checkpoint(make_checkpoint(model, state, cfg, epoch), ckpt_path)
             record = EpochRecord(
                 epoch=epoch,
                 lr=lr,
@@ -416,7 +414,9 @@ def train(
                 seconds=time.perf_counter() - started,
             )
             records_file.write(json.dumps(asdict(record)) + "\n")
-            records_file.flush()
+            records_file.flush()  # before the checkpoint, so the newest checkpoint always has its record
+            ckpt_path = out_dir / CHECKPOINT_NAME.format(epoch)
+            save_checkpoint(make_checkpoint(model, state, cfg, epoch), ckpt_path)
             run.records.append(record)
             run.checkpoint_paths.append(str(ckpt_path))
     return run
@@ -490,8 +490,7 @@ def open_run(run_dir: str | Path, epoch: int | None = None) -> TrainedModel:
     cfg, model = model_from_checkpoint(found[-1])
     space = label_space(load_alphabet(run_dir / "vocab.txt"), cfg)
     if space.size != model.config.output_dim:
-        files = f"vocab.txt and the {cfg.charset} charset" if space.joint else "vocab.txt"
-        raise ValueError(
-            f"{run_dir}: {space.size} labels in {files}, but the checkpoint's output layer has {model.config.output_dim}"
-        )
+        charset, dim = f" with the {cfg.charset} charset" if space.joint else "", model.config.output_dim
+        labels = f"{run_dir / 'vocab.txt'}: {space.size} labels{charset}"
+        raise ValueError(f"{labels}, but {found[-1].name}'s output layer has {dim}")
     return TrainedModel(cfg, model, space)

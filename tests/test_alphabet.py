@@ -275,13 +275,14 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "words, message",
         [
-            (["B", "A", "A"], r"vocab\.txt:5: 'A' is listed twice"),
+            (["B", "A", "A"], r"vocab\.txt:4: 'A' must sort after 'B', the word before it"),
+            (["A", "C", "B"], r"vocab\.txt:5: 'B' must sort after 'C', the word before it"),
             (["A", UNK_WORD], r"vocab\.txt:4: 'UNK' is listed twice"),
             (["A", ""], r"vocab\.txt:4: '' is not one uppercase token"),
             (["LOW ER"], r"vocab\.txt:3: 'LOW ER' is not one uppercase token"),
             (["low"], r"vocab\.txt:3: 'low' is not one uppercase token"),
         ],
-        ids=["repeated-word", "second-unk", "empty-word", "whitespace", "lowercase"],
+        ids=["repeated-word", "swapped-words", "second-unk", "empty-word", "whitespace", "lowercase"],
     )
     def test_word_save_cannot_write_names_path_and_line(self, tmp_path, words, message):
         path = tmp_path / "vocab.txt"

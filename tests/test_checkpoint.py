@@ -137,7 +137,7 @@ class TestFormat:
         path = tmp_path / "neg.ckpt"
         save_checkpoint(sample_checkpoint(), path)
         self._rewrite_manifest_line(path, "tensor model.out.W ", "tensor model.out.W 4x2 -8")
-        with pytest.raises(ValueError, match=r"neg\.ckpt: tensor model\.out\.W has negative data offset -8"):
+        with pytest.raises(ValueError, match=r"neg\.ckpt: tensor model\.out\.W data starts at -8, not at 320 where"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("dims", ["0x2", "-4x2", "4x0"])
@@ -169,6 +169,13 @@ class TestFormat:
         with pytest.raises(ValueError, match=rf"bad\.ckpt: malformed manifest record '{record}'"):
             load_checkpoint(path)
 
+    def test_repeated_config_record_names_file_and_record(self, tmp_path):
+        path = tmp_path / "twice.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        self._rewrite_manifest_line(path, "config lr=", "config lr=0.01\nconfig lr=0.5")
+        with pytest.raises(ValueError, match=r"twice\.ckpt: manifest record 'config lr=0\.5' is repeated or out of order"):
+            load_checkpoint(path)
+
     def test_non_utf8_manifest_names_file(self, tmp_path):
         path = tmp_path / "bin.ckpt"
         save_checkpoint(sample_checkpoint(), path)
@@ -189,9 +196,12 @@ class TestFormat:
     @pytest.mark.parametrize(
         "prefix, record, message",
         [
-            ("tensor model.b ", "tensor model.b 2x2 0", "tensor model.b data [0, 32) overlaps tensor model.a [0, 32)"),
-            ("tensor model.b ", "tensor model.a 2x2 32", "tensor model.a is listed twice"),
-            ("tensor model.a ", "tensor model.a 1x2 0", "tensors cover 48 of the 64 data bytes"),
+            ("tensor model.b ", "tensor model.b 2x2 0",
+             "tensor model.b data starts at 0, not at 32 where the one before ends"),
+            ("tensor model.b ", "tensor model.a 2x2 32",
+             "manifest record 'tensor model.a 2x2 32' is repeated or out of order"),
+            ("tensor model.a ", "tensor model.a 1x2 0",
+             "tensor model.b data starts at 32, not at 16 where the one before ends"),
         ],
         ids=["overlap", "repeated-name", "uncovered-bytes"],
     )

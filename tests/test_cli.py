@@ -176,10 +176,10 @@ class TestTrainDecodeScore:
         shutil.copytree(run_dir, bad)
         lines = (bad / "vocab.txt").read_text().splitlines()
         trained = len(lines)  # header, UNK, W words: as many lines as blank + UNK + W labels
-        lines = lines[:3] + ["QQQ"] + lines[3:] if edit == "insert" else lines[:-1]
+        lines = lines + [lines[-1] + "Z"] if edit == "insert" else lines[:-1]  # the words stay ascending
         (bad / "vocab.txt").write_text("\n".join(lines) + "\n")
         assert run("decode", "--run", bad, "--corpus", corpus_dir, "--out", tmp_path / "hyp.tsv") == 2
-        message = f"{bad}: {len(lines)} labels in vocab.txt, but the checkpoint's output layer has {trained}"
+        message = f"{bad / 'vocab.txt'}: {len(lines)} labels, but epoch002.ckpt's output layer has {trained}"
         assert message in capsys.readouterr().err
 
     def test_inspect_ckpt(self, run_dir, capsys):
@@ -212,6 +212,15 @@ class TestTrainDecodeScore:
                 assert hyp.with_suffix(".sar").exists()
 
 
+def edit_line(lines, edit, i):
+    """``lines`` with line ``i`` deleted, repeated, or swapped with the line after it."""
+    if edit == "delete":
+        return lines[:i] + lines[i + 1 :]
+    if edit == "repeat":
+        return lines[: i + 1] + lines[i:]
+    return lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2 :]
+
+
 class TestReaderFaults:
     """Bad input files exit 2 with a message that names the file."""
 
@@ -222,9 +231,10 @@ class TestReaderFaults:
             (b'{"lr": 1}', "not a record with an integer epoch"),
             (b'{"epoch": "1"}', "not a record with an integer epoch"),
             (b"[1]", "not a record with an integer epoch"),
+            (b'{"epoch": 1}', "the record of epoch 1 where epoch 2's belongs"),
             (b'{"epoch": 1, "x": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
         ],
-        ids=["not-json", "no-epoch", "string-epoch", "not-an-object", "not-utf8"],
+        ids=["not-json", "no-epoch", "string-epoch", "not-an-object", "repeated-epoch", "not-utf8"],
     )
     def test_resume_over_malformed_records_names_the_line(self, run_dir, corpus_dir, tmp_path, capsys, line, fault):
         bad = tmp_path / "bad"
@@ -236,8 +246,35 @@ class TestReaderFaults:
         assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume) == 2
         assert f"error: ValueError: {records}:2: {fault}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["vocab.txt", "epoch002.ckpt", "train_run.jsonl"])
+    def test_a_line_deleted_repeated_or_swapped_exits_2_naming_the_file(
+        self, run_dir, corpus_dir, tmp_path, capsys, name
+    ):
+        # each run-directory reader holds its file to the order its writer keeps: the words ascending after
+        # UNK, the manifest's epoch, config keys and tensors, and one record per epoch from 1
+        bad, hyp = tmp_path / "bad", tmp_path / "hyp.tsv"
+        shutil.copytree(run_dir, bad)
+        path = bad / name
+        raw = path.read_bytes()
+        size = int.from_bytes(raw[8:16], "little") if name.endswith(".ckpt") else None
+        head, text, tail = (raw[:8], raw[16 : 16 + size], raw[16 + size :]) if size else (b"", raw, b"")
+        lines = text.decode().splitlines()
+        if name == "train_run.jsonl":
+            resume = ("--epochs", 3, "--resume", bad / "epoch002.ckpt")
+            command = ("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume)
+        else:
+            command = ("decode", "--run", bad, "--corpus", corpus_dir, "--out", hyp)
+        for edit in ("delete", "repeat", "swap"):
+            for i in range(len(lines) - (edit == "swap")):
+                edited = ("\n".join(edit_line(lines, edit, i)) + "\n").encode()
+                path.write_bytes(head + (len(edited).to_bytes(8, "little") if size else b"") + edited + tail)
+                before = {p.name: p.read_bytes() for p in bad.iterdir()}
+                assert run(*command) == 2, f"{edit} line {i + 1}"
+                assert str(path) in capsys.readouterr().err, f"{edit} line {i + 1}"
+                assert {p.name: p.read_bytes() for p in bad.iterdir()} == before and not hyp.exists()
+
     def test_resume_past_a_lost_record_names_the_epoch_and_writes_nothing(self, run_dir, corpus_dir, tmp_path, capsys):
-        # a run cut after epoch002.ckpt was written but before its record line was appended
+        # a records file that lost its last line: train appends it before the checkpoint, so no kill leaves this
         bad = tmp_path / "bad"
         shutil.copytree(run_dir, bad)
         records = bad / "train_run.jsonl"
@@ -266,6 +303,7 @@ class TestReaderFaults:
              "tensor model.proj.W is (4, 6) in the checkpoint and (4, 12) in the model"),
             (lambda t, c: c.update(hidden="5"), ("decode",),
              "tensor model.layers.0.R is (2, 24, 6) in the checkpoint and (2, 20, 5) in the model"),
+            (lambda t, c: c.pop("deltas"), ("decode",), "the checkpoint has no deltas config record"),
             (per_direction_layout, ("decode", "resume"),
              "tensor model.layers.0.R is absent in the checkpoint and (2, 24, 6) in the model"),
             (lambda t, c: t.update({"opt.v.layers.0.b": np.zeros(1)}), ("resume",),
@@ -273,8 +311,8 @@ class TestReaderFaults:
             (lambda t, c: t.pop("opt.v.layers.0.R"), ("resume",),
              "tensor opt.v.layers.0.R is absent in the checkpoint and (2, 24, 6) in the model"),
         ],
-        ids=["dropped-tensor", "extra-tensor", "misshapen-tensor", "hidden-record", "per-direction-names",
-             "misshapen-velocity", "dropped-velocity"],
+        ids=["dropped-tensor", "extra-tensor", "misshapen-tensor", "hidden-record", "missing-record",
+             "per-direction-names", "misshapen-velocity", "dropped-velocity"],
     )
     def test_checkpoint_that_does_not_fit_is_named(self, run_dir, corpus_dir, tmp_path, capsys, edit, commands, fault):
         bad = tmp_path / "bad"
@@ -486,22 +524,23 @@ class FaultyFile:
 
 # the writes of a 2-epoch RUN_FLAGS run, in order, each killed in turn; what a resume from
 # the newest checkpoint then does: "resumes" to an unbroken run's records, or exits 2 because
-# "epoch N lost its record", "line N is cut" or the run was "complete"
+# "line N is cut" or the run was "complete". An epoch's record line is written before its
+# checkpoint, so the newest checkpoint always has its record.
 KILLS = [
     *[("config.txt", 1, mode, "resumes") for mode in ("in place", "half", "after")],
     *[("vocab.txt", 1, mode, "resumes") for mode in ("in place", "half", "after")],
-    *[("epoch001.ckpt.tmp", 1, mode, "resumes") for mode in ("in place", "half", "after")],
-    ("replace epoch001.ckpt.tmp", 1, "in place", "resumes"),
-    ("replace epoch001.ckpt.tmp", 1, "after", "epoch 1 lost its record"),
-    ("train_run.jsonl", 1, "in place", "epoch 1 lost its record"),
+    ("train_run.jsonl", 1, "in place", "resumes"),
     ("train_run.jsonl", 1, "half", "line 1 is cut"),
     ("train_run.jsonl", 1, "after", "resumes"),
+    *[("epoch001.ckpt.tmp", 1, mode, "resumes") for mode in ("in place", "half", "after")],
+    ("replace epoch001.ckpt.tmp", 1, "in place", "resumes"),
+    ("replace epoch001.ckpt.tmp", 1, "after", "resumes"),
+    ("train_run.jsonl", 2, "in place", "resumes"),
+    ("train_run.jsonl", 2, "half", "line 2 is cut"),
+    ("train_run.jsonl", 2, "after", "resumes"),
     *[("epoch002.ckpt.tmp", 1, mode, "resumes") for mode in ("in place", "half", "after")],
     ("replace epoch002.ckpt.tmp", 1, "in place", "resumes"),
-    ("replace epoch002.ckpt.tmp", 1, "after", "epoch 2 lost its record"),
-    ("train_run.jsonl", 2, "in place", "epoch 2 lost its record"),
-    ("train_run.jsonl", 2, "half", "line 2 is cut"),
-    ("train_run.jsonl", 2, "after", "complete"),
+    ("replace epoch002.ckpt.tmp", 1, "after", "complete"),
 ]
 
 
@@ -547,10 +586,6 @@ class TestKilledAtAWrite:
             if outcome == "complete":
                 assert f"{newest[0]} is at epoch 2, so epochs=2 leaves no epoch to run" in err
             assert deterministic_records(records) == deterministic_records(run_dir / "train_run.jsonl")
-        elif outcome.endswith("lost its record"):
-            epoch = outcome.split()[1]
-            assert code == 2
-            assert f"error: ValueError: {records}: no record of epoch {epoch}, the epoch of the checkpoint" in err
         else:
             line = outcome.split()[1]
             assert code == 2
