@@ -64,7 +64,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from a2w.checkpoint import load_checkpoint  # noqa: E402
 from a2w.cli import cli_main  # noqa: E402
 from a2w.decoder import read_transcripts  # noqa: E402
-from a2w.scoring import EmptyReference, corpus_wer  # noqa: E402
+from a2w.scoring import corpus_wer  # noqa: E402
 
 TINY = ["--layers", "1", "--hidden", "16", "--projection", "8", "--epochs", "12", "--batch_size", "8",
         "--heldout_fraction", "0.2", "--dropout", "0", "--lr", "0.1", "--seed", "3"]
@@ -187,7 +187,7 @@ def _compare_transcripts(path_a: Path, path_b: Path) -> str:
     lines = _compare_lines(path_a, path_b)
     try:
         return f"{lines}; B against A: {corpus_wer(read_transcripts(path_a), read_transcripts(path_b))}"
-    except (KeyError, EmptyReference) as exc:  # the ids differ, or A has an empty line where B has words
+    except (KeyError, ValueError) as exc:  # the ids differ, a file is malformed, or A is empty where B is not
         return f"{lines}; no WER: {exc.args[0]}"
 
 

@@ -10,10 +10,9 @@ Layout, all little-endian:
                       tensor <name> <d0>x<d1>x... <byte offset into data>
     data          the tensors' float64 values, row-major, back to back
 
-The epoch comes first, then config keys and tensor names in ascending order, each
-once, and each tensor's data starts where the one before it ends. The reader
-requires exactly that order, so save -> load -> save reproduces the file byte for
-byte. Loaded tensors are read-only views of the file's bytes; a reader that steps one copies it.
+The epoch comes first, then config keys and tensor names ascending, each once, each
+tensor's data where the one before ends; the reader requires that order, so save -> load
+-> save is byte-identical. Tensors load as read-only views of the file: copy one to step it.
 """
 
 from __future__ import annotations
@@ -93,21 +92,17 @@ def _parse_checkpoint(raw: memoryview) -> Checkpoint:
     data = raw[16 + manifest_len :]
     ckpt = Checkpoint()
     rank = {"epoch": 0, "config": 1, "tensor": 2}
-    last, offset = (-1, ""), 0  # the (rank, name) of the record before, and where the tensors so far end
+    last = (-1, "")  # the (rank, name) of the record before
+    offset = 0  # where the tensors read so far end
     for line in manifest.splitlines():
         kind, _, rest = line.partition(" ")
-        if kind not in rank:
-            raise ValueError(f"unknown manifest record {kind!r}")
-        name = "" if kind == "epoch" else rest.partition("=")[0] if kind == "config" else rest.rsplit(" ", 2)[0]
-        if (rank[kind], name) <= last or last[0] < 0 < rank[kind]:
-            raise ValueError(f"manifest record {line!r} is repeated or out of order")
-        last = (rank[kind], name)
         if kind == "epoch":
             if not rest.isdecimal():
                 raise ValueError(f"malformed manifest record {line!r}")
             ckpt.epoch = int(rest)
+            name = ""
         elif kind == "config":
-            _, sep, value = rest.partition("=")
+            name, sep, value = rest.partition("=")
             if not sep:
                 raise ValueError(f"malformed manifest record {line!r}")
             try:
@@ -118,9 +113,9 @@ def _parse_checkpoint(raw: memoryview) -> Checkpoint:
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"malformed manifest record {line!r}: {exc.args[0]}") from None
             ckpt.config[name] = value
-        else:
+        elif kind == "tensor":
             try:
-                _, dims, start = rest.rsplit(" ", 2)
+                name, dims, start = rest.rsplit(" ", 2)
                 shape = tuple(int(d) for d in dims.split("x"))
             except ValueError:
                 raise ValueError(f"malformed manifest record {line!r}") from None
@@ -133,6 +128,11 @@ def _parse_checkpoint(raw: memoryview) -> Checkpoint:
                 raise ValueError(f"tensor {name} data is truncated")
             ckpt.tensors[name] = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
             offset += 8 * count
+        else:
+            raise ValueError(f"unknown manifest record {kind!r}")
+        if (rank[kind], name) <= last or last[0] < 0 < rank[kind]:  # the epoch, then config keys, then tensors
+            raise ValueError(f"manifest record {line!r} is repeated or out of order")
+        last = (rank[kind], name)
     if offset != len(data):
         raise ValueError(f"tensors cover {offset} of the {len(data)} data bytes")
     return ckpt

@@ -320,22 +320,22 @@ def model_from_checkpoint(path: str | Path) -> tuple[TrainConfig, Model]:
     key, ``input_dim`` and ``output_dim``), or model tensors that do not fit
     the config, raise ValueError naming the file and the key or tensor."""
     ckpt = load_checkpoint(path)
-    items = dict(ckpt.config)
     for key in (*DEFAULTS, "input_dim", "output_dim"):
-        if key not in items:
+        if key not in ckpt.config:
             raise ValueError(f"{path}: the checkpoint has no {key} config record")
-    input_dim, output_dim = int(items.pop("input_dim")), int(items.pop("output_dim"))
-    cfg = config_from_items(items)
+    input_dim, output_dim = int(ckpt.config.pop("input_dim")), int(ckpt.config.pop("output_dim"))
+    cfg = config_from_items(ckpt.config)
     config = build_model_config(cfg, input_dim, output_dim)
     return cfg, Model(config, _load(path, ckpt, config, "model."))
 
 
 def _records_through(path: Path, last_epoch: int) -> list[str]:
-    """The lines of an existing ``train_run.jsonl`` whose epoch is at most ``last_epoch``: the
-    records of epochs 1, 2, ... in order, as ``train`` writes them. A line that is not UTF-8, not
-    a JSON object with an integer epoch, or a kept record out of that order raises ValueError
-    naming the file and the line, and a file without a resumed ``last_epoch`` names the epoch."""
+    """The lines of an existing ``train_run.jsonl`` whose epoch is at most ``last_epoch``: consecutive
+    epochs ending at ``last_epoch``, as ``train`` writes them. A line that is not UTF-8, not a JSON object
+    with an integer epoch, or a kept record that does not follow the one before raises ValueError naming
+    the file and the line, and a file without a resumed ``last_epoch`` names the epoch."""
     kept = []
+    follows = None  # the epoch the next kept record must be
     for lineno, raw in enumerate(path.read_bytes().splitlines() if path.exists() else [], 1):
         try:
             line = raw.decode("utf-8")
@@ -346,10 +346,11 @@ def _records_through(path: Path, last_epoch: int) -> list[str]:
         if type(epoch) is not int:
             raise ValueError(f"{path}:{lineno}: not a record with an integer epoch")
         if epoch <= last_epoch:
-            if epoch != len(kept) + 1:
-                raise ValueError(f"{path}:{lineno}: the record of epoch {epoch} where epoch {len(kept) + 1}'s belongs")
+            if follows not in (None, epoch):
+                raise ValueError(f"{path}:{lineno}: the record of epoch {epoch} where epoch {follows}'s belongs")
             kept.append(line + "\n")
-    if path.exists() and len(kept) < last_epoch:
+            follows = epoch + 1
+    if path.exists() and last_epoch > 0 and follows != last_epoch + 1:
         raise ValueError(f"{path}: no record of epoch {last_epoch}, the epoch of the checkpoint resumed from")
     return kept
 
@@ -490,7 +491,7 @@ def open_run(run_dir: str | Path, epoch: int | None = None) -> TrainedModel:
     cfg, model = model_from_checkpoint(found[-1])
     space = label_space(load_alphabet(run_dir / "vocab.txt"), cfg)
     if space.size != model.config.output_dim:
-        charset, dim = f" with the {cfg.charset} charset" if space.joint else "", model.config.output_dim
-        labels = f"{run_dir / 'vocab.txt'}: {space.size} labels{charset}"
-        raise ValueError(f"{labels}, but {found[-1].name}'s output layer has {dim}")
+        charset = f" with the {cfg.charset} charset" if space.joint else ""
+        layer = f"{found[-1].name}'s output layer has {model.config.output_dim}"
+        raise ValueError(f"{run_dir / 'vocab.txt'}: {space.size} labels{charset}, but {layer}")
     return TrainedModel(cfg, model, space)

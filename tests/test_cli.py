@@ -130,6 +130,15 @@ class TestTrainDecodeScore:
         assert len(decoded) == 30
         assert run("score", write_ref(corpus_dir, tmp_path / "ref.tsv"), hyp) == 0
 
+    def test_a_run_resumed_into_a_new_directory_resumes_there_again(self, run_dir, corpus_dir, tmp_path):
+        # the new directory's records start at the first epoch the resume ran, and the next resume keeps them
+        out = tmp_path / "out"
+        first = ("--epochs", 3, "--resume", run_dir / "epoch002.ckpt")
+        assert run("train", "--corpus", corpus_dir, "--out", out, *RUN_FLAGS, *first) == 0
+        again = ("--epochs", 4, "--resume", out / "epoch003.ckpt")
+        assert run("train", "--corpus", corpus_dir, "--out", out, *RUN_FLAGS, *again) == 0
+        assert [json.loads(line)["epoch"] for line in (out / "train_run.jsonl").read_text().splitlines()] == [3, 4]
+
     def test_decode_needs_no_config_file(self, run_dir, corpus_dir, tmp_path):
         # model shape and feature recipe come from the checkpoint's own snapshot
         bare = tmp_path / "bare"
@@ -251,7 +260,7 @@ class TestReaderFaults:
         self, run_dir, corpus_dir, tmp_path, capsys, name
     ):
         # each run-directory reader holds its file to the order its writer keeps: the words ascending after
-        # UNK, the manifest's epoch, config keys and tensors, and one record per epoch from 1
+        # UNK, the manifest's epoch, config keys and tensors, and records of consecutive epochs
         bad, hyp = tmp_path / "bad", tmp_path / "hyp.tsv"
         shutil.copytree(run_dir, bad)
         path = bad / name
@@ -269,6 +278,11 @@ class TestReaderFaults:
                 edited = ("\n".join(edit_line(lines, edit, i)) + "\n").encode()
                 path.write_bytes(head + (len(edited).to_bytes(8, "little") if size else b"") + edited + tail)
                 before = {p.name: p.read_bytes() for p in bad.iterdir()}
+                if name == "train_run.jsonl" and (edit, i) == ("delete", 0):
+                    # epoch 2's record alone is what a resume from epoch001.ckpt into a new directory writes
+                    assert run(*command) == 0
+                    assert [json.loads(line)["epoch"] for line in path.read_text().splitlines()] == [2, 3]
+                    continue
                 assert run(*command) == 2, f"{edit} line {i + 1}"
                 assert str(path) in capsys.readouterr().err, f"{edit} line {i + 1}"
                 assert {p.name: p.read_bytes() for p in bad.iterdir()} == before and not hyp.exists()

@@ -77,7 +77,7 @@ def test_cli_sweep_compare_says_how_far_each_artifact_differs(tmp_path):
     records = [{"epoch": n, "lr": 0.1, "train_loss": 3.0 / n, "heldout_loss": 4.0 / n, "seconds": 1.0} for n in (1, 2)]
     records_text = "".join(json.dumps(r) + "\n" for r in records)
     (a / "run" / "train_run.jsonl").write_text(records_text, encoding="utf-8")
-    for name in ("hyp.tsv", "same_ids.tsv"):
+    for name in ("hyp.tsv", "same_ids.tsv", "no_tab.tsv"):
         (a / name).write_text("u1\tTHE CAT\nu2\tA DOG\n", encoding="utf-8")
     (a / "score_asc.txt").write_text("WER 0.00% (S=0 I=0 D=0 N=4)\n", encoding="utf-8")
     shutil.copytree(a, b)
@@ -96,9 +96,11 @@ def test_cli_sweep_compare_says_how_far_each_artifact_differs(tmp_path):
     (b / "run" / "train_run.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     (b / "hyp.tsv").write_text("u1\tTHE CAT\nu2\tA CAT\nu3\t\n", encoding="utf-8")
     (b / "same_ids.tsv").write_text("u1\tTHE CAT\nu2\tA CAT DOG\n", encoding="utf-8")
+    (b / "no_tab.tsv").write_text("u1\tTHE CAT\nu2 A DOG\n", encoding="utf-8")
     (b / "score_asc.txt").write_text("WER 25.00% (S=1 I=0 D=0 N=4)\n", encoding="utf-8")
     assert compare() == [
         "hyp.tsv: 2 of 3 lines differ; no WER: reference and hypothesis ids differ, e.g. ['u3']",
+        f"no_tab.tsv: 1 of 2 lines differ; no WER: {b / 'no_tab.tsv'}:2: expected id<TAB>text, got 'u2 A DOG'",
         "run/epoch002.ckpt: model.out.W 1e-12",
         "run/train_run.jsonl: first differing epoch 2; heldout_loss 0.333",
         "same_ids.tsv: 1 of 2 lines differ; B against A: WER 25.00% (S=0 I=1 D=0 N=4)",
