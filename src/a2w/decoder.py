@@ -15,7 +15,6 @@ rendering parses back losslessly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +25,7 @@ from .alphabet import (
 )
 from .ctc import PROBABILITIES, PosteriorLattice
 from .network import Model, ModelConfig, model_forward
-from .pipeline import Batch, Utterance, read_table, sort_and_batch, write_table
+from .pipeline import Utterance, read_table, sort_and_batch, write_table
 
 TAG_FROM_WORD = "from-word"
 TAG_FROM_CHARS = "from-characters"
@@ -195,37 +194,32 @@ def parse_hypothesis(text: str, charset: CharSet) -> SarHypothesis:
     return SarHypothesis(entries=tuple(entries))
 
 
-# a no-cache step stays bound by numpy dispatch until its gate block, 2 x k x B x 4H
+# a no-cache step stays bound by numpy dispatch until its gate block, 2 x kB x 4H
 # elements, reaches about this size (decode_sar's 2 x 16 x 128 block is exactly it)
 STEP_GATES = 4096
 
 
 def batches_per_group(config: ModelConfig, batch_size: int) -> int:
-    """How many batches of ``batch_size`` one no-cache forward runs side by
-    side: as many as keep a step's gate block within ``STEP_GATES``, and at least one."""
+    """How many batches of ``batch_size`` one no-cache forward runs as one batch:
+    as many as keep a step's gate block within ``STEP_GATES``, and at least one."""
     return max(1, STEP_GATES // (2 * batch_size * 4 * config.hidden_per_direction))
 
 
 def forward_batches(model: Model, utts: Sequence[Utterance], batch_size: int, read):
-    """Yield ``(batch, [read(lattice, utt) for each utterance])`` for each
-    ascending-length batch of ``utts``, read at the model's input width and
-    forwarded with dropout off and no cache kept. Up to ``batches_per_group``
-    consecutive batches of one size share a forward as one merged batch; a
-    batch's lattices equal its own forward's bit for bit and never leave
-    here, so a group's T x kB x V logits buffer is gone before the next
-    group's forward. An utterance of another width raises ValueError naming it."""
+    """Yield ``[read(lattice, utt) for each utterance]`` for each ascending-length
+    batch of ``utts``, read at the model's input width and forwarded with
+    dropout off and no cache kept. The forward runs a group of up to
+    ``batches_per_group`` consecutive batches as one batch, whose lattices
+    never leave here, so a group's T x kB x V logits buffer is gone before
+    the next group's forward. An utterance of another width raises ValueError naming it."""
     width, per_group = model.config.input_dim, batches_per_group(model.config, batch_size)
-    for size, same_size in groupby(sort_and_batch(utts, "ascending", batch_size), key=lambda b: b.size):
-        same_size = list(same_size)
-        for start in range(0, len(same_size), per_group):
-            group = same_size[start : start + per_group]
-            merged = Batch(utts=sum((b.utts for b in group), ()), lengths=np.concatenate([b.lengths for b in group]))
-            # passed unnamed, so the forward can let the features go once it has copied them
-            lattices, _ = model_forward(merged.features(width), merged.lengths, model, batch_size=size)
-            values = [read(lattice, utt) for lattice, utt in zip(lattices, merged.utts)]
-            del lattices
-            for j, batch in enumerate(group):
-                yield batch, values[j * size : (j + 1) * size]
+    for group in sort_and_batch(utts, "ascending", batch_size * per_group):
+        # passed unnamed, so the forward can let the features go once it has copied them
+        lattices, _ = model_forward(group.features(width), group.lengths, model)
+        values = [read(lattice, utt) for lattice, utt in zip(lattices, group.utts)]
+        del lattices
+        for start in range(0, group.size, batch_size):
+            yield values[start : start + batch_size]
 
 
 # "word" reads the word track; "chars" and "switched" annotate a joint model's decode
@@ -260,7 +254,7 @@ def decode_utterances(
         hyp = annotate(lattice, joint) if annotate else None
         return utt.id, (hyp.words if hyp else sar_decode_word(lattice, vocab), hyp)
 
-    by_id = dict(row for _, rows in forward_batches(model, utts, batch_size, read) for row in rows)
+    by_id = dict(row for rows in forward_batches(model, utts, batch_size, read) for row in rows)
     return [(u.id, *by_id[u.id]) for u in utts]
 
 

@@ -23,15 +23,6 @@ can overflow. The backward pass mirrors this: one reverse time loop for
 both directions, dL/dz written over the gate buffer, then one stacked
 GEMM each for the W, R and input gradients.
 
-The eval path (no rng) can run k equal-size batches side by side in one
-time loop; a training forward runs k = 1. The gate buffer is batch-major,
-2 x k x T x B x 4H: each batch's input GEMM, over its own t_j x B frames,
-writes into its own contiguous block, and each step's h @ R.T and the
-output head run per batch, B rows each. So a batch's lattices equal its
-own forward's bit for bit, and every elementwise step op covers all k
-batches; at desk sizes a step is bound by numpy dispatch, so k batches
-cost little more than one.
-
 Memory: a training step holds each large array once. A forward given an
 rng is a training forward: it draws the dropout masks from that rng and
 returns a cache holding the model it ran, each layer's input, gates, cell
@@ -42,14 +33,14 @@ caller writes each utterance's d(loss)/d(logits) into ``cache.slot(i)``;
 dL/dlogits and frees it after the output layer, so the forward's lattices
 are invalid after it. A forward without an rng keeps no cache: it lets
 go of the features once layer 0's input is built, of a layer's input once
-its GEMMs have filled the gate buffer (with one batch's frame copy beside
-it), of the gates after the time loop (which writes only h per step) and
-of each head input once its product is made. ``decoder.forward_batches``
-reads a group's lattices before the next group's forward, so a pass holds
-one T x kB x V logits buffer (122 MB at V = 10k, B = 16, T = 100). It
-groups batches while a step's gate block, 2 x k x B x 4H elements, stays
-within 4,096 (``decoder.STEP_GATES``), so a grouped forward's gate buffer
-holds at most 4,096 x T elements per layer.
+its GEMM has filled the gate buffer, of the gates after the time loop
+(which writes only h per step) and of each head input once its product is
+made. ``decoder.forward_batches`` forwards k consecutive batches of B as
+one batch of kB rows while a step's gate block, 2 x kB x 4H elements,
+stays within 4,096 (``decoder.STEP_GATES``), and reads a group's lattices
+before the next group's forward. So a pass holds one T x kB x V logits
+buffer (122 MB at V = 10k, B = 16, T = 100) and at most 4,096 x T gate
+elements per layer.
 """
 
 from __future__ import annotations
@@ -199,66 +190,54 @@ class _LayerCache:
     h: np.ndarray      # 2 x (T+1) x B x H hidden states after a zero slot 0
 
 
-def _input_gates(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, t_ends: Sequence[int], scale: np.ndarray
-) -> np.ndarray:
-    """One layer's 2 x k x T x B x 4H gate buffer, ``scale * (x @ W.T + b)``
-    for every frame of both directions (``w`` and ``b`` stack fwd and bwd on
-    axis 0) of k = len(``t_ends``) batches. Batch j, columns j*B to (j+1)*B
-    of ``x``'s 2 x T x kB grid, has one GEMM over its first ``t_ends[j]``
-    frames, written straight into its own contiguous block, and reads zero
-    input beyond them, so its values are its own forward's bit for bit."""
-    _, t_max, rows, in_dim = x.shape
-    batch, gate_dim = rows // len(t_ends), w.shape[1]
+def _input_gates(x: np.ndarray, w: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """One layer's 2 x T x B x 4H gate buffer, ``scale * (x @ W.T + b)`` for
+    every frame of both directions (``w`` and ``b`` stack fwd and bwd on
+    axis 0): one GEMM per direction over all T x B frames of ``x``."""
+    _, t_max, batch, in_dim = x.shape
     # multiplying by 1/2 or 1 is exact, so this yields scale * z bit for bit
     w_t = (w * scale[:, None]).transpose(0, 2, 1)
-    gates = np.empty((2, len(t_ends), t_max, batch, gate_dim), dtype=x.dtype)
-    for j, t_end in enumerate(t_ends):
-        block = gates[:, j].reshape(2, t_max * batch, gate_dim)
-        # a batch's frames are a strided block of the grid unless it is the only one
-        frames = x[:, :t_end, j * batch : (j + 1) * batch].reshape(2, t_end * batch, in_dim)
-        np.matmul(frames, w_t, out=block[:, : t_end * batch])
-        block[:, t_end * batch :] = 0.0
-    gates += (b * scale)[:, None, None, None]
+    gates = np.matmul(x.reshape(2, t_max * batch, in_dim), w_t).reshape(2, t_max, batch, -1)
+    gates += (b * scale)[:, None, None]
     return gates
 
 
 def _blstm_forward(
     gates: np.ndarray, r: np.ndarray, scale: np.ndarray, shift: np.ndarray, want_cache: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run both directions of one layer's k batches in a single time loop
-    over the 2 x k x T x B x 4H gate buffer that ``_input_gates`` filled.
+    """Run both directions of one layer in a single time loop over the
+    2 x T x B x 4H gate buffer that ``_input_gates`` filled.
 
-    ``r`` stacks the fwd and bwd tensors on axis 0. Each step's h @ R.T
-    runs per batch, (2, k, B, H) @ (2, 1, H, 4H); the step works on
-    contiguous 2 x k x B x ... blocks (at desk sizes a numpy call on one
-    costs about a third of the same call on strided slices of the cache,
-    and little more for k batches than for one), allocates nothing, and
-    copies its hidden state into ``h``. With ``want_cache`` it also writes
-    the gates back over the buffer and copies the cell state (tanh(c) is
-    recomputed by backward). Returns ``h`` and ``c``, each 2 x (T+1) x kB
-    x H after a zero slot 0; ``c`` is None without ``want_cache``.
+    ``r`` stacks the fwd and bwd tensors on axis 0, so each step's h @ R.T
+    is one stacked matmul, (2, B, H) @ (2, H, 4H). The step works on
+    contiguous 2 x B x ... blocks (at desk sizes a numpy call on one costs
+    about a third of the same call on strided slices of the cache),
+    allocates nothing, and copies its hidden state into ``h``. With
+    ``want_cache`` it also writes the gates back over the buffer and copies
+    the cell state (tanh(c) is recomputed by backward). Returns ``h`` and
+    ``c``, each 2 x (T+1) x B x H after a zero slot 0; ``c`` is None
+    without ``want_cache``.
     """
-    _, k, t_max, batch, gate_dim = gates.shape
+    _, t_max, batch, gate_dim = gates.shape
     hidden = gate_dim // 4
     # multiplying by 1/2 or 1 is exact, so this yields scale * (h @ R.T) bit for bit
-    r_t = np.ascontiguousarray((r * scale[:, None]).transpose(0, 2, 1))[:, None]
-    h = np.empty((2, t_max + 1, k, batch, hidden), dtype=gates.dtype)
+    r_t = np.ascontiguousarray((r * scale[:, None]).transpose(0, 2, 1))
+    h = np.empty((2, t_max + 1, batch, hidden), dtype=gates.dtype)
     h[:, 0] = 0.0
     c = None
     if want_cache:
         c = np.empty_like(h)
         c[:, 0] = 0.0
 
-    z = np.empty((2, k, batch, gate_dim), dtype=gates.dtype)
+    z = np.empty((2, batch, gate_dim), dtype=gates.dtype)
     i, f, g, o = (z[..., n * hidden : (n + 1) * hidden] for n in range(4))
-    c_t = np.zeros((2, k, batch, hidden), dtype=gates.dtype)
+    c_t = np.zeros((2, batch, hidden), dtype=gates.dtype)
     h_t = np.zeros_like(c_t)
     tc = np.empty_like(c_t)
     i_g = np.empty_like(c_t)
     for t in range(t_max):
         np.matmul(h_t, r_t, out=z)
-        z += gates[:, :, t]
+        z += gates[:, t]
         np.tanh(z, out=z)
         z *= scale
         z += shift
@@ -269,10 +248,9 @@ def _blstm_forward(
         np.multiply(o, tc, out=h_t)
         h[:, t + 1] = h_t
         if want_cache:
-            gates[:, :, t] = z
+            gates[:, t] = z
             c[:, t + 1] = c_t
-    rows = (2, t_max + 1, k * batch, hidden)
-    return h.reshape(rows), None if c is None else c.reshape(rows)
+    return h, c
 
 
 def _blstm_backward(cache: _LayerCache, dh: np.ndarray, w: np.ndarray, r: np.ndarray, want_dx: bool):
@@ -396,7 +374,6 @@ def model_forward(
     lengths: Sequence[int],
     model: Model,
     rng: np.random.Generator | None = None,
-    batch_size: int | None = None,
 ):
     """Run the stack over a padded batch; returns (per-utterance logit
     lattices, cache).
@@ -411,11 +388,6 @@ def model_forward(
     keeps no other reference to them lets them go then). The lattices are views
     of one T x B x V logits buffer, which a cache holds and
     ``model_backward`` overwrites.
-
-    A ``batch_size`` B that divides the rows runs them as k separate
-    batches of B rows side by side in one time loop. With the rows padded
-    to the longest batch's length, each batch's lattices equal those of its
-    own forward bit for bit. A training forward runs one batch.
     """
     config = model.config
     dtype = np.dtype(config.dtype)
@@ -427,13 +399,8 @@ def model_forward(
         raise BadShape("lengths must match the batch and lie in [1, T_max]")
     train = rng is not None
     batch, t_max, _ = x.shape
-    batch_size = batch if batch_size is None else batch_size
-    if batch_size < 1 or batch % batch_size or (train and batch_size != batch):
-        raise BadShape(f"batch_size={batch_size} must divide the {batch} rows, and a training forward runs one batch")
     use_dropout = train and config.dropout_rate > 0.0
     keep_scale = _dropout_scale(config)
-    k = batch // batch_size
-    t_ends = lengths.reshape(k, batch_size).max(axis=1)
 
     concat = config.concat_dim
     scale, shift = _gate_affine(config.hidden_per_direction, dtype)
@@ -448,12 +415,12 @@ def model_forward(
     for layer in range(config.num_layers):
         _reverse_into(inputs[0], rows, inputs[1])
         prefix = f"layers.{layer}."
-        gates = _input_gates(inputs, params[prefix + "W"], params[prefix + "b"], t_ends, scale)
+        gates = _input_gates(inputs, params[prefix + "W"], params[prefix + "b"], scale)
         if not train:  # the time loop reads only the gate buffer; backward would need the input
             del inputs
         h, c = _blstm_forward(gates, params[prefix + "R"], scale, shift, train)
-        if train:  # one batch, so its gates have the 2 x T x B x 4H layout that backward reads
-            directions.append(_LayerCache(x=inputs, gates=gates[:, 0], c=c, h=h))
+        if train:
+            directions.append(_LayerCache(x=inputs, gates=gates, c=c, h=h))
         del gates, c
         if layer == config.num_layers - 1:
             top = np.empty((t_max, batch, concat), dtype=dtype)
@@ -476,8 +443,7 @@ def model_forward(
     for name in _head(config):
         if train:  # a no-cache forward lets each head matrix's input go once its product is made
             head_inputs.append(logits)
-        # a stack of B-row products per frame and batch, as each batch's own forward runs them
-        logits = (logits.reshape(t_max, k, batch_size, -1) @ params[name].T).reshape(t_max, batch, -1)
+        logits = logits @ params[name].T
 
     lattices = [PosteriorLattice(logits[: lengths[i], i], LOGITS) for i in range(batch)]
     if not train:

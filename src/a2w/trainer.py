@@ -24,6 +24,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -258,7 +259,7 @@ def evaluate_loss(model: Model, utts: Sequence[Utterance], encode, batch_size: i
     def read(lattice, utt):
         return ctc_loss(lattice, encode(utt.transcript)).log_loss
 
-    return sum(sum(losses) for _, losses in forward_batches(model, utts, batch_size, read)) / len(utts)
+    return sum(sum(losses) for losses in forward_batches(model, utts, batch_size, read)) / len(utts)
 
 
 def make_checkpoint(model: Model, state: OptimizerState, cfg: TrainConfig, epoch: int) -> Checkpoint:
@@ -353,6 +354,30 @@ def _records_through(path: Path, last_epoch: int) -> list[str]:
     if path.exists() and last_epoch > 0 and follows != last_epoch + 1:
         raise ValueError(f"{path}: no record of epoch {last_epoch}, the epoch of the checkpoint resumed from")
     return kept
+
+
+def _checkpoints(run_dir: Path) -> dict[int, Path]:
+    """A run directory's checkpoints by epoch: only the files named as ``CHECKPOINT_NAME``
+    writes them, so a copy such as ``epoch001-old.ckpt`` is none of them."""
+    found = {}
+    for path in run_dir.glob("epoch*.ckpt"):
+        digits = path.name.removeprefix("epoch").removesuffix(".ckpt")
+        if digits.isdecimal() and CHECKPOINT_NAME.format(int(digits)) == path.name:
+            found[int(digits)] = path
+    return found
+
+
+def _check_resumed_vocabulary(resume_from: Path, vocab: Vocabulary) -> None:
+    """Raise ValueError, naming the file and the first word that differs, when the ``vocab.txt``
+    beside a resumed checkpoint lists other words than ``vocab``: the run's checkpoints decode through it."""
+    path = resume_from.parent / "vocab.txt"
+    if not path.exists():
+        return
+    kept = load_alphabet(path).words
+    for n, (had, has) in enumerate(zip_longest(kept, vocab.words), 3):
+        if had != has:
+            had, has = (repr(word) if word else "no word" for word in (had, has))
+            raise ValueError(f"{path}:{n}: the run has {had} where this corpus gives {has}; a resume keeps its run's words")
 
 
 def train(
@@ -450,6 +475,7 @@ def run_training(
     model_config = build_model_config(cfg, input_dim, space.size)
     state, warm_report, start_epoch = None, None, 0
     if resume_from is not None:
+        _check_resumed_vocabulary(Path(resume_from), space.vocab)
         ckpt = load_checkpoint(resume_from)
         model = Model(model_config, _load(resume_from, ckpt, model_config, "model."))
         state = OptimizerState(velocity=_load(resume_from, ckpt, model_config, "opt.v."), rho=cfg.momentum)
@@ -468,8 +494,12 @@ def run_training(
     if start_epoch >= cfg.epochs:
         at = f"{resume_from} is at epoch {start_epoch}, so " if resume_from is not None else ""
         raise ValueError(f"{at}epochs={cfg.epochs} leaves no epoch to run")
-
     out_dir = Path(out_dir)
+    past = min((epoch for epoch in _checkpoints(out_dir) if epoch > cfg.epochs), default=None)
+    if past is not None:
+        stale = out_dir / CHECKPOINT_NAME.format(past)
+        raise ValueError(f"{stale}: a checkpoint past epochs={cfg.epochs}, which decode would read as the run's latest")
+
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.txt")
     save_alphabet(out_dir / "vocab.txt", space.vocab)
@@ -484,14 +514,15 @@ def open_run(run_dir: str | Path, epoch: int | None = None) -> TrainedModel:
     """Inverse of ``run_training``'s directory: the trained model of one
     checkpoint, the latest by epoch number when ``epoch`` is None."""
     run_dir = Path(run_dir)
-    pattern = "epoch*.ckpt" if epoch is None else CHECKPOINT_NAME.format(epoch)
-    found = sorted(run_dir.glob(pattern), key=lambda p: (len(p.name), p.name))  # epoch999 before epoch1000
-    if not found:
+    found = _checkpoints(run_dir)
+    path = found.get(max(found, default=None) if epoch is None else epoch)
+    if path is None:
+        pattern = "epoch*.ckpt" if epoch is None else CHECKPOINT_NAME.format(epoch)
         raise FileNotFoundError(f"{run_dir}: no checkpoint matches {pattern}")
-    cfg, model = model_from_checkpoint(found[-1])
+    cfg, model = model_from_checkpoint(path)
     space = label_space(load_alphabet(run_dir / "vocab.txt"), cfg)
     if space.size != model.config.output_dim:
         charset = f" with the {cfg.charset} charset" if space.joint else ""
-        layer = f"{found[-1].name}'s output layer has {model.config.output_dim}"
+        layer = f"{path.name}'s output layer has {model.config.output_dim}"
         raise ValueError(f"{run_dir / 'vocab.txt'}: {space.size} labels{charset}, but {layer}")
     return TrainedModel(cfg, model, space)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import a2w.checkpoint
-from a2w.alphabet import build_charset
+from a2w.alphabet import build_charset, load_alphabet
 from a2w.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from a2w.cli import cli_main
 from a2w.decoder import read_transcripts
@@ -304,6 +304,34 @@ class TestReaderFaults:
         records.unlink()  # with no records to keep, the resume runs
         assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, *resume) == 0
         assert [json.loads(line)["epoch"] for line in records.read_text().splitlines()] == [3]
+
+    def test_resume_on_other_words_names_the_first_and_writes_nothing(self, run_dir, corpus_dir, tmp_path, capsys):
+        # each word renamed "Q" + word: a vocabulary of the same size and order, so the checkpoint fits the model
+        renamed, bad = tmp_path / "renamed", tmp_path / "bad"
+        save_corpus([Utterance(u.id, u.features, tuple("Q" + w for w in u.transcript))
+                     for u in load_corpus(corpus_dir)], renamed)
+        shutil.copytree(run_dir, bad)
+        before = {p.name: p.read_bytes() for p in bad.iterdir()}
+        first = load_alphabet(bad / "vocab.txt").words[0]
+        resume = ("--epochs", 3, "--resume", bad / "epoch002.ckpt")
+        assert run("train", "--corpus", renamed, "--out", bad, *RUN_FLAGS, *resume) == 2
+        message = f"error: ValueError: {bad / 'vocab.txt'}:3: the run has {first!r} where this corpus gives {'Q' + first!r}"
+        assert message in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in bad.iterdir()} == before
+        (bad / "vocab.txt").unlink()  # with no vocabulary beside the checkpoint, the resume runs
+        assert run("train", "--corpus", renamed, "--out", bad, *RUN_FLAGS, *resume) == 0
+        assert load_alphabet(bad / "vocab.txt").words[0] == "Q" + first
+
+    def test_a_shorter_run_over_a_longer_one_names_its_last_checkpoint_and_writes_nothing(
+        self, run_dir, corpus_dir, tmp_path, capsys
+    ):
+        # decode would read the 2-epoch run's epoch002.ckpt as the latest of a 1-epoch run
+        bad = tmp_path / "bad"
+        shutil.copytree(run_dir, bad)
+        before = {p.name: p.read_bytes() for p in bad.iterdir()}
+        assert run("train", "--corpus", corpus_dir, "--out", bad, *RUN_FLAGS, "--epochs", 1) == 2
+        assert f"error: ValueError: {bad / 'epoch002.ckpt'}: a checkpoint past epochs=1" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in bad.iterdir()} == before
 
     # RUN_FLAGS: 4 input features, 1 layer, hidden 6, projection 4
     @pytest.mark.parametrize(

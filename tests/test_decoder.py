@@ -315,38 +315,77 @@ class TestForwardBatches:
         config = ModelConfig(input_dim=8, output_dim=22, num_layers=2, hidden_per_direction=hidden, projection_dim=32)
         assert batches_per_group(config, batch_size) == per_group
 
-    def test_a_group_holds_batches_of_one_size(self, joint, monkeypatch):
-        # 11 utterances in batches of 3 (tiny_model runs up to 42 side by side): 3 + 3 + 3, then the short 2
+    def test_a_group_is_up_to_batches_per_group_consecutive_batches(self, joint, monkeypatch):
+        # 11 utterances in batches of 3, 2 batches a group: forwards of 6 then 5 rows, read back as 3 + 3 + 3 + 2
         model, utts = tiny_model(joint.vocab.size), random_utts(11)
+        monkeypatch.setattr(a2w.decoder, "batches_per_group", lambda config, batch_size: 2)
         forward, calls = a2w.decoder.model_forward, []
 
         def counted(features, lengths, model, **kwargs):
-            calls.append((len(lengths), kwargs["batch_size"]))
+            calls.append(len(lengths))
             return forward(features, lengths, model, **kwargs)
 
         monkeypatch.setattr(a2w.decoder, "model_forward", counted)
-        batches = [batch.ids for batch, _ in a2w.decoder.forward_batches(model, utts, 3, lambda lat, u: None)]
-        assert calls == [(9, 3), (2, 2)]
-        assert [len(ids) for ids in batches] == [3, 3, 3, 2]
+        yielded = list(a2w.decoder.forward_batches(model, utts, 3, lambda lat, u: u.id))
+        assert calls == [6, 5]
+        assert yielded == [list(batch.ids) for batch in sort_and_batch(utts, "ascending", 3)]
 
     def test_read_sees_each_utterance_once_in_batch_order_with_its_own_lattice(self, joint):
-        # 11 utterances in batches of 3: a group of three batches, then a group of one
+        # 11 utterances in batches of 3, and tiny_model runs up to 42 batches a group: one forward of 11 rows
         model, utts = tiny_model(joint.vocab.size), random_utts(11)
         own = {}  # each utterance's lattice from its batch's own forward
-        for batch in sort_and_batch(utts, "ascending", 3):
+        batches = sort_and_batch(utts, "ascending", 3)
+        for batch in batches:
             lattices, _ = model_forward(batch.features(model.config.input_dim), batch.lengths, model)
             own.update((u.id, lat.values) for u, lat in zip(batch.utts, lattices))
         seen = []
 
         def read(lattice, utt):
             seen.append(utt.id)
-            return utt.id, np.array_equal(lattice.values, own[utt.id])
+            return utt.id, np.allclose(lattice.values, own[utt.id], rtol=0, atol=1e-13)
 
         yielded = list(a2w.decoder.forward_batches(model, utts, 3, read))
-        assert seen == [utt_id for batch, _ in yielded for utt_id in batch.ids]
-        assert sorted(seen) == sorted(u.id for u in utts)
-        assert all(values == [(utt_id, True) for utt_id in batch.ids] for batch, values in yielded)
-        assert not any(isinstance(item, PosteriorLattice) for pair in yielded for item in (*pair, *pair[1]))
+        assert seen == [utt_id for batch in batches for utt_id in batch.ids]
+        assert yielded == [[(utt_id, True) for utt_id in batch.ids] for batch in batches]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layers=st.integers(1, 3),
+        hidden=st.integers(1, 8),
+        projection=st.booleans(),
+        batch_size=st.integers(1, 5),
+        count=st.integers(1, 24),
+        max_len=st.integers(1, 9),
+        dtype=st.sampled_from(["float64", "float32"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_a_groups_lattices_equal_each_batchs_own_forward_within_rounding(
+        self, layers, hidden, projection, batch_size, count, max_len, dtype, seed
+    ):
+        # a group pads its batches to its longest utterance and runs kB-row products, so a lattice
+        # may differ from its batch's own forward by rounding: measured against the largest |logit|
+        # the head could reach from its input without cancellation, max (|top| @ |proj.W|.T) @ |out.W|.T,
+        # as a 1-wide projection can cancel the lattice's own logits down to 1e-5 of that
+        config = ModelConfig(input_dim=3, output_dim=4, num_layers=layers, hidden_per_direction=hidden,
+                             projection_dim=1 if projection else 0, dropout_rate=0.0, dtype=dtype)
+        model = init_model(config, np.random.default_rng(seed))
+        head = [np.abs(w) for name, w in model.params.items() if not name.startswith("layers.")]
+        rng = np.random.default_rng(seed + 1)
+        utts = [Utterance(f"u{k:02d}", rng.normal(size=(int(rng.integers(1, max_len + 1)), 3)), ("THE",))
+                for k in range(count)]
+        grouped = list(a2w.decoder.forward_batches(model, utts, batch_size, lambda lat, u: lat.values.copy()))
+        tol = 1e-13 if dtype == "float64" else 1e-5
+        batches = sort_and_batch(utts, "ascending", batch_size)
+        for batch, values in zip(batches, grouped, strict=True):
+            lattices, _ = model_forward(batch.features(3), batch.lengths, model)
+            # with dropout off, a training forward keeps the top layer's output as the head's input
+            _, cache = model_forward(batch.features(3), batch.lengths, model, rng=np.random.default_rng(0))
+            reach = np.abs(cache.head_inputs[0])
+            for w in head:
+                reach = reach @ w.T
+            for i, (lattice, got) in enumerate(zip(lattices, values, strict=True)):
+                assert got.shape == lattice.values.shape
+                assert np.max(np.abs(got - lattice.values)) <= tol * np.max(reach[: batch.lengths[i], i])
 
     def test_heldout_loss_names_an_utterance_of_another_width(self, joint):
         vocab = joint.vocab

@@ -217,32 +217,6 @@ class TestForward:
         h = 8 * 2 * (t_max + 1) * batch * hidden
         assert peak <= layer_input + gates + h // 2
 
-    def test_grouped_input_gemm_writes_each_batch_into_the_gate_buffer(self):
-        # k = 4 batches of a narrow input (In = 2) into a wide gate block (4H = 256): each batch's GEMM
-        # writes into its own block of the buffer, so the peak stays below the buffer, one batch's frame
-        # copy and half of one batch's gate block (a GEMM result held beside the buffer is a whole block)
-        k, t_max, batch, hidden, in_dim = 4, 50, 8, 64, 2
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, t_max, k * batch, in_dim))
-        w, b = rng.normal(size=(2, 4 * hidden, in_dim)), rng.normal(size=(2, 4 * hidden))
-        scale, _ = network._gate_affine(hidden, np.float64)
-        t_ends = [20, 35, 50, 50]
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            gates = network._input_gates(x, w, b, t_ends, scale)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        block = 8 * 2 * t_max * batch * 4 * hidden
-        assert gates.nbytes == k * block
-        assert peak <= gates.nbytes + 8 * 2 * t_max * batch * in_dim + block // 2
-        w_t, bias = (w * scale[:, None]).swapaxes(1, 2)[:, None], (b * scale)[:, None, None]
-        for j, t_end in enumerate(t_ends):  # each batch's own frames, then zero before the bias
-            frames = x[:, :t_end, j * batch : (j + 1) * batch]
-            np.testing.assert_allclose(gates[:, j, :t_end], frames @ w_t + bias, rtol=1e-12)
-            assert np.all(gates[:, j, t_end:] == bias)
-
     def test_bidirectionality_mirror(self):
         # swap fwd/bwd parameters (reverse axis 0) and reverse the input:
         # hidden halves swap and the frame order reverses
@@ -448,45 +422,6 @@ class TestFusedAgainstReference:
         assert list(grads) == list(ref_grads)
         assert all(grads[name].shape == g.shape and grads[name].dtype == g.dtype for name, g in ref_grads.items())
         assert _max_rel_err([grads[name] for name in ref_grads], list(ref_grads.values())) <= tol
-
-
-class TestBatchesSideBySide:
-    """k batches in one no-cache forward against one forward per batch."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        layers=st.integers(1, 3),
-        hidden=st.integers(1, 8),
-        projection=st.booleans(),
-        batch=st.integers(1, 5),
-        k=st.integers(1, 5),
-        max_len=st.integers(1, 9),
-        dtype=st.sampled_from(["float64", "float32"]),
-        seed=st.integers(0, 2**31 - 1),
-    )
-    def test_each_batch_equals_its_own_forward_bit_for_bit(self, layers, hidden, projection, batch, k, max_len,
-                                                           dtype, seed):
-        cfg = ModelConfig(input_dim=3, output_dim=4, num_layers=layers, hidden_per_direction=hidden,
-                          projection_dim=1 if projection else 0, dtype=dtype)
-        model = init_model(cfg, np.random.default_rng(seed))
-        rng = np.random.default_rng(seed + 1)
-        lengths = rng.integers(1, max_len + 1, size=(k, batch))
-        feats = np.zeros((k * batch, lengths.max(), 3))  # as long as the longest batch
-        expected = []
-        for j, own_lengths in enumerate(lengths):
-            own = rng.normal(size=(batch, own_lengths.max(), 3))
-            feats[j * batch : (j + 1) * batch, : own_lengths.max()] = own
-            expected += model_forward(own, own_lengths, model)[0]
-        lattices, cache = model_forward(feats, lengths.ravel(), model, batch_size=batch)
-        assert cache is None
-        assert all(np.array_equal(a.values, b.values) for a, b in zip(lattices, expected, strict=True))
-
-    def test_batch_size_must_divide_the_rows_and_a_training_forward_runs_one_batch(self):
-        model = tiny_model()
-        with pytest.raises(BadShape, match="^batch_size=2 must divide the 3 rows"):
-            model_forward(np.zeros((3, 2, 5)), [2, 2, 2], model, batch_size=2)
-        with pytest.raises(BadShape, match="^batch_size=1 must divide the 2 rows, and a training forward runs one"):
-            model_forward(np.zeros((2, 2, 5)), [2, 2], model, rng=np.random.default_rng(0), batch_size=1)
 
 
 class TestFloat32:

@@ -616,6 +616,17 @@ class TestOpenRun:
         for name, value in latest.items():
             np.testing.assert_array_equal(model.params[name], value)
 
+    def test_only_the_names_checkpoint_name_writes_are_checkpoints(self, tmp_path):
+        # a copy under another name is never the latest, however long or late its name
+        train_utts, held = toy_corpora()
+        run_training(TrainConfig(**{**TOY, "epochs": 2}), train_utts, held, tmp_path)
+        for name in ("epoch001-before-lr-change.ckpt", "epoch0003.ckpt", "epoch3b.ckpt"):
+            (tmp_path / name).write_bytes((tmp_path / "epoch001.ckpt").read_bytes())
+        latest = load_checkpoint(tmp_path / "epoch002.ckpt").model_tensors()
+        model = open_run(tmp_path).model
+        for name, value in latest.items():
+            np.testing.assert_array_equal(model.params[name], value)
+
     def test_missing_checkpoint_names_the_run(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=f"{tmp_path}: no checkpoint matches epoch\\*\\.ckpt"):
             open_run(tmp_path)
